@@ -33,20 +33,18 @@ from .corpus import (
     load_corpus,
     serialize,
 )
-from .engine import CapExceededError, CappedEngine, EngineConfig, EngineError
+from .engine import CENSORED, CapExceededError, CappedEngine, EngineConfig, EngineError
 from .planner import (
-    WITH_PIVOT,
-    WITHOUT_PIVOT,
     GroupSpecError,
     PlanInfeasibleError,
-    Split,
     Strategy,
     parse_group_spec,
     plan_auto,
     plan_censored,
     plan_prescribed,
+    split_pair,
 )
-from .query import FieldKind, Pattern, Query, QueryError, parse, print_normalized
+from .query import FieldKind, Query, QueryError, parse, print_normalized
 from .reconcile import RunReport, Verdict, run_strategy, validate_direct
 
 EXIT_OK = 0
@@ -292,16 +290,9 @@ def _make_strategy(args: argparse.Namespace, engine: CappedEngine) -> Strategy:
     if args.split_pivot:
         if not args.split_field:
             raise GroupSpecError("--split-pivot needs --split-field")
-        pivot_field = FieldKind(args.split_field)
-        value = args.split_pivot.strip()
-        truncated = value.endswith("*")
-        pivot = Pattern(value[:-1] if truncated else value, truncated)
-        groups = (
-            Split("", pivot_field, pivot, WITH_PIVOT),
-            Split("", pivot_field, pivot, WITHOUT_PIVOT),
-        )
+        groups = split_pair("", FieldKind(args.split_field), args.split_pivot)
         return plan_prescribed(engine, base, field, groups)
-    if engine.config.count_mode == "censored":
+    if engine.config.count_mode == CENSORED:
         return plan_censored(engine, base, field)
     return plan_auto(engine, base, field)
 
@@ -319,19 +310,12 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    """``run`` and ``validate``: the latter also compares against the direct count."""
     engine = _load_engine(args)
     strategy = _make_strategy(args, engine)
     _print_warnings(strategy)
-    report = run_strategy(strategy, engine)
-    _write_out(emit_report(report), args.out)
-    return EXIT_OK if report.verdict is Verdict.EXACT else EXIT_VERDICT
-
-
-def _cmd_validate(args: argparse.Namespace) -> int:
-    engine = _load_engine(args)
-    strategy = _make_strategy(args, engine)
-    _print_warnings(strategy)
-    report = validate_direct(strategy, engine)
+    execute = validate_direct if args.command == "validate" else run_strategy
+    report = execute(strategy, engine)
     _write_out(emit_report(report), args.out)
     return EXIT_OK if report.verdict is Verdict.EXACT else EXIT_VERDICT
 
@@ -342,7 +326,7 @@ _COMMANDS = {
     "count": _cmd_count,
     "plan": _cmd_plan,
     "run": _cmd_run,
-    "validate": _cmd_validate,
+    "validate": _cmd_run,
 }
 
 
@@ -360,10 +344,7 @@ def main(argv: list[str] | None = None) -> int:
     except (QueryError, GroupSpecError, EngineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except CorpusError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (CorpusError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -15,6 +15,11 @@ This module owns:
 - three reference fixtures (``build_fixture``) whose statement counts
   under the shipped seven-statement grouping are known exactly and are
   asserted by the regression suite.
+
+Each value is checked once, where it enters: corpus text in ``ingest``,
+Python values in ``Record``/``Corpus``, and a generator profile's
+countries and address pools once per ``generate`` call, drawn or not.
+Generated and fixture records then come from one assembler that trusts them.
 """
 
 from __future__ import annotations
@@ -119,6 +124,29 @@ class Corpus:
         return iter(self.records)
 
 
+def _unchecked(cls, **values):
+    """Build a frozen dataclass from already-checked values, skipping ``__post_init__``."""
+    obj = object.__new__(cls)
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _assemble(rows: Iterable[tuple], n: int) -> Corpus:
+    """Number ``n`` normalized ``(year, titles, countries, addresses)`` rows R0000001...
+
+    The values are program constants or were checked once on entry, and
+    the ids are unique by construction, so nothing is checked again.
+    """
+    width = max(7, len(str(n)))
+    records = tuple(
+        _unchecked(Record, id=f"R{pos + 1:0{width}d}", pub_year=year, source_titles=tuple(titles),
+                   countries=frozenset(countries), addresses=frozenset(addresses))
+        for pos, (year, titles, countries, addresses) in enumerate(rows)
+    )
+    return _unchecked(Corpus, records=records)
+
+
 # ---------------------------------------------------------------------------
 # On-disk format
 #
@@ -177,7 +205,7 @@ def ingest(source: str | Iterable[str]) -> Corpus:
             )
         seen_lines[record.id] = lineno
         records.append(record)
-    return Corpus(tuple(records))
+    return _unchecked(Corpus, records=tuple(records))
 
 
 def _split_values(text: str, lineno: int, tag: str, allow_empty: bool = False) -> list[str]:
@@ -331,31 +359,35 @@ def generate(profile: CorpusProfile) -> Corpus:
     """Generate a corpus fully determined by the profile."""
     profile.validate()
     rng = random.Random(profile.seed)
-    countries, country_w = _weighted_items(profile.country_weights)
+    names, country_w = _weighted_items(profile.country_weights)
+    # Caller-supplied names and pools are checked here, once, in the order
+    # fixed above, so no generated record is checked again. Pools are keyed
+    # by the raw country name.
+    pools = profile.address_pools
+    countries = [
+        (
+            frozenset((_check_value(normalize_text(c), "country"),)),
+            tuple(_check_value(normalize_text(a), "address") for a in pools.get(c, ())),
+        )
+        for c in names
+    ]
     letters, letter_w = _weighted_items(profile.initial_letter_weights)
     lo, hi = profile.year_range
-    width = max(7, len(str(profile.n_records)))
-    records = []
-    for i in range(profile.n_records):
-        country = rng.choices(countries, country_w)[0]
-        titles = [_random_title(rng, rng.choices(letters, letter_w)[0])]
-        if rng.random() < profile.multi_title_prob:
-            second = _random_title(rng, rng.choices(letters, letter_w)[0])
-            while second == titles[0]:
+
+    def rows() -> Iterator[tuple]:
+        for _ in range(profile.n_records):
+            country, pool = rng.choices(countries, country_w)[0]
+            first = _random_title(rng, rng.choices(letters, letter_w)[0])
+            titles = (first,)
+            if rng.random() < profile.multi_title_prob:
                 second = _random_title(rng, rng.choices(letters, letter_w)[0])
-            titles.append(second)
-        pool = profile.address_pools.get(country, ())
-        addresses = (rng.choice(pool),) if pool else ()
-        records.append(
-            Record(
-                id=f"R{i + 1:0{width}d}",
-                pub_year=rng.randint(lo, hi),
-                source_titles=tuple(titles),
-                countries=frozenset((country,)),
-                addresses=frozenset(addresses),
-            )
-        )
-    return Corpus(tuple(records))
+                while second == first:
+                    second = _random_title(rng, rng.choices(letters, letter_w)[0])
+                titles = (first, second)
+            addresses = (rng.choice(pool),) if pool else ()
+            yield rng.randint(lo, hi), titles, country, addresses
+
+    return _assemble(rows(), profile.n_records)
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +470,9 @@ _USA_SPEC = _SplitFixtureSpec(
 )
 
 _COLLABORATOR_COUNTRIES = ("SPAIN", "NETHERLANDS", "BELGIUM", "MEXICO", "CANADA", "JAPAN")
+
+_UK_WITH_LONDON = 33043  # records with a London address: statement 1 of the pivot split
+_UK_WITHOUT_LONDON = 98802
 
 _UK_NATIONS = ("ENGLAND", "SCOTLAND", "WALES", "NORTH IRELAND")
 _UK_NATION_WEIGHTS = (70, 15, 10, 5)
@@ -547,7 +582,7 @@ def _build_split_fixture(spec: _SplitFixtureSpec) -> Corpus:
             return rng.choice(pools[FIXTURE_SPLIT_PREFIX])
         return rng.choice(pools[rng.choice(FIXTURE_LETTER_GROUPS[stmt])])
 
-    def addresses_for(stmts: tuple[int, ...]) -> tuple[str, ...]:
+    def addresses_for(*stmts: int) -> tuple[str, ...]:
         if 5 in stmts:
             addrs = [rng.choice(spec.with_pivot_pool)]
             if rng.random() < 0.15:
@@ -568,30 +603,21 @@ def _build_split_fixture(spec: _SplitFixtureSpec) -> Corpus:
             return frozenset((spec.country, rng.choice(_COLLABORATOR_COUNTRIES)))
         return frozenset((spec.country,))
 
-    rows: list[tuple[tuple[str, ...], frozenset[str], tuple[str, ...]]] = []
+    rows = []
     for stmt, count in enumerate(spec.exclusive):
         for _ in range(count):
-            rows.append(((pick_title(stmt),), countries_for(), addresses_for((stmt,))))
+            rows.append((_FIXTURE_YEAR, (pick_title(stmt),), countries_for(), addresses_for(stmt)))
     pairs = pair_overlap_degrees(spec.overlap_degree, forbidden=frozenset({(5, 6)}))
     for i, j in pairs:
-        rows.append(((pick_title(i), pick_title(j)), countries_for(), addresses_for((i, j))))
+        rows.append(
+            (_FIXTURE_YEAR, (pick_title(i), pick_title(j)), countries_for(), addresses_for(i, j))
+        )
 
     rng.shuffle(rows)
-    width = max(7, len(str(len(rows))))
-    records = tuple(
-        Record(
-            id=f"R{pos + 1:0{width}d}",
-            pub_year=_FIXTURE_YEAR,
-            source_titles=titles,
-            countries=countries,
-            addresses=frozenset(addrs),
-        )
-        for pos, (titles, countries, addrs) in enumerate(rows)
-    )
-    return Corpus(records)
+    return _assemble(rows, len(rows))
 
 
-def _build_uk_fixture(n_with_london: int = 33043, n_without: int = 98802) -> Corpus:
+def _build_uk_fixture() -> Corpus:
     rng = random.Random(1002)
     pools = _title_pools(rng, SYMBOLS, 60)
 
@@ -609,26 +635,15 @@ def _build_uk_fixture(n_with_london: int = 33043, n_without: int = 98802) -> Cor
             return frozenset((base, rng.choice(_COLLABORATOR_COUNTRIES)))
         return frozenset((base,))
 
-    rows: list[tuple[tuple[str, ...], frozenset[str], tuple[str, ...]]] = []
-    for _ in range(n_with_london):
+    rows = []
+    for _ in range(_UK_WITH_LONDON):
         addrs = [rng.choice(_UK_LONDON_POOL)]
         if rng.random() < 0.2:
             addrs.append(rng.choice(_UK_OTHER_POOL))
-        rows.append((titles_for(), nation(), tuple(addrs)))
-    for _ in range(n_without):
+        rows.append((_FIXTURE_YEAR, titles_for(), nation(), addrs))
+    for _ in range(_UK_WITHOUT_LONDON):
         addrs = (rng.choice(_UK_OTHER_POOL),) if rng.random() > 0.05 else ()
-        rows.append((titles_for(), nation(), addrs))
+        rows.append((_FIXTURE_YEAR, titles_for(), nation(), addrs))
 
     rng.shuffle(rows)
-    width = max(7, len(str(len(rows))))
-    records = tuple(
-        Record(
-            id=f"R{pos + 1:0{width}d}",
-            pub_year=_FIXTURE_YEAR,
-            source_titles=titles,
-            countries=countries,
-            addresses=frozenset(addrs),
-        )
-        for pos, (titles, countries, addrs) in enumerate(rows)
-    )
-    return Corpus(records)
+    return _assemble(rows, len(rows))

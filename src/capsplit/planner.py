@@ -158,6 +158,14 @@ def build_exclusions(n: int, overlap_number: int) -> list[Query]:
 # ---------------------------------------------------------------------------
 
 
+def split_pair(prefix: str, pivot_field: FieldKind, value: str) -> tuple[Split, ...]:
+    """The with/without pivot-split pair for a pivot value such as ``CA`` or ``LOND*``."""
+    value = value.strip()
+    truncated = value.endswith("*")
+    pivot = Pattern(value[:-1] if truncated else value, truncated)
+    return tuple(Split(prefix, pivot_field, pivot, side) for side in (WITH_PIVOT, WITHOUT_PIVOT))
+
+
 def parse_group_spec(text: str) -> tuple[Group, ...]:
     """Parse the textual group form, e.g. ``AB,CDEFG,...,J/AD=CA``.
 
@@ -180,12 +188,7 @@ def parse_group_spec(text: str) -> tuple[Group, ...]:
                 pivot_field = FieldKind(field_name.strip().upper())
             except ValueError:
                 raise GroupSpecError(f"unknown pivot field {field_name!r}") from None
-            value = value.strip()
-            truncated = value.endswith("*")
-            pivot = Pattern(value[:-1] if truncated else value, truncated)
-            prefix = prefix.strip().upper()
-            groups.append(Split(prefix, pivot_field, pivot, WITH_PIVOT))
-            groups.append(Split(prefix, pivot_field, pivot, WITHOUT_PIVOT))
+            groups.extend(split_pair(prefix.strip().upper(), pivot_field, value))
         else:
             groups.append(Letters(tuple(chunk.upper())))
     return tuple(groups)

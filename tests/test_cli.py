@@ -59,6 +59,15 @@ def test_gen_bad_profile_is_data_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_gen_reserved_character_in_profile_is_data_error(tmp_path, capsys):
+    # no record is generated, so the bad address is never drawn
+    profile = {"seed": 1, "n_records": 0, "address_pools": {"USA": ["MIT=CAMBRIDGE"]}}
+    path = tmp_path / "reserved.json"
+    path.write_text(json.dumps(profile))
+    assert main(["gen", "--profile", str(path), "--out", str(tmp_path / "c.tsv")]) == 3
+    assert "reserved character '='" in capsys.readouterr().err
+
+
 def test_gen_fixture(tmp_path, capsys):
     out = tmp_path / "cuba.tsv"
     assert main(["gen", "--fixture", "cuba_t3", "--out", str(out)]) == 0

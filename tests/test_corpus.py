@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
@@ -182,6 +183,37 @@ def test_invalid_profiles_rejected():
         generate(CorpusProfile(seed=1, n_records=1, initial_letter_weights={"É": 1.0}))
 
 
+@pytest.mark.parametrize(
+    "country_weights, address_pools",
+    [
+        # a reserved character in a country the RNG practically never draws
+        ({"USA": 1.0, "A(B": 1e-9}, {}),
+        # a reserved character in an address pool the RNG never reaches
+        ({"USA": 1.0}, {"USA": ("STANFORD UNIV", "MIT*")}),
+        ({"USA": 1.0}, {"USA": ("  ",)}),
+    ],
+)
+def test_bad_profile_value_fails_even_if_never_drawn(country_weights, address_pools):
+    for n in (0, 1):
+        profile = CorpusProfile(
+            seed=1, n_records=n, country_weights=country_weights, address_pools=address_pools
+        )
+        with pytest.raises(CorpusError, match="country|address"):
+            generate(profile)
+
+
+def test_generator_skips_record_and_corpus_rechecks(monkeypatch):
+    calls = []
+    monkeypatch.setattr(Record, "__post_init__", lambda self: calls.append("record"))
+    monkeypatch.setattr(Corpus, "__post_init__", lambda self: calls.append("corpus"))
+    generate(CorpusProfile(seed=1, n_records=50))
+    build_fixture("cuba_t3")
+    assert calls == []
+    # ingest checks each record itself and its own duplicate ids, not the corpus again
+    ingest("R1\t2007\tA REV\tUSA\t\nR2\t2007\tB REV\tUSA\t")
+    assert calls == ["record", "record"]
+
+
 def test_profile_from_dict_accepts_lists():
     profile = CorpusProfile.from_dict(
         {
@@ -291,6 +323,53 @@ def test_uk_fixture_structure(uk_corpus):
     nations = {"ENGLAND", "SCOTLAND", "WALES", "NORTH IRELAND"}
     assert all(r.countries.intersection(nations) for r in uk_corpus)
     assert all(r.pub_year == 2007 for r in uk_corpus)
+
+
+# -- pinned corpus bytes ----------------------------------------------------
+#
+# sha256 of serialize(...), recorded before record assembly was shared
+# between the generator and the fixtures; any drift in the order of RNG
+# calls, in numbering or in normalization changes these.
+
+_FIXTURE_SHA256 = {
+    "cuba_t3": "2c3474076458bb9611728bdcea5f66ccf3f173a1d084ef83a7af51e2e2a80c9f",
+    "uk_s1": "7aefd6b9c007d74da3863187ea809365500468e03c7382438322e31f765beb57",
+    "usa_t1": "2d1212439a802b5c5355e2831a46e2ee51c65c890514724dcc354266e909c4aa",
+}
+
+def _sha256(corpus: Corpus) -> str:
+    return hashlib.sha256(serialize(corpus).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(_FIXTURE_SHA256))
+def test_fixture_bytes_are_pinned(name, request):
+    corpus = request.getfixturevalue(name.split("_")[0] + "_corpus")  # built once, in conftest
+    assert _sha256(corpus) == _FIXTURE_SHA256[name]
+
+
+@pytest.mark.parametrize(
+    "profile, digest",
+    [
+        (
+            CorpusProfile(seed=7, n_records=500),
+            "e76eb54fbdad8c892dfc910a5e6bddbc688a60837676dc64e3f986e07b52261e",
+        ),
+        (
+            CorpusProfile(
+                seed=3,
+                n_records=300,
+                country_weights={"usa": 1.0, "North  Ireland": 2.0},
+                address_pools={"usa": ("stanford  univ ca",), "North  Ireland": ("qub belfast",)},
+            ),
+            "61ba1d35c8baa77f42b75df01f5145b2eec232ef93e7f9b96e1cde678dd557ba",
+        ),
+    ],
+    ids=["default-seed7", "unnormalized-names"],
+)
+def test_generate_bytes_are_pinned(profile, digest):
+    corpus = generate(profile)
+    assert _sha256(corpus) == digest
+    assert ingest(serialize(corpus)) == corpus
 
 
 def test_fixture_is_deterministic():

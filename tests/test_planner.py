@@ -31,7 +31,7 @@ from capsplit import (
     print_normalized,
     validate_direct,
 )
-from capsplit.planner import validate_groups
+from capsplit.planner import split_pair, validate_groups
 
 from conftest import CUBA_BASE, REFERENCE_GROUPS_CUBA
 from helpers import make_record
@@ -106,6 +106,13 @@ def test_parse_group_spec_whole_base_split():
         Split("", FieldKind.AD, Pattern("LONDON"), "with"),
         Split("", FieldKind.AD, Pattern("LONDON"), "without"),
     )
+
+
+def test_truncated_pivot_parses_alike_in_group_spec_and_split_flags():
+    pivot = Pattern("LOND", truncated=True)
+    expected = (Split("", FieldKind.AD, pivot, "with"), Split("", FieldKind.AD, pivot, "without"))
+    assert parse_group_spec("/AD= lond* ") == expected
+    assert split_pair("", FieldKind.AD, " lond* ") == expected
 
 
 @pytest.mark.parametrize(
