@@ -17,8 +17,9 @@ This module owns:
   asserted by the regression suite.
 
 Each value is checked once, where it enters: corpus text in ``ingest``,
-Python values in ``Record``/``Corpus``, and a generator profile's
-countries and address pools once per ``generate`` call, drawn or not.
+Python values in ``Record``/``Corpus``, a profile file's JSON types in
+``CorpusProfile.from_dict``, and a generator profile's countries and
+address pools once per ``generate`` call, drawn or not.
 Generated and fixture records then come from one assembler that trusts them.
 """
 
@@ -323,16 +324,63 @@ class CorpusProfile:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CorpusProfile":
-        """Build a profile from parsed JSON, tolerating list-typed fields."""
+        """Build a profile from parsed JSON, where lists stand in for tuples.
+
+        The JSON type of every known field is checked here, where a profile
+        file enters, so a mistyped value fails with ``CorpusError`` instead
+        of deep inside ``validate`` or ``generate``.
+        """
+        if not isinstance(data, dict):
+            raise CorpusError("profile must be a JSON object")
+        for name, value in data.items():
+            if name in _PROFILE_JSON_TYPES:
+                what, ok = _PROFILE_JSON_TYPES[name]
+                if not ok(value):
+                    raise CorpusError(f"profile {name} must be {what}, got {value!r}")
         kwargs = dict(data)
         if "year_range" in kwargs:
-            lo, hi = kwargs["year_range"]
-            kwargs["year_range"] = (int(lo), int(hi))
+            kwargs["year_range"] = tuple(kwargs["year_range"])
         if "address_pools" in kwargs:
             kwargs["address_pools"] = {
                 country: tuple(pool) for country, pool in kwargs["address_pools"].items()
             }
         return cls(**kwargs)
+
+
+def _json_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _json_number(value: object) -> bool:
+    return _json_int(value) or isinstance(value, float)
+
+
+def _json_year_range(value: object) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(map(_json_int, value))
+
+
+def _json_weights(value: object) -> bool:
+    return isinstance(value, dict) and all(map(_json_number, value.values()))
+
+
+def _json_pools(value: object) -> bool:
+    return isinstance(value, dict) and all(
+        isinstance(pool, list) and all(isinstance(a, str) for a in pool)
+        for pool in value.values()
+    )
+
+
+# profile field -> (its JSON type, in words; the check); unknown fields are
+# left for the dataclass constructor to reject
+_PROFILE_JSON_TYPES = {
+    "seed": ("an integer", _json_int),
+    "n_records": ("an integer", _json_int),
+    "year_range": ("a list of two integers", _json_year_range),
+    "country_weights": ("an object of numbers", _json_weights),
+    "initial_letter_weights": ("an object of numbers", _json_weights),
+    "multi_title_prob": ("a number", _json_number),
+    "address_pools": ("an object of string lists", _json_pools),
+}
 
 
 def _check_weights(weights: dict[str, float], what: str) -> None:

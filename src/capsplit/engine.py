@@ -12,8 +12,15 @@ large. ``censored`` reports counts at or above the cap only as
 "at least the cap", which is the harder interface an automatic planner
 may have to probe.
 
-Indexing is a per-field sorted term dictionary with postings, so term
-lookups, prefix ranges and next-symbol introspection are all cheap.
+Indexing is a per-field sorted term dictionary whose postings are
+plain lists of record positions, so term lookups, prefix ranges and
+next-symbol introspection are all cheap. Every evaluated result is a
+Python ``int`` used as a bitset over record positions: AND, OR and NOT
+are ``&``, ``|`` and ``& ~``, and a count is ``int.bit_count()``. Each
+distinct ``Term`` leaf is turned into a bitset once and kept; a leaf
+cannot go stale, so that cache is bounded by the distinct leaves ever
+queried. Nothing else is cached: operator results are recomputed on
+every query, and registered statements hold their immutable ints.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import AbstractSet
+from itertools import chain, compress
 
 from .corpus import Corpus
 from .query import (
@@ -31,18 +38,14 @@ from .query import (
     Query,
     SetRef,
     Term,
-    has_set_references,
     set_references,
-    tree_size,
 )
 
 VISIBLE = "visible"
 CENSORED = "censored"
 
-# Only small reference-free subtrees are memoized: registry changes cannot
-# stale them, and bounding the size keeps the (recursive) dataclass hashing
-# of memo keys shallow no matter how long a statement chain grows.
-_MEMO_MAX_NODES = 200
+# base-2 digits of a bitset -> one 0/1 byte per record position
+_BITS_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class EngineError(Exception):
@@ -102,39 +105,41 @@ class CappedEngine:
         self.corpus = corpus
         self.config = config or EngineConfig()
         self._ids = [rec.id for rec in corpus]
-        index: dict[FieldKind, dict[str, set[int]]] = {
-            field: defaultdict(set) for field in FieldKind
+        index: dict[FieldKind, dict[str, list[int]]] = {
+            field: defaultdict(list) for field in FieldKind
         }
         for pos, rec in enumerate(corpus):
-            index[FieldKind.PY][str(rec.pub_year)].add(pos)
+            index[FieldKind.PY][str(rec.pub_year)].append(pos)
             for country in rec.countries:
-                index[FieldKind.CU][country].add(pos)
+                index[FieldKind.CU][country].append(pos)
             for title in rec.source_titles:
-                index[FieldKind.SO][title].add(pos)
+                index[FieldKind.SO][title].append(pos)
             for address in rec.addresses:
                 for token in address.split():
-                    index[FieldKind.AD][token].add(pos)
-        self._postings: dict[FieldKind, dict[str, set[int]]] = {
+                    index[FieldKind.AD][token].append(pos)
+        self._postings: dict[FieldKind, dict[str, list[int]]] = {
             field: dict(terms) for field, terms in index.items()
         }
         self._terms: dict[FieldKind, list[str]] = {
             field: sorted(terms) for field, terms in index.items()
         }
-        self._registry: dict[int, frozenset[int]] = {}
-        # memo for SetRef-free subtrees; registry changes cannot stale these
-        self._memo: dict[Query, AbstractSet[int]] = {}
+        self._leaves: dict[Term, int] = {}
+        self._registry: dict[int, int] = {}
 
     # -- public interface ---------------------------------------------------
 
     def count(self, query: Query) -> CountResult:
-        return self._to_count(len(self._eval(query)))
+        return self._to_count(self._eval(query).bit_count())
 
     def retrieve(self, query: Query) -> set[str]:
         """Materialize the result iff its cardinality is strictly below the cap."""
         hits = self._eval(query)
-        if len(hits) >= self.config.cap:
-            raise CapExceededError(self._to_count(len(hits)), self.config.cap)
-        return {self._ids[pos] for pos in hits}
+        n = hits.bit_count()
+        if n >= self.config.cap:
+            raise CapExceededError(self._to_count(n), self.config.cap)
+        # lowest position first, one 0/1 byte per position up to the highest set bit
+        flags = format(hits, "b")[::-1].encode().translate(_BITS_TO_FLAGS)
+        return set(compress(self._ids, flags))
 
     def register(self, number: int, query: Query, overwrite: bool = False) -> CountResult:
         """Evaluate and store a numbered statement; returns its count.
@@ -154,8 +159,12 @@ class CappedEngine:
                 f"statement #{number} may not reference #{forward[0]} (forward reference)"
             )
         hits = self._eval(query)
-        self._registry[number] = frozenset(hits)
-        return self._to_count(len(hits))
+        self._registry[number] = hits
+        return self._to_count(hits.bit_count())
+
+    def clear_statements(self) -> None:
+        """Forget every numbered statement, so a new session numbers from #1."""
+        self._registry.clear()
 
     def prefix_children(self, field: FieldKind, prefix: str) -> set[str]:
         """Distinct characters that follow ``prefix`` among stored values.
@@ -185,37 +194,14 @@ class CappedEngine:
             return CountResult.at_least_cap()
         return CountResult.exact(n)
 
-    def _eval(self, node: Query) -> AbstractSet[int]:
-        # Results are shared objects (postings, registry entries, memo hits)
-        # and must never be mutated; set operators always build new sets.
+    def _eval(self, node: Query) -> int:
         # Iterative, so statement chains of any length evaluate fine.
-        results: list[AbstractSet[int]] = []
+        results: list[int] = []
         stack: list[tuple[Query, bool]] = [(node, False)]
         while stack:
             current, ready = stack.pop()
-            if ready:
-                right = results.pop()
-                left = results.pop()
-                if isinstance(current, And):
-                    combined = left & right
-                elif isinstance(current, Or):
-                    combined = left | right
-                else:
-                    combined = left - right
-                if self._memoable(current):
-                    self._memo[current] = combined
-                results.append(combined)
-                continue
-            if self._memoable(current):
-                cached = self._memo.get(current)
-                if cached is not None:
-                    results.append(cached)
-                    continue
             if isinstance(current, Term):
-                result = self._eval_term(current)
-                if self._memoable(current):
-                    self._memo[current] = result
-                results.append(result)
+                results.append(self._leaf(current))
             elif isinstance(current, SetRef):
                 try:
                     results.append(self._registry[current.number])
@@ -223,29 +209,39 @@ class CappedEngine:
                     raise EngineError(
                         f"unbound set reference #{current.number}"
                     ) from None
-            else:
+            elif not ready:
                 stack.append((current, True))
                 stack.append((current.right, False))
                 stack.append((current.left, False))
+            else:
+                right = results.pop()
+                left = results.pop()
+                if isinstance(current, And):
+                    results.append(left & right)
+                elif isinstance(current, Or):
+                    results.append(left | right)
+                else:
+                    results.append(left & ~right)
         return results[0]
 
-    @staticmethod
-    def _memoable(node: Query) -> bool:
-        return not has_set_references(node) and tree_size(node) <= _MEMO_MAX_NODES
-
-    def _eval_term(self, term: Term) -> AbstractSet[int]:
+    def _leaf(self, term: Term) -> int:
+        bits = self._leaves.get(term)
+        if bits is not None:
+            return bits
         postings = self._postings[term.field]
-        pattern = term.pattern
-        if not pattern.truncated:
-            return postings.get(pattern.text, frozenset())
-        terms = self._terms[term.field]
-        matches = []
-        i = bisect_left(terms, pattern.text)
-        while i < len(terms) and terms[i].startswith(pattern.text):
-            matches.append(postings[terms[i]])
-            i += 1
-        if not matches:
-            return frozenset()
-        if len(matches) == 1:
-            return matches[0]
-        return set().union(*matches)
+        text = term.pattern.text
+        if term.pattern.truncated:
+            terms = self._terms[term.field]
+            i = bisect_left(terms, text)
+            matched = []
+            while i < len(terms) and terms[i].startswith(text):
+                matched.append(postings[terms[i]])
+                i += 1
+        else:
+            matched = [postings.get(text, ())]
+        flags = bytearray(b"0") * len(self._ids)
+        for pos in chain.from_iterable(matched):
+            flags[pos] = 49  # ord("1")
+        flags.reverse()  # base-2 text puts the highest position first
+        bits = self._leaves[term] = int(flags, 2) if flags else 0
+        return bits

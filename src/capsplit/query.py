@@ -77,10 +77,10 @@ class Pattern:
 
 
 # An overlap statement over n sections is a chain of n*(n-1)/2 pairwise
-# terms, so trees get long. Binary nodes therefore cache their subtree
-# size, reference flag and structural hash at construction (O(1), built
-# bottom-up) and compare iteratively, keeping every tree operation clear
-# of the interpreter's recursion limit regardless of chain length.
+# terms, so trees get long. Binary nodes therefore cache their reference
+# flag and structural hash at construction (O(1), built bottom-up) and
+# compare iteratively, keeping every tree operation clear of the
+# interpreter's recursion limit regardless of chain length.
 
 
 @dataclass(frozen=True)
@@ -89,13 +89,11 @@ class Term:
     pattern: Pattern
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_size", 1)
         object.__setattr__(self, "_refs", False)
 
 
 class _Binary:
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_size", self.left._size + self.right._size + 1)
         object.__setattr__(self, "_refs", self.left._refs or self.right._refs)
         object.__setattr__(
             self, "_hash", hash((type(self).__name__, hash(self.left), hash(self.right)))
@@ -117,7 +115,7 @@ class _Binary:
             if type(a) is not type(b):
                 return False
             if isinstance(a, _Binary):
-                if a._hash != b._hash or a._size != b._size:
+                if a._hash != b._hash:
                     return False
                 stack.append((a.right, b.right))
                 stack.append((a.left, b.left))
@@ -155,21 +153,10 @@ class SetRef:
     def __post_init__(self) -> None:
         if self.number < 1:
             raise QueryError(f"statement number must be positive, got #{self.number}")
-        object.__setattr__(self, "_size", 1)
         object.__setattr__(self, "_refs", True)
 
 
 Query = Union[Term, And, Or, Diff, SetRef]
-
-
-def tree_size(query: Query) -> int:
-    """Number of nodes in the query tree."""
-    return query._size
-
-
-def has_set_references(query: Query) -> bool:
-    """Whether any ``#n`` reference occurs anywhere in the query."""
-    return query._refs
 
 
 def or_chain(parts: list[Query]) -> Query:

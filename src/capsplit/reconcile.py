@@ -1,8 +1,9 @@
 """Strategy execution and total reconciliation.
 
-Running a strategy registers its numbered statements on the engine
-(partition statements 1..n, the overlap statement as n+1, exclusions as
-n+2..2n+1), then computes the complete retrieval total two ways:
+Running a strategy clears the engine's numbered statements, registers
+its own (partition statements 1..n, the overlap statement as n+1,
+exclusions as n+2..2n+1), then computes the complete retrieval total
+two ways:
 
 - method A: sum of the statement counts minus the overlap count. Exact
   only while no record sits in more than two statements, because a record
@@ -91,8 +92,9 @@ def run_strategy(strategy: Strategy, engine: CappedEngine) -> RunReport:
     counts: list[int] = []
     running: int | None = 0
     violated = False
+    engine.clear_statements()
     for i, stmt in enumerate(strategy.statements, start=1):
-        result = engine.register(i, stmt, overwrite=True)
+        result = engine.register(i, stmt)
         value = result.value
         if value is None or value >= cap:
             violated = True
@@ -114,12 +116,12 @@ def run_strategy(strategy: Strategy, engine: CappedEngine) -> RunReport:
             verdict=Verdict.CAP_VIOLATION,
         )
 
-    overlap_result = engine.register(strategy.overlap_number, strategy.overlap_stmt, overwrite=True)
+    overlap_result = engine.register(strategy.overlap_number, strategy.overlap_stmt)
 
     per_exclusion: list[ExclusionResult] = []
     excl_running = 0
     for i, stmt in enumerate(strategy.exclusion_stmts, start=1):
-        result = engine.register(strategy.overlap_number + i, stmt, overwrite=True)
+        result = engine.register(strategy.overlap_number + i, stmt)
         # Exclusions are subsets of sub-cap statements, so never censored.
         value = result.expect_exact()
         excl_running += value

@@ -29,7 +29,7 @@ def uk_corpus():
 
 @pytest.fixture(scope="session")
 def usa_engine(usa_corpus):
-    # shared across tests: runs overwrite their statement numbers
+    # shared across tests: each run clears the statement registry first
     return CappedEngine(usa_corpus)
 
 

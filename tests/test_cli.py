@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import re
 
+import pytest
+
 from capsplit import (
     CappedEngine,
     FieldKind,
@@ -57,6 +59,23 @@ def test_gen_bad_profile_is_data_error(tmp_path, capsys):
     path.write_text('{"seed": 1, "n_records": 5, "bogus_field": true}')
     assert main(["gen", "--profile", str(path)]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "profile, field",
+    [
+        ({"seed": 1, "n_records": "5"}, "n_records"),
+        ({"seed": 1, "n_records": 5, "address_pools": {"USA": "MIT"}}, "address_pools"),
+    ],
+)
+def test_gen_mistyped_profile_is_data_error(tmp_path, capsys, profile, field):
+    path = tmp_path / "mistyped.json"
+    path.write_text(json.dumps(profile))
+    out = tmp_path / "c.tsv"
+    assert main(["gen", "--profile", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"invalid profile {path}" in err and field in err
+    assert not out.exists()
 
 
 def test_gen_reserved_character_in_profile_is_data_error(tmp_path, capsys):

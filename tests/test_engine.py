@@ -22,7 +22,7 @@ from capsplit import (
 from capsplit.query import And, Diff, Or
 
 from helpers import brute_eval, make_record
-from test_query import _random_ast, _walk
+from test_query import _random_ast
 
 
 @pytest.fixture(scope="module")
@@ -38,18 +38,40 @@ def engine(corpus):
 # -- counting ---------------------------------------------------------------
 
 
-def test_visible_count_matches_oracles(corpus, engine):
+# statements #1..#9 registered before the random trees run; some refer back
+_STATEMENTS = (
+    "PY=2*",
+    "PY=2007",
+    "SO=A* OR SO=B* OR SO=C*",
+    "#1 NOT #2",
+    "CU=USA",
+    "#3 AND #4",
+    "SO=J* OR AD=X*",
+    "#5 OR #6",
+    "PY=2009 NOT #3",
+)
+
+
+def test_visible_count_matches_oracles(corpus):
+    # 0..9 records put the highest position on and around a byte boundary
+    corpora = [
+        generate(CorpusProfile(seed=21, n_records=n, multi_title_prob=0.2))
+        for n in (0, 1, 7, 8, 9)
+    ]
     rng = random.Random(99)
-    checked = 0
-    for _ in range(200):
-        ast = _random_ast(rng, rng.randint(0, 3))
-        if any(n for n in _walk(ast) if type(n).__name__ == "SetRef"):
-            continue
-        expected = brute_eval(corpus, ast)
-        assert engine.count(ast) == CountResult.exact(len(expected))
-        assert evaluate(ast, corpus) == expected
-        checked += 1
-    assert checked > 120
+    for data in (*corpora, corpus):
+        engine = CappedEngine(data)
+        registry: dict[int, set[str]] = {}
+        for number, text in enumerate(_STATEMENTS, start=1):
+            query = parse(text)
+            registry[number] = brute_eval(data, query, registry)
+            assert engine.register(number, query) == CountResult.exact(len(registry[number]))
+        for _ in range(200):
+            ast = _random_ast(rng, rng.randint(0, 3))
+            expected = brute_eval(data, ast, registry)
+            assert engine.count(ast) == CountResult.exact(len(expected))
+            assert engine.retrieve(ast) == expected  # every result is below the default cap
+            assert evaluate(ast, data, registry) == expected
 
 
 def test_empty_corpus_counts_zero():

@@ -10,7 +10,9 @@ from capsplit import (
     Corpus,
     CorpusProfile,
     EngineConfig,
+    EngineError,
     FieldKind,
+    SetRef,
     Strategy,
     Verdict,
     build_exclusions,
@@ -77,6 +79,20 @@ def test_exclusion_count_equals_statement_count_iff_no_overlap_degree(cuba_corpu
     # statement 6 has overlap degree zero: its exclusion keeps the full count
     assert report.per_statement[5].count == report.per_exclusion[5].count == 108
     assert report.per_statement[0].count > report.per_exclusion[0].count
+
+
+def test_run_starts_from_an_empty_statement_registry(cuba_corpus):
+    engine = CappedEngine(cuba_corpus)
+    base = parse(CUBA_BASE)
+    larger = plan_prescribed(engine, base, SO, parse_group_spec(REFERENCE_GROUPS_CUBA))
+    smaller = plan_prescribed(engine, base, SO, parse_group_spec("ABCDEFGHIJKLM,NOPQRSTUVWXYZ123456789"))
+    assert validate_direct(larger, engine).verdict is Verdict.EXACT
+    assert validate_direct(smaller, engine).verdict is Verdict.EXACT
+    n = len(smaller.statements)
+    assert len(larger.statements) > n
+    engine.count(SetRef(2 * n + 1))  # the smaller run's last exclusion
+    with pytest.raises(EngineError, match="unbound"):
+        engine.count(SetRef(2 * n + 2))
 
 
 def test_uk_whole_base_split(uk_corpus):
