@@ -84,11 +84,16 @@ class ParsedScript:
 
 
 def parse_strategy_script(text: str) -> ParsedScript:
-    """Re-read an emitted strategy script into its query trees."""
+    """Re-read an emitted strategy script into its query trees.
+
+    Lines are numbered 1, 2, 3, ... in session order across all three
+    sections; any other number is an error.
+    """
     statements: list[Query] = []
     exclusions: list[Query] = []
     overlap: Query | None = None
     section = "statements"
+    expected = 1
     for raw in text.splitlines():
         line = raw.strip()
         if not line:
@@ -102,6 +107,9 @@ def parse_strategy_script(text: str) -> ParsedScript:
         number, dot, rest = line.partition(". ")
         if not dot or not number.isdigit():
             raise ValueError(f"script line is not numbered: {line!r}")
+        if int(number) != expected:
+            raise ValueError(f"script line should be numbered {expected}: {line!r}")
+        expected += 1
         node = parse(rest)
         if section == "statements":
             statements.append(node)

@@ -4,8 +4,12 @@ The engine models the retrieval interface that motivates strategy
 partitioning in the first place. Counting a query is always allowed;
 ``retrieve`` hands back the full id set only when its cardinality is
 strictly below the configured cap and raises ``CapExceededError``
-otherwise. Numbered statements registered on the engine can be referenced
-by later queries as ``#n``, mirroring an interactive search session.
+otherwise. As in an interactive search session, statements registered on
+the engine are numbered in order: ``#k`` names the k-th statement
+registered since ``clear_statements()``. A statement is added only once
+it has been evaluated, so any reference past the last one, including a
+statement's reference to itself or to a later number, raises "unbound
+set reference #k".
 
 Two count modes exist. ``visible`` reports every count exactly, however
 large. ``censored`` reports counts at or above the cap only as
@@ -20,7 +24,7 @@ are ``&``, ``|`` and ``& ~``, and a count is ``int.bit_count()``. Each
 distinct ``Term`` leaf is turned into a bitset once and kept; a leaf
 cannot go stale, so that cache is bounded by the distinct leaves ever
 queried. Nothing else is cached: operator results are recomputed on
-every query, and registered statements hold their immutable ints.
+every query, and the session list holds each statement's immutable int.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from .query import (
     Query,
     SetRef,
     Term,
-    set_references,
 )
 
 VISIBLE = "visible"
@@ -124,7 +127,7 @@ class CappedEngine:
             field: sorted(terms) for field, terms in index.items()
         }
         self._leaves: dict[Term, int] = {}
-        self._registry: dict[int, int] = {}
+        self._statements: list[int] = []  # #k is self._statements[k - 1]
 
     # -- public interface ---------------------------------------------------
 
@@ -141,30 +144,21 @@ class CappedEngine:
         flags = format(hits, "b")[::-1].encode().translate(_BITS_TO_FLAGS)
         return set(compress(self._ids, flags))
 
-    def register(self, number: int, query: Query, overwrite: bool = False) -> CountResult:
-        """Evaluate and store a numbered statement; returns its count.
+    def register(self, query: Query) -> CountResult:
+        """Evaluate the next numbered statement, store it, return its count.
 
-        The stored set stays countable via ``#number`` even when it is at or
-        above the cap; only materialization is capped. Statements may only
-        reference strictly smaller numbers.
+        The statement becomes ``#k``, where k counts the statements
+        registered since ``clear_statements()``, this one included. It stays
+        countable via ``#k`` even when it is at or above the cap; only
+        materialization is capped.
         """
-        if number < 1:
-            raise EngineError(f"statement number must be positive, got {number}")
-        if number in self._registry and not overwrite:
-            raise EngineError(f"statement #{number} is already registered")
-        refs = set_references(query)
-        forward = sorted(r for r in refs if r >= number)
-        if forward:
-            raise EngineError(
-                f"statement #{number} may not reference #{forward[0]} (forward reference)"
-            )
         hits = self._eval(query)
-        self._registry[number] = hits
+        self._statements.append(hits)
         return self._to_count(hits.bit_count())
 
     def clear_statements(self) -> None:
         """Forget every numbered statement, so a new session numbers from #1."""
-        self._registry.clear()
+        self._statements.clear()
 
     def prefix_children(self, field: FieldKind, prefix: str) -> set[str]:
         """Distinct characters that follow ``prefix`` among stored values.
@@ -203,12 +197,11 @@ class CappedEngine:
             if isinstance(current, Term):
                 results.append(self._leaf(current))
             elif isinstance(current, SetRef):
-                try:
-                    results.append(self._registry[current.number])
-                except KeyError:
-                    raise EngineError(
-                        f"unbound set reference #{current.number}"
-                    ) from None
+                # SetRef numbers are >= 1; a statement still being registered
+                # is not in the list yet, so self and forward references fail too
+                if current.number > len(self._statements):
+                    raise EngineError(f"unbound set reference #{current.number}")
+                results.append(self._statements[current.number - 1])
             elif not ready:
                 stack.append((current, True))
                 stack.append((current.right, False))

@@ -144,13 +144,9 @@ def build_overlap_statement(n: int) -> Query:
     return or_chain(pairs)
 
 
-def build_exclusions(n: int, overlap_number: int) -> list[Query]:
-    """One ``#i NOT #overlap`` statement per numbered statement."""
-    if overlap_number <= n:
-        raise GroupSpecError(
-            f"overlap statement number {overlap_number} must exceed the statement count {n}"
-        )
-    return [Diff(SetRef(i), SetRef(overlap_number)) for i in range(1, n + 1)]
+def build_exclusions(n: int) -> list[Query]:
+    """One ``#i NOT #n+1`` statement per numbered statement; ``#n+1`` is the overlap."""
+    return [Diff(SetRef(i), SetRef(n + 1)) for i in range(1, n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +409,6 @@ def _assemble(
         groups=groups,
         statements=statements,
         overlap_stmt=build_overlap_statement(n),
-        exclusion_stmts=tuple(build_exclusions(n, n + 1)),
+        exclusion_stmts=tuple(build_exclusions(n)),
         warnings=_coverage_warnings(groups, engine, field, check_canonical_coverage),
     )

@@ -76,33 +76,16 @@ class Pattern:
         return value == self.text
 
 
-# An overlap statement over n sections is a chain of n*(n-1)/2 pairwise
-# terms, so trees get long. Binary nodes therefore cache their reference
-# flag and structural hash at construction (O(1), built bottom-up) and
-# compare iteratively, keeping every tree operation clear of the
-# interpreter's recursion limit regardless of chain length.
-
-
 @dataclass(frozen=True)
 class Term:
     field: FieldKind
     pattern: Pattern
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_refs", False)
-
 
 class _Binary:
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_refs", self.left._refs or self.right._refs)
-        object.__setattr__(
-            self, "_hash", hash((type(self).__name__, hash(self.left), hash(self.right)))
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def __eq__(self, other: object) -> bool:
+        # Iterative: an overlap statement over 64 sections is an OR chain
+        # 2,016 pairs deep, past the interpreter's recursion limit.
         if self is other:
             return True
         if type(other) is not type(self):
@@ -115,8 +98,6 @@ class _Binary:
             if type(a) is not type(b):
                 return False
             if isinstance(a, _Binary):
-                if a._hash != b._hash:
-                    return False
                 stack.append((a.right, b.right))
                 stack.append((a.left, b.left))
             elif a != b:  # Term/SetRef: shallow dataclass equality
@@ -153,7 +134,6 @@ class SetRef:
     def __post_init__(self) -> None:
         if self.number < 1:
             raise QueryError(f"statement number must be positive, got #{self.number}")
-        object.__setattr__(self, "_refs", True)
 
 
 Query = Union[Term, And, Or, Diff, SetRef]
@@ -167,24 +147,6 @@ def or_chain(parts: list[Query]) -> Query:
     for part in parts[1:]:
         node = Or(node, part)
     return node
-
-
-def set_references(query: Query) -> frozenset[int]:
-    """All statement numbers referenced anywhere in the query."""
-    if not query._refs:
-        return frozenset()
-    refs: set[int] = set()
-    stack = [query]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, SetRef):
-            refs.add(node.number)
-        elif not isinstance(node, Term):
-            if node.right._refs:
-                stack.append(node.right)
-            if node.left._refs:
-                stack.append(node.left)
-    return frozenset(refs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Strategy execution and total reconciliation.
 
 Running a strategy clears the engine's numbered statements, registers
-its own (partition statements 1..n, the overlap statement as n+1,
-exclusions as n+2..2n+1), then computes the complete retrieval total
-two ways:
+its own in script order (so the partition statements are 1..n, the
+overlap statement n+1 and the exclusions n+2..2n+1), then computes the
+complete retrieval total two ways:
 
 - method A: sum of the statement counts minus the overlap count. Exact
   only while no record sits in more than two statements, because a record
@@ -94,7 +94,7 @@ def run_strategy(strategy: Strategy, engine: CappedEngine) -> RunReport:
     violated = False
     engine.clear_statements()
     for i, stmt in enumerate(strategy.statements, start=1):
-        result = engine.register(i, stmt)
+        result = engine.register(stmt)
         value = result.value
         if value is None or value >= cap:
             violated = True
@@ -116,12 +116,12 @@ def run_strategy(strategy: Strategy, engine: CappedEngine) -> RunReport:
             verdict=Verdict.CAP_VIOLATION,
         )
 
-    overlap_result = engine.register(strategy.overlap_number, strategy.overlap_stmt)
+    overlap_result = engine.register(strategy.overlap_stmt)
 
     per_exclusion: list[ExclusionResult] = []
     excl_running = 0
     for i, stmt in enumerate(strategy.exclusion_stmts, start=1):
-        result = engine.register(strategy.overlap_number + i, stmt)
+        result = engine.register(stmt)
         # Exclusions are subsets of sub-cap statements, so never censored.
         value = result.expect_exact()
         excl_running += value

@@ -202,6 +202,19 @@ def test_emitted_script_reparses_to_same_statements(cuba_corpus):
     assert parsed.exclusions == strategy.exclusion_stmts
 
 
+@pytest.mark.parametrize(
+    "script, bad_line",
+    [
+        ("1. SO=A*\n3. SO=B*\n2. SO=C*\n", "3. SO=B*"),  # skipped
+        ("1. SO=A*\nStatement to find overlapping\n1. #1 NOT #1\n", "1. #1 NOT #1"),  # repeated
+    ],
+    ids=["skipped", "repeated"],
+)
+def test_script_numbers_must_run_in_session_order(script, bad_line):
+    with pytest.raises(ValueError, match=re.escape(repr(bad_line))):
+        parse_strategy_script(script)
+
+
 # -- run / validate -----------------------------------------------------------------
 
 
@@ -243,7 +256,7 @@ def test_report_marks_unavailable_totals_on_cap_violation():
         groups=(),
         statements=(parse("PY=2007 AND SO=A*"),),
         overlap_stmt=build_overlap_statement(1),
-        exclusion_stmts=tuple(build_exclusions(1, 2)),
+        exclusion_stmts=tuple(build_exclusions(1)),
     )
     text = emit_report(run_strategy(strategy, engine))
     assert "statement.1.count=30" in text

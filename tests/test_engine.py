@@ -15,9 +15,11 @@ from capsplit import (
     EngineError,
     FieldKind,
     SetRef,
+    build_overlap_statement,
     evaluate,
     generate,
     parse,
+    print_normalized,
 )
 from capsplit.query import And, Diff, Or
 
@@ -65,7 +67,7 @@ def test_visible_count_matches_oracles(corpus):
         for number, text in enumerate(_STATEMENTS, start=1):
             query = parse(text)
             registry[number] = brute_eval(data, query, registry)
-            assert engine.register(number, query) == CountResult.exact(len(registry[number]))
+            assert engine.register(query) == CountResult.exact(len(registry[number]))
         for _ in range(200):
             ast = _random_ast(rng, rng.randint(0, 3))
             expected = brute_eval(data, ast, registry)
@@ -139,55 +141,63 @@ def test_cap_exceeded_error_payload(corpus):
 
 def test_register_then_count_by_reference(engine):
     query = parse("SO=A* OR SO=B*")
-    count = engine.register(1, query)
+    count = engine.register(query)
     assert engine.count(parse("#1")) == count
 
 
 def test_register_forward_reference_rejected(engine):
-    engine.register(1, parse("SO=A*"))
-    with pytest.raises(EngineError, match="forward reference"):
-        engine.register(2, parse("#2 AND SO=B*"))
-    with pytest.raises(EngineError, match="forward reference"):
-        engine.register(2, parse("#3"))
+    engine.register(parse("SO=A*"))
+    # the statement being registered is #2, so #2 and #3 are not bound yet
+    with pytest.raises(EngineError, match="unbound set reference #2"):
+        engine.register(parse("#2 AND SO=B*"))
+    with pytest.raises(EngineError, match="unbound set reference #3"):
+        engine.register(parse("#3"))
+    # a rejected statement takes no number
+    assert engine.register(parse("#1 AND SO=B*")) == engine.count(parse("#2"))
 
 
 def test_register_unbound_reference_rejected(engine):
     with pytest.raises(EngineError, match="unbound set reference #1"):
         engine.count(parse("#1"))
-    engine.register(2, parse("SO=A*"))  # gap: #1 never defined
-    with pytest.raises(EngineError, match="unbound set reference #1"):
-        engine.register(3, parse("#1 AND #2"))
-
-
-def test_register_overwrite_flag(engine):
-    engine.register(1, parse("SO=A*"))
-    with pytest.raises(EngineError, match="already registered"):
-        engine.register(1, parse("SO=B*"))
-    engine.register(1, parse("SO=B*"), overwrite=True)
-    assert engine.count(SetRef(1)) == engine.count(parse("SO=B*"))
+    engine.register(parse("SO=A*"))
+    with pytest.raises(EngineError, match="unbound set reference #2"):
+        engine.count(parse("#1 OR #2"))
 
 
 def test_register_stores_sets_at_or_above_cap(corpus):
     engine = CappedEngine(corpus, EngineConfig(cap=10))
-    count = engine.register(1, parse("PY=2*"))
+    count = engine.register(parse("PY=2*"))
     assert count == CountResult.exact(1500)  # visible counts stay exact
     assert engine.count(SetRef(1)) == CountResult.exact(1500)
     with pytest.raises(CapExceededError):
         engine.retrieve(SetRef(1))  # materialization is still capped
 
 
-def test_register_rejects_bad_numbers(engine):
-    with pytest.raises(EngineError, match="positive"):
-        engine.register(0, parse("SO=A*"))
-
-
-def test_memo_does_not_stale_set_references(engine):
-    engine.register(1, parse("SO=A*"))
+def test_cleared_session_numbers_new_statements_from_one(engine):
+    engine.register(parse("SO=A*"))
     first = engine.count(parse("#1 AND PY=2*"))
-    engine.register(1, parse("SO=A* OR SO=B*"), overwrite=True)
+    engine.clear_statements()
+    engine.register(parse("SO=A* OR SO=B*"))
     second = engine.count(parse("#1 AND PY=2*"))
     assert second == engine.count(parse("(SO=A* OR SO=B*) AND PY=2*"))
     assert first != second or engine.count(parse("SO=B*")).value == 0
+
+
+def test_overlap_statement_over_64_sections(corpus, engine):
+    # 2,016 pairs: a chain deeper than the default recursion limit of 1,000
+    overlap = build_overlap_statement(64)
+    assert parse(print_normalized(overlap)) == overlap
+    assert overlap != build_overlap_statement(63)
+    letters = sorted(engine.prefix_children(FieldKind.SO, ""))
+    registry: dict[int, set[str]] = {}
+    for k in range(64):
+        a, b = letters[k % len(letters)], letters[(7 * k + 3) % len(letters)]
+        query = parse(f"SO={a}* OR SO={b}*")
+        engine.register(query)
+        registry[k + 1] = evaluate(query, corpus)
+    expected = evaluate(overlap, corpus, registry)
+    assert expected  # the sections do overlap
+    assert engine.count(overlap) == CountResult.exact(len(expected))
 
 
 # -- prefix introspection ----------------------------------------------------
@@ -235,7 +245,7 @@ def test_prefix_children_rejects_py(engine):
 
 
 def test_evaluation_results_are_stable_across_reuse(corpus, engine):
-    # repeated mixed use must not corrupt shared postings or memo entries
+    # repeated mixed use must not corrupt shared postings or cached leaves
     q1, q2 = parse("SO=A*"), parse("SO=A* AND PY=2007")
     a1 = engine.count(q1)
     engine.count(Diff(q1, q2))

@@ -83,10 +83,8 @@ def test_overlap_statement_for_one_group_evaluates_empty():
 
 
 def test_build_exclusions():
-    stmts = build_exclusions(7, 8)
+    stmts = build_exclusions(7)
     assert [print_normalized(s) for s in stmts] == [f"#{i} NOT #8" for i in range(1, 8)]
-    with pytest.raises(GroupSpecError):
-        build_exclusions(7, 7)
 
 
 # -- group specifications ------------------------------------------------------

@@ -183,7 +183,7 @@ def test_cap_violation_yields_partial_report():
         groups=(Letters(("A",)),),
         statements=(parse("PY=2007 AND SO=A*"),),
         overlap_stmt=build_overlap_statement(1),
-        exclusion_stmts=tuple(build_exclusions(1, 2)),
+        exclusion_stmts=tuple(build_exclusions(1)),
     )
     report = run_strategy(strategy, engine)
     assert report.verdict is Verdict.CAP_VIOLATION
@@ -208,7 +208,7 @@ def test_cap_violation_in_censored_mode_hides_count():
         groups=(Letters(("A",)),),
         statements=(parse("PY=2007 AND SO=A*"),),
         overlap_stmt=build_overlap_statement(1),
-        exclusion_stmts=tuple(build_exclusions(1, 2)),
+        exclusion_stmts=tuple(build_exclusions(1)),
     )
     report = run_strategy(strategy, engine)
     assert report.verdict is Verdict.CAP_VIOLATION
