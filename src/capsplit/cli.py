@@ -87,37 +87,37 @@ def parse_strategy_script(text: str) -> ParsedScript:
     """Re-read an emitted strategy script into its query trees.
 
     Lines are numbered 1, 2, 3, ... in session order across all three
-    sections; any other number is an error.
+    sections; any other number is an error. Each heading may appear once,
+    the overlap heading before the exclusion heading, and the overlap
+    section holds exactly one statement.
     """
-    statements: list[Query] = []
-    exclusions: list[Query] = []
-    overlap: Query | None = None
-    section = "statements"
+    # heading -> its statements, in script order; "" heads the lines before any heading
+    sections: dict[str, list[Query]] = {"": [], OVERLAP_HEADING: [], EXCLUSION_HEADING: []}
+    order = list(sections)
+    section = ""
     expected = 1
     for raw in text.splitlines():
         line = raw.strip()
         if not line:
             continue
-        if line == OVERLAP_HEADING:
-            section = "overlap"
-            continue
-        if line == EXCLUSION_HEADING:
-            section = "exclusions"
+        if line in sections:
+            if order.index(line) != order.index(section) + 1:
+                raise ValueError(f"script heading is repeated or out of order: {line!r}")
+            section = line
             continue
         number, dot, rest = line.partition(". ")
         if not dot or not number.isdigit():
             raise ValueError(f"script line is not numbered: {line!r}")
         if int(number) != expected:
             raise ValueError(f"script line should be numbered {expected}: {line!r}")
+        if section == OVERLAP_HEADING and sections[section]:
+            raise ValueError(f"script has a second overlap statement: {line!r}")
         expected += 1
-        node = parse(rest)
-        if section == "statements":
-            statements.append(node)
-        elif section == "overlap":
-            overlap = node
-        else:
-            exclusions.append(node)
-    return ParsedScript(tuple(statements), overlap, tuple(exclusions))
+        sections[section].append(parse(rest))
+    statements, overlap, exclusions = sections.values()
+    if section and not overlap:
+        raise ValueError(f"script has no statement under {OVERLAP_HEADING!r}")
+    return ParsedScript(tuple(statements), overlap[0] if overlap else None, tuple(exclusions))
 
 
 def _fmt(value: int | None) -> str:

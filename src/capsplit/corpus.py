@@ -17,10 +17,10 @@ This module owns:
   asserted by the regression suite.
 
 Each value is checked once, where it enters: corpus text in ``ingest``,
-Python values in ``Record``/``Corpus``, a profile file's JSON types in
-``CorpusProfile.from_dict``, and a generator profile's countries and
-address pools once per ``generate`` call, drawn or not.
-Generated and fixture records then come from one assembler that trusts them.
+once per distinct field text; Python values in ``Record``/``Corpus``; a
+profile file's JSON types in ``CorpusProfile.from_dict``; and a generator
+profile's countries and address pools once per ``generate`` call, drawn or
+not. Ingest and the record assembler then build records without rechecks.
 """
 
 from __future__ import annotations
@@ -69,6 +69,16 @@ def _check_value(value: str, what: str) -> str:
     return value
 
 
+def _check_id(text: str) -> str:
+    """Normalize a record id and check that it is one token free of ``#`` and ``|``."""
+    rid = normalize_text(text)
+    if not rid or " " in rid:
+        raise CorpusError(f"record id must be a non-empty token, got {text!r}")
+    if rid.startswith("#") or "|" in rid:
+        raise CorpusError(f"record id {rid!r} uses a reserved character")
+    return rid
+
+
 @dataclass(frozen=True, slots=True)
 class Record:
     """One bibliographic item, stored fully normalized.
@@ -84,11 +94,7 @@ class Record:
     addresses: frozenset[str]
 
     def __post_init__(self) -> None:
-        rid = normalize_text(self.id)
-        if not rid or " " in rid:
-            raise CorpusError(f"record id must be a non-empty token, got {self.id!r}")
-        if rid.startswith("#") or "|" in rid:
-            raise CorpusError(f"record id {rid!r} uses a reserved character")
+        rid = _check_id(self.id)
         titles = tuple(_check_value(normalize_text(t), "source title") for t in self.source_titles)
         if not titles:
             raise CorpusError(f"record {rid!r} has no source titles")
@@ -165,14 +171,14 @@ def ingest(source: str | Iterable[str]) -> Corpus:
 
     ``source`` is either the whole text or an iterable of lines (an open
     text file works). Errors carry the 1-based line number; duplicate ids
-    name both offending lines.
+    name both offending lines. Each distinct text of a field is parsed and
+    checked once per call, records that repeat it share the parsed value,
+    and ``Record`` does not check it again.
     """
-    if isinstance(source, str):
-        lines: Iterable[str] = source.splitlines()
-    else:
-        lines = source
+    lines = source.splitlines() if isinstance(source, str) else source
     records: list[Record] = []
     seen_lines: dict[str, int] = {}
+    parsed: dict[tuple[str, str], tuple[str, ...] | frozenset[str]] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
         if line.startswith("#"):
@@ -184,40 +190,44 @@ def ingest(source: str | Iterable[str]) -> Corpus:
             raise CorpusError(
                 f"line {lineno}: expected 5 tab-separated fields, got {len(fields)}"
             )
-        rid, year_text, so_field, cu_field, ad_field = fields
+        id_text, year_text, so_text, cu_text, ad_text = fields
         try:
             year = int(year_text)
         except ValueError:
             raise CorpusError(f"line {lineno}: unparsable year {year_text!r}") from None
         try:
-            record = Record(
-                id=rid,
-                pub_year=year,
-                source_titles=tuple(_split_values(so_field, lineno, "SO")),
-                countries=frozenset(_split_values(cu_field, lineno, "CU")),
-                addresses=frozenset(_split_values(ad_field, lineno, "AD", allow_empty=True)),
+            rid = _check_id(id_text)
+            titles, countries, addresses = (
+                parsed[key] if key in parsed else parsed.setdefault(key, _parse_field(*key))
+                for key in (("SO", so_text), ("CU", cu_text), ("AD", ad_text))
             )
         except CorpusError as exc:
             raise CorpusError(f"line {lineno}: {exc}") from None
-        if record.id in seen_lines:
+        if rid in seen_lines:
             raise CorpusError(
-                f"line {lineno}: duplicate id {record.id!r} "
-                f"(first defined on line {seen_lines[record.id]})"
+                f"line {lineno}: duplicate id {rid!r} (first defined on line {seen_lines[rid]})"
             )
-        seen_lines[record.id] = lineno
-        records.append(record)
+        seen_lines[rid] = lineno
+        records.append(_unchecked(Record, id=rid, pub_year=year, source_titles=titles,
+                                  countries=countries, addresses=addresses))
     return _unchecked(Corpus, records=tuple(records))
 
 
-def _split_values(text: str, lineno: int, tag: str, allow_empty: bool = False) -> list[str]:
+# field tag -> (the name of one value, the container of the values)
+_FIELDS = {"SO": ("source title", tuple), "CU": ("country", frozenset), "AD": ("address", frozenset)}
+
+
+def _parse_field(tag: str, text: str) -> tuple[str, ...] | frozenset[str]:
+    """Split one field on ``|``, normalize each value and check it; only AD may be empty."""
+    what, container = _FIELDS[tag]
     if not text:
-        if allow_empty:
-            return []
-        raise CorpusError(f"line {lineno}: empty {tag} field")
-    parts = text.split("|")
-    if any(not p.strip() for p in parts):
-        raise CorpusError(f"line {lineno}: {tag} field has an empty value")
-    return parts
+        if tag == "AD":
+            return frozenset()
+        raise CorpusError(f"empty {tag} field")
+    values = [normalize_text(part) for part in text.split("|")]
+    if not all(values):
+        raise CorpusError(f"{tag} field has an empty value")
+    return container(_check_value(value, what) for value in values)
 
 
 def serialize(corpus: Corpus) -> str:

@@ -33,6 +33,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain, compress
+from typing import Iterator
 
 from .corpus import Corpus
 from .query import (
@@ -172,14 +173,8 @@ class CappedEngine:
         if field is FieldKind.PY:
             raise EngineError("prefix introspection is not supported for PY")
         prefix = prefix.upper()
-        terms = self._terms[field]
-        children: set[str] = set()
-        i = bisect_left(terms, prefix)
-        while i < len(terms) and terms[i].startswith(prefix):
-            if len(terms[i]) > len(prefix):
-                children.add(terms[i][len(prefix)])
-            i += 1
-        return children
+        cut = len(prefix)
+        return {term[cut] for term in self._terms_with_prefix(field, prefix) if len(term) > cut}
 
     # -- evaluation ---------------------------------------------------------
 
@@ -187,6 +182,14 @@ class CappedEngine:
         if self.config.count_mode == CENSORED and n >= self.config.cap:
             return CountResult.at_least_cap()
         return CountResult.exact(n)
+
+    def _terms_with_prefix(self, field: FieldKind, prefix: str) -> Iterator[str]:
+        """The stored terms of ``field`` that start with ``prefix``, in sorted order."""
+        terms = self._terms[field]
+        i = bisect_left(terms, prefix)
+        while i < len(terms) and terms[i].startswith(prefix):
+            yield terms[i]
+            i += 1
 
     def _eval(self, node: Query) -> int:
         # Iterative, so statement chains of any length evaluate fine.
@@ -224,12 +227,7 @@ class CappedEngine:
         postings = self._postings[term.field]
         text = term.pattern.text
         if term.pattern.truncated:
-            terms = self._terms[term.field]
-            i = bisect_left(terms, text)
-            matched = []
-            while i < len(terms) and terms[i].startswith(text):
-                matched.append(postings[terms[i]])
-                i += 1
+            matched = [postings[t] for t in self._terms_with_prefix(term.field, text)]
         else:
             matched = [postings.get(text, ())]
         flags = bytearray(b"0") * len(self._ids)

@@ -181,14 +181,10 @@ def validate_direct(strategy: Strategy, engine: CappedEngine) -> RunReport:
     else:
         direct = len(evaluate(strategy.base, engine.corpus))
         source = "oracle"
-    if report.verdict is Verdict.CAP_VIOLATION:
-        return replace(report, direct_count=direct, direct_source=source)
-    return replace(
-        report,
-        direct_count=direct,
-        direct_source=source,
-        verdict=_verdict(report.method_a_total, report.method_b_total, direct),
-    )
+    verdict = report.verdict
+    if verdict is not Verdict.CAP_VIOLATION:
+        verdict = _verdict(report.method_a_total, report.method_b_total, direct)
+    return replace(report, direct_count=direct, direct_source=source, verdict=verdict)
 
 
 def _verdict(method_a: int, method_b: int, direct: int | None) -> Verdict:

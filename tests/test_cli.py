@@ -215,6 +215,31 @@ def test_script_numbers_must_run_in_session_order(script, bad_line):
         parse_strategy_script(script)
 
 
+@pytest.mark.parametrize(
+    "script, bad_line",
+    [
+        (
+            "1. SO=A*\nStatement to find overlapping\n2. #1 NOT #1\n3. #1 AND #1\n",
+            "3. #1 AND #1",
+        ),
+        (
+            "1. SO=A*\nStatement to find overlapping\n"
+            "New Search Strategy (Excluding overlapping)\n2. #1 NOT #1\n",
+            "Statement to find overlapping",
+        ),
+        (
+            "1. SO=A*\nNew Search Strategy (Excluding overlapping)\n2. #1 NOT #1\n"
+            "Statement to find overlapping\n3. #1 AND #1\n",
+            "New Search Strategy (Excluding overlapping)",
+        ),
+    ],
+    ids=["second-overlap-line", "empty-overlap-section", "exclusions-before-overlap"],
+)
+def test_script_sections_come_once_and_in_order(script, bad_line):
+    with pytest.raises(ValueError, match=re.escape(repr(bad_line))):
+        parse_strategy_script(script)
+
+
 # -- run / validate -----------------------------------------------------------------
 
 
