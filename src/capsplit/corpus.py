@@ -69,6 +69,17 @@ def _check_value(value: str, what: str) -> str:
     return value
 
 
+def _parse_year(text: str) -> int:
+    """Read a year written as ``serialize`` writes one: ASCII digits, no sign or leading zero."""
+    try:
+        year = int(text) if text.isascii() and text.isdigit() else None
+    except ValueError:  # more digits than int() converts
+        year = None
+    if year is None or str(year) != text:
+        raise CorpusError(f"unparsable year {text!r}")
+    return year
+
+
 def _check_id(text: str) -> str:
     """Normalize a record id and check that it is one token free of ``#`` and ``|``."""
     rid = normalize_text(text)
@@ -95,6 +106,9 @@ class Record:
 
     def __post_init__(self) -> None:
         rid = _check_id(self.id)
+        year = self.pub_year
+        if not isinstance(year, int) or isinstance(year, bool) or year < 0:
+            raise CorpusError(f"record {rid!r} pub_year must be a non-negative int, got {year!r}")
         titles = tuple(_check_value(normalize_text(t), "source title") for t in self.source_titles)
         if not titles:
             raise CorpusError(f"record {rid!r} has no source titles")
@@ -179,6 +193,7 @@ def ingest(source: str | Iterable[str]) -> Corpus:
     records: list[Record] = []
     seen_lines: dict[str, int] = {}
     parsed: dict[tuple[str, str], tuple[str, ...] | frozenset[str]] = {}
+    years: dict[str, int] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
         if line.startswith("#"):
@@ -192,10 +207,9 @@ def ingest(source: str | Iterable[str]) -> Corpus:
             )
         id_text, year_text, so_text, cu_text, ad_text = fields
         try:
-            year = int(year_text)
-        except ValueError:
-            raise CorpusError(f"line {lineno}: unparsable year {year_text!r}") from None
-        try:
+            year = years.get(year_text)
+            if year is None:
+                year = years[year_text] = _parse_year(year_text)
             rid = _check_id(id_text)
             titles, countries, addresses = (
                 parsed[key] if key in parsed else parsed.setdefault(key, _parse_field(*key))
@@ -322,6 +336,8 @@ class CorpusProfile:
         if self.n_records < 0:
             raise CorpusError("profile n_records must be non-negative")
         lo, hi = self.year_range
+        if lo < 0:
+            raise CorpusError(f"profile year_range {self.year_range} starts below year 0")
         if lo > hi:
             raise CorpusError(f"profile year_range {self.year_range} is not ordered")
         _check_weights(self.country_weights, "country_weights")

@@ -11,6 +11,12 @@ it has been evaluated, so any reference past the last one, including a
 statement's reference to itself or to a later number, raises "unbound
 set reference #k".
 
+``coverage`` answers what downloading several sub-cap results would
+show without naming a record: for k = 1, 2, ..., how many records at
+least k of them match. It folds their bitsets into an "at least k"
+ladder, one ``|`` and one ``&`` per result and rung, and refuses any
+result at or above the cap exactly as ``retrieve`` does.
+
 Two count modes exist. ``visible`` reports every count exactly, however
 large. ``censored`` reports counts at or above the cap only as
 "at least the cap", which is the harder interface an automatic planner
@@ -33,7 +39,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain, compress
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .corpus import Corpus
 from .query import (
@@ -137,13 +143,28 @@ class CappedEngine:
 
     def retrieve(self, query: Query) -> set[str]:
         """Materialize the result iff its cardinality is strictly below the cap."""
-        hits = self._eval(query)
-        n = hits.bit_count()
-        if n >= self.config.cap:
-            raise CapExceededError(self._to_count(n), self.config.cap)
+        hits = self._below_cap(query)
         # lowest position first, one 0/1 byte per position up to the highest set bit
         flags = format(hits, "b")[::-1].encode().translate(_BITS_TO_FLAGS)
         return set(compress(self._ids, flags))
+
+    def coverage(self, queries: Iterable[Query]) -> list[int]:
+        """How many records at least k of the queries match, for k = 1, 2, ...
+
+        Entry k-1 counts the records matched by at least k queries, and the
+        list ends at the highest k with any, so its first entry is the size
+        of the union and its length the maximum multiplicity. Each query
+        must be materializable: one at or above the cap raises
+        ``CapExceededError``, as ``retrieve`` does.
+        """
+        levels: list[int] = []  # levels[k]: the records matched by at least k + 1 queries
+        for query in queries:
+            carry = self._below_cap(query)
+            for k, level in enumerate(levels):
+                levels[k], carry = level | carry, level & carry
+            if carry:
+                levels.append(carry)
+        return [level.bit_count() for level in levels]
 
     def register(self, query: Query) -> CountResult:
         """Evaluate the next numbered statement, store it, return its count.
@@ -182,6 +203,14 @@ class CappedEngine:
         if self.config.count_mode == CENSORED and n >= self.config.cap:
             return CountResult.at_least_cap()
         return CountResult.exact(n)
+
+    def _below_cap(self, query: Query) -> int:
+        """Evaluate a query that is to be materialized; refuse it at or above the cap."""
+        hits = self._eval(query)
+        n = hits.bit_count()
+        if n >= self.config.cap:
+            raise CapExceededError(self._to_count(n), self.config.cap)
+        return hits
 
     def _terms_with_prefix(self, field: FieldKind, prefix: str) -> Iterator[str]:
         """The stored terms of ``field`` that start with ``prefix``, in sorted order."""

@@ -111,10 +111,6 @@ class Strategy:
     exclusion_stmts: tuple[Query, ...]
     warnings: tuple[str, ...] = ()
 
-    @property
-    def overlap_number(self) -> int:
-        return len(self.statements) + 1
-
 
 def realize_group(base: Query, field: FieldKind, group: Group) -> Query:
     """Build the executable statement for one partition group."""

@@ -13,15 +13,15 @@ complete retrieval total two ways:
   from the overlap set, so the sum telescopes to the union cardinality.
 
 Every partition statement is sub-cap and therefore materializable, so the
-runner also builds the deduplicated union directly and records the
-maximum per-record multiplicity; this is exactly the cross-check an
-operator of a real capped interface could perform by downloading each
-section.
+runner also takes the union, the records shared by two or more sections
+and the maximum per-record multiplicity from the section bitsets alone
+(``CappedEngine.coverage`` over ``#1..#n``). That is the same information
+an operator of a real capped interface gets by downloading each section,
+and it never reads the overlap or exclusion statements it cross-checks.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -127,12 +127,10 @@ def run_strategy(strategy: Strategy, engine: CappedEngine) -> RunReport:
         excl_running += value
         per_exclusion.append(ExclusionResult(i, value, excl_running))
 
-    multiplicity: Counter[str] = Counter()
-    for i in range(1, n + 1):
-        multiplicity.update(engine.retrieve(SetRef(i)))
-    union_cardinality = len(multiplicity)
-    max_multiplicity = max(multiplicity.values(), default=0)
-    materialized_overlap = sum(1 for m in multiplicity.values() if m >= 2)
+    # records in at least 1, 2, ... sections; the list ends at the maximum multiplicity
+    coverage = engine.coverage(SetRef(i) for i in range(1, n + 1))
+    union_cardinality, materialized_overlap = (coverage + [0, 0])[:2]
+    max_multiplicity = len(coverage)
 
     if overlap_result.is_exact:
         if overlap_result.value != materialized_overlap:

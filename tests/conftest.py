@@ -1,8 +1,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from capsplit import CappedEngine, build_fixture, save_corpus
+
+# One pinned profile for every property test: the same examples on every run,
+# a fixed number of them, and no per-example deadline on a busy machine.
+settings.register_profile(
+    "capsplit", derandomize=True, max_examples=300, deadline=None, database=None
+)
+settings.load_profile("capsplit")
 
 REFERENCE_GROUPS_CUBA = "AB,CDEFG,HIKLM,NOPQR,STUVWXYZ123456789,J/AD=HAVANA"
 REFERENCE_GROUPS_USA = "AB,CDEFG,HIKLM,NOPQR,STUVWXYZ123456789,J/AD=CA"

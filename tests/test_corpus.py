@@ -7,6 +7,7 @@ import random
 import pytest
 
 from capsplit import Corpus, CorpusError, CorpusProfile, Record, generate, ingest, serialize
+from capsplit.cli import main
 from capsplit.corpus import (
     FILE_HEADER,
     FIXTURE_LETTER_GROUPS,
@@ -56,6 +57,39 @@ def test_ingest_wrong_field_count_names_line():
 def test_ingest_unparsable_year():
     with pytest.raises(CorpusError, match="line 1: unparsable year 'MMVII'"):
         ingest("R1\tMMVII\tA REV\tUSA\t")
+
+
+@pytest.mark.parametrize(
+    "year",
+    [
+        "2_007", " 2007", "2007 ", "+2007", "-5", "02007", "00", "2007.0", "",
+        "\u0662\u0660\u0660\u0667",  # Arabic-Indic digits
+        "\uff12\uff10\uff10\uff17",  # full-width digits
+        pytest.param("9" * 5000, id="5000-digits"),  # beyond int()'s digit limit
+    ],
+)
+def test_ingest_accepts_only_years_that_round_trip(year, tmp_path, capsys):
+    text = f"{FILE_HEADER}\nR1\t2007\tA REV\tUSA\t\nR2\t{year}\tB REV\tUSA\t\n"
+    with pytest.raises(CorpusError) as err:
+        ingest(text)
+    assert str(err.value) == f"line 3: unparsable year {year!r}"
+    path = tmp_path / "bad.tsv"
+    path.write_text(text, encoding="utf-8")
+    assert main(["ingest", "--corpus", str(path)]) == 3
+    assert "unparsable year" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("year", ["0", "7", "2007", "10000"])
+def test_ingest_years_round_trip(year):
+    text = f"{FILE_HEADER}\nR1\t{year}\tA REV\tUSA\t\n"
+    assert ingest(text).records[0].pub_year == int(year)
+    assert serialize(ingest(text)) == text
+
+
+@pytest.mark.parametrize("year", [-1, True, "2007", 2007.0, None])
+def test_record_rejects_a_year_ingest_could_not_read_back(year):
+    with pytest.raises(CorpusError, match="pub_year must be a non-negative int"):
+        make_record("R1", ("A REV",), year=year)
 
 
 def test_ingest_empty_fields_rejected():
@@ -192,6 +226,8 @@ def test_invalid_profiles_rejected():
         generate(CorpusProfile(seed=1, n_records=-1))
     with pytest.raises(CorpusError, match="year_range"):
         generate(CorpusProfile(seed=1, n_records=1, year_range=(2009, 2005)))
+    with pytest.raises(CorpusError, match="starts below year 0"):
+        generate(CorpusProfile(seed=1, n_records=1, year_range=(-5, 2007)))
     with pytest.raises(CorpusError, match="negative weight"):
         generate(CorpusProfile(seed=1, n_records=1, country_weights={"USA": -1.0}))
     with pytest.raises(CorpusError, match="no positive weight"):

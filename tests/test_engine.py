@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from itertools import chain
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from capsplit import (
     CENSORED,
+    VISIBLE,
     CapExceededError,
     CappedEngine,
     Corpus,
@@ -134,6 +139,51 @@ def test_cap_exceeded_error_payload(corpus):
     with pytest.raises(CapExceededError) as err:
         censored.retrieve(query)
     assert err.value.count == CountResult.at_least_cap()  # no exact leak
+
+
+# -- coverage ---------------------------------------------------------------
+
+
+# section trees over terms that hit generated corpora, and a few that never do
+_SECTION_TREES = st.recursive(
+    st.sampled_from(
+        ["PY=2005", "PY=2007", "PY=200*", "CU=USA", "CU=CUBA", "SO=A*", "SO=J*", "SO=Q*",
+         "AD=UNIV", "AD=MA", "AD=X*", "PY=1999"]
+    ).map(parse),
+    lambda sub: st.one_of(st.builds(kind, sub, sub) for kind in (And, Or, Diff)),
+    max_leaves=5,
+)
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    n_records=st.integers(0, 60),
+    sections=st.lists(_SECTION_TREES, max_size=6),
+    cap=st.integers(1, 80),
+    count_mode=st.sampled_from([VISIBLE, CENSORED]),
+)
+def test_coverage_is_the_at_least_k_histogram_of_the_sections(
+    seed, n_records, sections, cap, count_mode
+):
+    data = generate(CorpusProfile(seed=seed, n_records=n_records, multi_title_prob=0.3))
+    uncapped = CappedEngine(data, EngineConfig(cap=n_records + 1))
+    materialized = [uncapped.retrieve(s) for s in sections]
+    engine = CappedEngine(data, EngineConfig(cap=cap, count_mode=count_mode))
+    refused = [ids for ids in materialized if len(ids) >= cap]
+    if refused:
+        with pytest.raises(CapExceededError) as err:
+            engine.coverage(sections)
+        # the first section at or above the cap is refused, its size censored as counts are
+        hidden = count_mode == CENSORED
+        assert err.value.count == CountResult(None if hidden else len(refused[0]))
+        return
+    multiplicity = Counter(chain.from_iterable(materialized))
+    top = max(multiplicity.values(), default=0)
+    expected = [sum(m >= k for m in multiplicity.values()) for k in range(1, top + 1)]
+    assert engine.coverage(sections) == expected
+    for section in sections:
+        engine.register(section)
+    assert engine.coverage(SetRef(i) for i in range(1, len(sections) + 1)) == expected
 
 
 # -- registry ---------------------------------------------------------------

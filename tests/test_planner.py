@@ -21,6 +21,7 @@ from capsplit import (
     Split,
     build_exclusions,
     build_overlap_statement,
+    emit_strategy_script,
     evaluate,
     generate,
     parse,
@@ -151,7 +152,10 @@ def test_plan_prescribed_reference_grouping(cuba_corpus):
     )
     counts = [engine.count(s).value for s in strategy.statements]
     assert counts == [140, 216, 161, 193, 91, 108, 35]
-    assert strategy.overlap_number == 8
+    assert emit_strategy_script(strategy).splitlines()[7:9] == [
+        "Statement to find overlapping",
+        f"8. {print_normalized(strategy.overlap_stmt)}",
+    ]
     assert len(strategy.exclusion_stmts) == 7
     assert strategy.warnings == ("groups leave first symbols uncovered: 0",)
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -254,3 +255,37 @@ def test_uncovered_symbol_causes_mismatch():
     assert report.method_a_total == report.method_b_total == 5
     assert report.direct_count == 7
     assert report.verdict is Verdict.MISMATCH
+
+
+# -- the two cross-checks run_strategy makes against the section bitsets ------
+
+
+def _cuba_strategy(cuba_corpus):
+    engine = CappedEngine(cuba_corpus)
+    strategy = plan_prescribed(
+        engine, parse(CUBA_BASE), SO, parse_group_spec(REFERENCE_GROUPS_CUBA)
+    )
+    assert run_strategy(strategy, engine).overlap_count == 34  # the sections do overlap
+    return engine, strategy
+
+
+def test_wrong_overlap_statement_is_caught(cuba_corpus):
+    engine, strategy = _cuba_strategy(cuba_corpus)
+    broken = replace(strategy, overlap_stmt=parse("#1 NOT #1"))
+    with pytest.raises(
+        ReconcileError,
+        match="overlap statement counted 0 records but the materialized sections contain 34",
+    ):
+        run_strategy(broken, engine)
+
+
+def test_wrong_exclusions_are_caught(cuba_corpus):
+    engine, strategy = _cuba_strategy(cuba_corpus)
+    n = len(strategy.statements)
+    broken = replace(
+        strategy, exclusion_stmts=tuple(parse(f"#{i} NOT #{i}") for i in range(1, n + 1))
+    )
+    with pytest.raises(
+        ReconcileError, match="method B total 34 diverged from the materialized union of 910"
+    ):
+        run_strategy(broken, engine)
