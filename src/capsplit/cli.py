@@ -33,14 +33,13 @@ from .corpus import (
     load_corpus,
     serialize,
 )
-from .engine import CENSORED, CapExceededError, CappedEngine, EngineConfig, EngineError
+from .engine import CapExceededError, CappedEngine, EngineConfig, EngineError
 from .planner import (
     GroupSpecError,
     PlanInfeasibleError,
     Strategy,
     parse_group_spec,
     plan_auto,
-    plan_censored,
     plan_prescribed,
     split_pair,
 )
@@ -300,8 +299,6 @@ def _make_strategy(args: argparse.Namespace, engine: CappedEngine) -> Strategy:
             raise GroupSpecError("--split-pivot needs --split-field")
         groups = split_pair("", FieldKind(args.split_field), args.split_pivot)
         return plan_prescribed(engine, base, field, groups)
-    if engine.config.count_mode == CENSORED:
-        return plan_censored(engine, base, field)
     return plan_auto(engine, base, field)
 
 

@@ -118,15 +118,19 @@ class CappedEngine:
         index: dict[FieldKind, dict[str, list[int]]] = {
             field: defaultdict(list) for field in FieldKind
         }
+        # one dict lookup per field, not per record (enum hashing is not free)
+        years, countries, titles, tokens = (
+            index[field] for field in (FieldKind.PY, FieldKind.CU, FieldKind.SO, FieldKind.AD)
+        )
         for pos, rec in enumerate(corpus):
-            index[FieldKind.PY][str(rec.pub_year)].append(pos)
+            years[str(rec.pub_year)].append(pos)
             for country in rec.countries:
-                index[FieldKind.CU][country].append(pos)
+                countries[country].append(pos)
             for title in rec.source_titles:
-                index[FieldKind.SO][title].append(pos)
+                titles[title].append(pos)
             for address in rec.addresses:
                 for token in address.split():
-                    index[FieldKind.AD][token].append(pos)
+                    tokens[token].append(pos)
         self._postings: dict[FieldKind, dict[str, list[int]]] = {
             field: dict(terms) for field, terms in index.items()
         }

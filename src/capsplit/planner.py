@@ -8,7 +8,7 @@ result sets all stay strictly below the cap, by bucketing a token field
     base AND (SO=C* OR SO=D* OR ...)
     ...
 
-Three planners build the statement list:
+Two planners build the statement list:
 
 - ``plan_prescribed`` realizes caller-supplied groups verbatim, including
   pivot splits (``base AND SO=J* AND AD=CA`` / ``base AND SO=J* NOT AD=CA``)
@@ -19,9 +19,8 @@ Three planners build the statement list:
   longer-prefix buckets via the engine's next-symbol introspection, with
   exact-title residues covered by untruncated terms; deepening recurses
   until everything fits or a single full-title class reaches the cap,
-  which is irreducible.
-- ``plan_censored`` runs the same greedy scheme against an engine that
-  only ever answers "at least the cap" for oversized probes.
+  which is irreducible. One greedy body serves both count modes
+  (``plan_censored`` is the same function) and counts each statement once.
 
 Every strategy also carries the overlap statement (the OR of all pairwise
 ANDs of the numbered statements) and one exclusion statement per numbered
@@ -31,11 +30,22 @@ statement, which a runner registers right after the partition statements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterable, Union
 
 from .corpus import SYMBOLS, symbol_sort_key
-from .engine import CENSORED, VISIBLE, CappedEngine, CountResult
-from .query import And, Diff, FieldKind, Pattern, Query, SetRef, Term, or_chain, print_normalized
+from .engine import CENSORED, CappedEngine, CountResult
+from .query import (
+    And,
+    Diff,
+    FieldKind,
+    Pattern,
+    Query,
+    QueryError,
+    SetRef,
+    Term,
+    or_chain,
+    print_normalized,
+)
 
 
 class GroupSpecError(ValueError):
@@ -112,14 +122,18 @@ class Strategy:
     warnings: tuple[str, ...] = ()
 
 
+def _bucket(base: Query, field: FieldKind, patterns: Iterable[Pattern]) -> Query:
+    """``base AND (F=p1 OR F=p2 ...)``; a single pattern needs no parentheses."""
+    return And(base, or_chain([Term(field, p) for p in patterns]))
+
+
 def realize_group(base: Query, field: FieldKind, group: Group) -> Query:
     """Build the executable statement for one partition group."""
     if isinstance(group, Letters):
-        patterns = [Pattern(sym, truncated=True) for sym in group.symbols]
-        return And(base, or_chain([Term(field, p) for p in patterns]))
+        return _bucket(base, field, (Pattern(sym, truncated=True) for sym in group.symbols))
     if isinstance(group, Prefixes):
-        return And(base, or_chain([Term(field, p) for p in group.patterns]))
-    scoped = base if not group.prefix else And(base, Term(field, Pattern(group.prefix, True)))
+        return _bucket(base, field, group.patterns)
+    scoped = base if not group.prefix else _bucket(base, field, [Pattern(group.prefix, True)])
     pivot_term = Term(group.pivot_field, group.pivot)
     if group.side == WITH_PIVOT:
         return And(scoped, pivot_term)
@@ -292,24 +306,17 @@ def plan_prescribed(
 def plan_auto(
     engine: CappedEngine, base: Query, field: FieldKind, cap: int | None = None
 ) -> Strategy:
-    """Greedy alphabetical packing against a visible-count engine."""
-    if engine.config.count_mode != VISIBLE:
-        raise GroupSpecError("plan_auto needs a visible-count engine; use plan_censored")
-    return _plan_greedy(engine, base, field, _effective_cap(engine, cap))
+    """Greedy alphabetical packing, on visible and censored engines alike."""
+    cap = _effective_cap(engine, cap)
 
-
-def plan_censored(
-    engine: CappedEngine, base: Query, field: FieldKind, cap: int | None = None
-) -> Strategy:
-    """Greedy packing driven purely by censored probes."""
-    if engine.config.count_mode != CENSORED:
-        raise GroupSpecError("plan_censored needs a censored-count engine; use plan_auto")
-    return _plan_greedy(engine, base, field, _effective_cap(engine, cap))
-
-
-def _plan_greedy(engine: CappedEngine, base: Query, field: FieldKind, cap: int) -> Strategy:
     def probe(patterns: list[Pattern]) -> CountResult:
-        return engine.count(And(base, or_chain([Term(field, p) for p in patterns])))
+        return engine.count(_bucket(base, field, patterns))
+
+    def pattern(text: str, truncated: bool) -> Pattern:
+        try:
+            return Pattern(text, truncated)
+        except QueryError as exc:
+            raise PlanInfeasibleError(f"no statement can name {field.value}={text}: {exc}") from None
 
     def child_prefixes(prefix: str) -> list[Pattern]:
         items: list[Pattern] = []
@@ -320,62 +327,48 @@ def _plan_greedy(engine: CappedEngine, base: Query, field: FieldKind, cap: int) 
                 # boundary to the next symbols directly.
                 items.extend(child_prefixes(prefix + ch))
             else:
-                items.append(Pattern(prefix + ch, truncated=True))
+                items.append(pattern(prefix + ch, truncated=True))
         return items
 
-    def expand(item: Pattern) -> list[Pattern]:
-        # Replace an oversized prefix bucket by its exact-value residue
-        # plus all minimally-longer representable prefixes.
-        exact = Pattern(item.text, truncated=False)
+    def expand(item: Pattern) -> tuple[list[Pattern], list[Pattern], int]:
+        # Replace an oversized prefix bucket by all minimally-longer
+        # representable prefixes, after an opening run of its exact-value
+        # residue (if any), which is counted here and nowhere else.
+        exact = pattern(item.text, truncated=False)
         exact_count = probe([exact])
         if not _fits(exact_count, cap):
             raise PlanInfeasibleError(
                 f"single value class {field.value}={item.text} reaches the cap {cap}; "
                 "no finer partition exists"
             )
-        items = child_prefixes(item.text)
-        if exact_count.value > 0:
-            items.insert(0, exact)
-        if not items:
-            raise PlanInfeasibleError(
-                f"prefix bucket {field.value}={item.text}* reaches the cap {cap} "
-                "but has no values to split on"
-            )
-        return items
+        run = [exact] if exact_count.value else []
+        return child_prefixes(item.text), run, exact_count.value
 
-    def pack(items: list[Pattern]) -> list[tuple[list[Pattern], int]]:
+    def pack(
+        items: list[Pattern], current: list[Pattern], current_count: int
+    ) -> list[tuple[list[Pattern], int]]:
+        # Every item is truncated, so one that does not fit alone can deepen.
         packed: list[tuple[list[Pattern], int]] = []
-        current: list[Pattern] = []
-        current_count = 0
         for item in items:
             result = probe(current + [item])
+            if not _fits(result, cap) and current:
+                packed.append((current, current_count))
+                current = []
+                result = probe([item])
             if _fits(result, cap):
                 current.append(item)
                 current_count = result.value
-                continue
-            if current:
-                packed.append((current, current_count))
-                current = []
-                current_count = 0
-            alone = probe([item])
-            if _fits(alone, cap):
-                current = [item]
-                current_count = alone.value
-                continue
-            if not item.truncated:
-                raise PlanInfeasibleError(
-                    f"single value class {field.value}={item.text} reaches the cap {cap}; "
-                    "no finer partition exists"
-                )
-            packed.extend(pack(expand(item)))
+            else:
+                packed.extend(pack(*expand(item)))
         if current:
             packed.append((current, current_count))
         return packed
 
-    packed = [(patterns, n) for patterns, n in pack([Pattern(s, True) for s in SYMBOLS]) if n > 0]
+    symbols = [Pattern(s, True) for s in SYMBOLS]
+    packed = [(patterns, n) for patterns, n in pack(symbols, [], 0) if n > 0]
     if not packed:
         # Degenerate base (matches nothing): keep one full-coverage statement.
-        packed = [([Pattern(s, True) for s in SYMBOLS], 0)]
+        packed = [(symbols, 0)]
     groups: list[Group] = []
     for patterns, _ in packed:
         if all(p.truncated and len(p.text) == 1 for p in patterns):
@@ -386,6 +379,10 @@ def _plan_greedy(engine: CappedEngine, base: Query, field: FieldKind, cap: int) 
     # Greedy plans only drop provably empty symbols, so canonical-coverage
     # warnings would be noise; stray-symbol warnings still apply.
     return _assemble(engine, base, field, cap, tuple(groups), statements, False)
+
+
+# The greedy body only asks whether a probe fits, which censored counts answer too.
+plan_censored = plan_auto
 
 
 def _assemble(

@@ -52,11 +52,17 @@ class FieldKind(Enum):
 
 
 _PATTERN_FORBIDDEN = set("()=#*")
+_KEYWORDS = {"AND", "OR", "NOT"}
 
 
 @dataclass(frozen=True)
 class Pattern:
-    """A normalized match value; ``truncated`` means trailing-``*`` prefix match."""
+    """A normalized match value; ``truncated`` means trailing-``*`` prefix match.
+
+    AND, OR and NOT may not be whole words of the text, since a printed
+    statement would read them as operators. The last word of a truncated
+    pattern is the one exception: it prints with ``*`` attached, as a value.
+    """
 
     text: str
     truncated: bool = False
@@ -68,6 +74,10 @@ class Pattern:
         bad = _PATTERN_FORBIDDEN.intersection(text)
         if bad:
             raise QueryError(f"pattern {text!r} contains reserved character {sorted(bad)[0]!r}")
+        words = text.split(" ")
+        for word in words[:-1] if self.truncated else words:
+            if word in _KEYWORDS:
+                raise QueryError(f"pattern {text!r} has the keyword {word} as a whole word")
         object.__setattr__(self, "text", text)
 
     def matches(self, value: str) -> bool:
@@ -154,7 +164,6 @@ def or_chain(parts: list[Query]) -> Query:
 # ---------------------------------------------------------------------------
 
 _WORD_BREAK = set(" \t\r\n()=#")
-_KEYWORDS = {"AND", "OR", "NOT"}
 _FIELDS = {f.value: f for f in FieldKind}
 
 

@@ -176,6 +176,17 @@ def test_plan_infeasible_exit_code(cuba_file, capsys):
     assert "cap is 100" in capsys.readouterr().err
 
 
+def test_plan_past_a_keyword_word_exits_infeasible(tmp_path, capsys):
+    path = tmp_path / "keyword.tsv"
+    path.write_text("".join(f"R{k}\t2007\tSCIENCE AND TECH {k}\tUSA\t\n" for k in range(60)))
+    args = ["plan", "--corpus", str(path), "--base", "PY=2007", "--auto"]
+    assert main(args + ["--cap", "20"]) == 4
+    assert "SO=SCIENCE AND" in capsys.readouterr().err
+    assert main(args + ["--cap", "100"]) == 0
+    script = capsys.readouterr().out
+    assert len(parse_strategy_script(script).statements) == 1
+
+
 def test_degenerate_single_statement_script():
     from capsplit import CorpusProfile, EngineConfig, generate, plan_auto
 

@@ -1,4 +1,4 @@
-"""The package stays pure standard library."""
+"""The package stays pure standard library and keeps the names the benchmark calls."""
 
 from __future__ import annotations
 
@@ -6,7 +6,16 @@ import ast
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "capsplit"
+import capsplit
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "capsplit"
+
+# what perfbench/gen.py and perfbench/workloads.py call on the package by name
+BENCHMARK_NAMES = (
+    "build_fixture", "generate", "CorpusProfile", "save_corpus", "serialize",
+    "EngineConfig", "FieldKind", "parse_group_spec",
+)
 
 
 def test_package_imports_only_stdlib_and_itself():
@@ -27,3 +36,20 @@ def test_package_imports_only_stdlib_and_itself():
                 if name.partition(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def test_package_keeps_every_name_the_benchmark_calls():
+    # read perfbench/tracing.py's name tables as literals, without running or importing it
+    tracing = ROOT / "perfbench" / "tracing.py"
+    tables = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in ast.parse(tracing.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id in ("API_SPANS", "ENGINE_METHODS")
+    }
+    names = [*tables["API_SPANS"], *BENCHMARK_NAMES]
+    assert "plan_censored" in names
+    missing = [name for name in names if not hasattr(capsplit, name)]
+    engine = capsplit.CappedEngine
+    missing += [f"CappedEngine.{m}" for m in tables["ENGINE_METHODS"] if not hasattr(engine, m)]
+    assert missing == []

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from capsplit import (
     CENSORED,
@@ -19,17 +22,21 @@ from capsplit import (
     Prefixes,
     SetRef,
     Split,
+    VISIBLE,
     build_exclusions,
     build_overlap_statement,
     emit_strategy_script,
     evaluate,
     generate,
+    ingest,
     parse,
     parse_group_spec,
+    parse_strategy_script,
     plan_auto,
     plan_censored,
     plan_prescribed,
     print_normalized,
+    serialize,
     validate_direct,
 )
 from capsplit.planner import split_pair, validate_groups
@@ -41,13 +48,22 @@ SO = FieldKind.SO
 
 
 class CountingEngine(CappedEngine):
+    """Keeps the printed form of every statement sent to ``count``."""
+
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.probes = 0
+        self.probed: list[str] = []
+
+    @property
+    def probes(self) -> int:
+        return len(self.probed)
 
     def count(self, query):
-        self.probes += 1
+        self.probed.append(print_normalized(query))
         return super().count(query)
+
+    def repeated_probes(self) -> list[str]:
+        return sorted(text for text, n in Counter(self.probed).items() if n > 1)
 
 
 def _letters_corpus(buckets: dict[str, int]) -> Corpus:
@@ -246,14 +262,18 @@ def test_plan_auto_deepens_oversized_bucket():
     assert sum(counts) == len(engine.corpus)
 
 
-def test_plan_auto_deepens_across_word_boundaries():
-    # an oversized bucket whose values share a whole first word must deepen
-    # into the next word's symbols, since no pattern can end with a space
+def _word_boundary_corpus() -> Corpus:
     records = tuple(
         make_record(f"R{i:03d}", (f"JOURNAL OF {chr(65 + i % 4)} VOL {i:03d}",))
         for i in range(30)
     ) + (make_record("R900", ("JOURNAL",)),)  # exact residue at the boundary
-    engine = CappedEngine(Corpus(records), EngineConfig(cap=12))
+    return Corpus(records)
+
+
+def test_plan_auto_deepens_across_word_boundaries():
+    # an oversized bucket whose values share a whole first word must deepen
+    # into the next word's symbols, since no pattern can end with a space
+    engine = CappedEngine(_word_boundary_corpus(), EngineConfig(cap=12))
     strategy = plan_auto(engine, parse("PY=2007"), SO)
     assert [print_normalized(s) for s in strategy.statements] == [
         "PY=2007 AND SO=JOURNAL",
@@ -270,11 +290,13 @@ def test_plan_auto_deepens_across_word_boundaries():
 
 
 def test_plan_censored_deepens_like_visible_planning():
+    # one greedy planner serves both count modes, with one result
+    assert plan_censored is plan_auto
     corpus = _deepening_corpus()
     censored = CappedEngine(corpus, EngineConfig(cap=10, count_mode=CENSORED))
     visible = CappedEngine(corpus, EngineConfig(cap=10))
     base = parse("PY=2007")
-    assert plan_censored(censored, base, SO).statements == plan_auto(visible, base, SO).statements
+    assert plan_auto(censored, base, SO) == plan_auto(visible, base, SO)
 
 
 def test_plan_prescribed_works_on_censored_engine(cuba_corpus):
@@ -313,14 +335,51 @@ def test_plan_censored_probe_budget_for_single_group():
 
 def test_plan_mode_preconditions():
     corpus = _letters_corpus({"A": 5})
-    visible = CappedEngine(corpus)
     censored = CappedEngine(corpus, EngineConfig(cap=10, count_mode=CENSORED))
-    with pytest.raises(GroupSpecError, match="plan_censored"):
-        plan_auto(censored, parse("PY=2007"), SO)
-    with pytest.raises(GroupSpecError, match="plan_auto"):
-        plan_censored(visible, parse("PY=2007"), SO)
     with pytest.raises(GroupSpecError, match="censored engine"):
         plan_censored(censored, parse("PY=2007"), SO, cap=99)
+
+
+_GENERATED = generate(CorpusProfile(seed=33, n_records=3000, multi_title_prob=0.2))
+
+
+@pytest.mark.parametrize(
+    "corpus, cap",
+    [
+        (_deepening_corpus(), 10),  # kept residue SO=J
+        (_word_boundary_corpus(), 12),  # kept residue SO=JOURNAL, hop over the space
+        (_GENERATED, 60),
+        (_GENERATED, 100),
+    ],
+    ids=["deepening", "word-boundary", "generated-cap60", "generated-cap100"],
+)
+@pytest.mark.parametrize("count_mode", [VISIBLE, CENSORED])
+def test_greedy_planning_counts_each_statement_once(corpus, cap, count_mode):
+    engine = CountingEngine(corpus, EngineConfig(cap=cap, count_mode=count_mode))
+    plan_auto(engine, parse("PY=2*"), SO)
+    assert engine.probes > 0
+    assert engine.repeated_probes() == []
+
+
+def _keyword_titles_corpus() -> Corpus:
+    return Corpus(tuple(make_record(f"R{k:03d}", (f"SCIENCE AND TECH {k}",)) for k in range(60)))
+
+
+def test_deepening_past_a_keyword_word_is_infeasible():
+    # SO=SCIENCE AND TECH 0* would print as an AND of SO=SCIENCE and TECH 0*
+    corpus = _keyword_titles_corpus()
+    assert ingest(serialize(corpus)) == corpus  # such values load fine
+    engine = CappedEngine(corpus, EngineConfig(cap=20))
+    with pytest.raises(PlanInfeasibleError, match="SO=SCIENCE AND"):
+        plan_auto(engine, parse("PY=2007"), SO)
+
+
+def test_shallow_plan_over_keyword_titles_parses_back():
+    engine = CappedEngine(_keyword_titles_corpus(), EngineConfig(cap=100))
+    strategy = plan_auto(engine, parse("PY=2007"), SO)
+    parsed = parse_strategy_script(emit_strategy_script(strategy))
+    assert parsed.statements == strategy.statements
+    assert validate_direct(strategy, engine).verdict.value == "Exact"
 
 
 def test_single_title_corpus_statements_are_disjoint():
@@ -354,3 +413,36 @@ def test_stray_symbol_warning():
     engine = CappedEngine(Corpus(records), EngineConfig(cap=100))
     strategy = plan_auto(engine, parse("PY=2007"), SO)
     assert any("É" in w for w in strategy.warnings)
+
+
+# titles of a few short words, so buckets deepen, keep exact residues, cross
+# word boundaries and meet the keyword OR
+_WORDS = st.sampled_from(["J", "JA", "JO", "JOR", "OR", "A", "1"])
+_TITLE = st.lists(_WORDS, min_size=1, max_size=3).map(" ".join)
+_RECORDS = st.lists(
+    st.tuples(st.lists(_TITLE, min_size=1, max_size=2), st.sampled_from([2006, 2007])),
+    min_size=4,
+    max_size=20,
+)
+
+
+@given(records=_RECORDS, cap=st.integers(2, 8))
+def test_greedy_plans_alike_in_both_modes_and_reconcile(records, cap):
+    corpus = Corpus(
+        tuple(make_record(f"R{i:03d}", tuple(t), year) for i, (t, year) in enumerate(records))
+    )
+    visible = CountingEngine(corpus, EngineConfig(cap=cap))
+    censored = CountingEngine(corpus, EngineConfig(cap=cap, count_mode=CENSORED))
+    base = parse("PY=2007")
+    try:
+        strategy = plan_auto(visible, base, SO)
+    except PlanInfeasibleError:
+        with pytest.raises(PlanInfeasibleError):
+            plan_auto(censored, base, SO)
+        return
+    assert plan_auto(censored, base, SO) == strategy
+    assert visible.repeated_probes() == censored.repeated_probes() == []
+    assert all(visible.count(stmt).value < cap for stmt in strategy.statements)
+    for engine in (visible, censored):
+        report = validate_direct(strategy, engine)
+        assert report.method_b_total == report.union_cardinality == report.direct_count

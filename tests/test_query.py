@@ -119,6 +119,27 @@ def test_pattern_rejects_internal_star_and_reserved_chars():
         SetRef(0)
 
 
+@pytest.mark.parametrize(
+    "text, truncated",
+    [("SCIENCE AND TECH", False), ("SCIENCE AND TECH", True), ("SCIENCE AND", False),
+     ("OR", False), ("not a", True), ("A NOT B", False)],
+)
+def test_pattern_rejects_keyword_words(text, truncated):
+    with pytest.raises(QueryError, match="keyword"):
+        Pattern(text, truncated)
+
+
+@pytest.mark.parametrize(
+    "text, truncated",
+    [("SCIENCE AND", True), ("OR", True), ("ANDES", False), ("ORAL NOTES", False),
+     ("SCIENCE ANDTECH", False)],
+)
+def test_keyword_free_patterns_print_and_parse_back(text, truncated):
+    # a truncated last word prints as AND* and reads back as a value word
+    term = Term(FieldKind.SO, Pattern(text, truncated))
+    assert parse(print_normalized(term)) == term
+
+
 # -- printing ---------------------------------------------------------------
 
 
