@@ -29,6 +29,7 @@ statement, which a runner registers right after the partition statements.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -312,37 +313,41 @@ def plan_auto(
     def probe(patterns: list[Pattern]) -> CountResult:
         return engine.count(_bucket(base, field, patterns))
 
-    def pattern(text: str, truncated: bool) -> Pattern:
-        try:
-            return Pattern(text, truncated)
-        except QueryError as exc:
-            raise PlanInfeasibleError(f"no statement can name {field.value}={text}: {exc}") from None
-
     def child_prefixes(prefix: str) -> list[Pattern]:
         items: list[Pattern] = []
         for ch in sorted(engine.prefix_children(field, prefix), key=symbol_sort_key):
             if ch == " ":
                 # No pattern may end with a space (normalization strips it)
                 # and no stored value does either, so hop over the word
-                # boundary to the next symbols directly.
+                # boundary; none past AND, OR or NOT is writable (see expand).
                 items.extend(child_prefixes(prefix + ch))
             else:
-                items.append(pattern(prefix + ch, truncated=True))
+                with suppress(QueryError):
+                    items.append(Pattern(prefix + ch, truncated=True))
         return items
 
     def expand(item: Pattern) -> tuple[list[Pattern], list[Pattern], int]:
         # Replace an oversized prefix bucket by all minimally-longer
         # representable prefixes, after an opening run of its exact-value
         # residue (if any), which is counted here and nowhere else.
-        exact = pattern(item.text, truncated=False)
+        children = child_prefixes(item.text)
+        try:
+            exact = Pattern(item.text, truncated=False)
+        except QueryError:
+            # Ending on the word AND, OR or NOT, the text names neither its exact
+            # residue nor values past that word: the children must cover it all.
+            if not children or engine.count(
+                Diff(_bucket(base, field, [item]), _bucket(base, field, children))
+            ).value != 0:
+                raise PlanInfeasibleError(f"no statements name all of {field.value}={item.text}*")
+            return children, [], 0
         exact_count = probe([exact])
         if not _fits(exact_count, cap):
             raise PlanInfeasibleError(
                 f"single value class {field.value}={item.text} reaches the cap {cap}; "
                 "no finer partition exists"
             )
-        run = [exact] if exact_count.value else []
-        return child_prefixes(item.text), run, exact_count.value
+        return children, [exact] if exact_count.value else [], exact_count.value
 
     def pack(
         items: list[Pattern], current: list[Pattern], current_count: int

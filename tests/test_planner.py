@@ -374,6 +374,42 @@ def test_deepening_past_a_keyword_word_is_infeasible():
         plan_auto(engine, parse("PY=2007"), SO)
 
 
+def _titles_corpus(titles: list[str]) -> Corpus:
+    return Corpus(tuple(make_record(f"R{k:03d}", (t,)) for k, t in enumerate(titles)))
+
+
+_ORGANIC_ORAL = [f"ORGANIC {k}" for k in range(15)] + [f"ORAL {k}" for k in range(15)]
+
+
+@pytest.mark.parametrize(
+    "titles, first",
+    [
+        (_ORGANIC_ORAL, "PY=2007 AND (SO=ORAL 0* OR SO=ORAL 1* OR SO=ORAL 2* OR SO=ORAL 3* "
+         "OR SO=ORAL 4* OR SO=ORAL 5*)"),
+        ([f"SCIENCE ANDES {k}" for k in range(30)], "PY=2007 AND SO=SCIENCE ANDES 0*"),
+    ],
+    ids=["OR*", "SCIENCE AND*"],
+)
+@pytest.mark.parametrize("count_mode", [VISIBLE, CENSORED])
+def test_plan_auto_deepens_a_bucket_ending_on_a_keyword_word(titles, first, count_mode):
+    # SO=OR and SO=SCIENCE AND cannot be written untruncated, but no stored
+    # value equals them, so the children cover the bucket and the plan goes on
+    engine = CountingEngine(_titles_corpus(titles), EngineConfig(cap=12, count_mode=count_mode))
+    strategy = plan_auto(engine, parse("PY=2007"), SO)
+    assert print_normalized(strategy.statements[0]) == first
+    assert len(strategy.statements) == 4
+    assert engine.repeated_probes() == []
+    assert parse_strategy_script(emit_strategy_script(strategy)).statements == strategy.statements
+    assert validate_direct(strategy, engine).verdict.value == "Exact"
+
+
+def test_keyword_value_that_a_deepened_bucket_must_name_is_infeasible():
+    # the stored title OR is the residue of the oversized bucket SO=OR*
+    engine = CappedEngine(_titles_corpus(["OR"] + _ORGANIC_ORAL), EngineConfig(cap=12))
+    with pytest.raises(PlanInfeasibleError, match=r"SO=OR\*"):
+        plan_auto(engine, parse("PY=2007"), SO)
+
+
 def test_shallow_plan_over_keyword_titles_parses_back():
     engine = CappedEngine(_keyword_titles_corpus(), EngineConfig(cap=100))
     strategy = plan_auto(engine, parse("PY=2007"), SO)
@@ -416,8 +452,9 @@ def test_stray_symbol_warning():
 
 
 # titles of a few short words, so buckets deepen, keep exact residues, cross
-# word boundaries and meet the keyword OR
-_WORDS = st.sampled_from(["J", "JA", "JO", "JOR", "OR", "A", "1"])
+# word boundaries and end on the keyword OR (SO=OR*, SO=J OR*) without any
+# value holding it as a whole word
+_WORDS = st.sampled_from(["J", "JA", "JO", "JOR", "ORA", "A", "1"])
 _TITLE = st.lists(_WORDS, min_size=1, max_size=3).map(" ".join)
 _RECORDS = st.lists(
     st.tuples(st.lists(_TITLE, min_size=1, max_size=2), st.sampled_from([2006, 2007])),
@@ -434,12 +471,14 @@ def test_greedy_plans_alike_in_both_modes_and_reconcile(records, cap):
     visible = CountingEngine(corpus, EngineConfig(cap=cap))
     censored = CountingEngine(corpus, EngineConfig(cap=cap, count_mode=CENSORED))
     base = parse("PY=2007")
-    try:
-        strategy = plan_auto(visible, base, SO)
-    except PlanInfeasibleError:
-        with pytest.raises(PlanInfeasibleError):
-            plan_auto(censored, base, SO)
+    # a prefix partition exists exactly when every full-title class is below the cap
+    classes = Counter(t for titles, year in records if year == 2007 for t in set(titles))
+    if classes and max(classes.values()) >= cap:
+        for engine in (visible, censored):
+            with pytest.raises(PlanInfeasibleError, match="single value class"):
+                plan_auto(engine, base, SO)
         return
+    strategy = plan_auto(visible, base, SO)
     assert plan_auto(censored, base, SO) == strategy
     assert visible.repeated_probes() == censored.repeated_probes() == []
     assert all(visible.count(stmt).value < cap for stmt in strategy.statements)
