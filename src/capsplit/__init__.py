@@ -30,7 +30,6 @@ from .engine import (
 )
 from .planner import (
     GroupSpecError,
-    Letters,
     PlanInfeasibleError,
     Prefixes,
     Split,

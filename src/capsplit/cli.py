@@ -41,7 +41,6 @@ from .planner import (
     parse_group_spec,
     plan_auto,
     plan_prescribed,
-    split_pair,
 )
 from .query import FieldKind, Query, QueryError, parse, print_normalized
 from .reconcile import RunReport, Verdict, run_strategy, validate_direct
@@ -86,7 +85,8 @@ def parse_strategy_script(text: str) -> ParsedScript:
     """Re-read an emitted strategy script into its query trees.
 
     Lines are numbered 1, 2, 3, ... in session order across all three
-    sections; any other number is an error. Each heading may appear once,
+    sections, in ASCII digits without leading zeros; any other number is
+    an error. Each heading may appear once,
     the overlap heading before the exclusion heading, and the overlap
     section holds exactly one statement.
     """
@@ -107,7 +107,7 @@ def parse_strategy_script(text: str) -> ParsedScript:
         number, dot, rest = line.partition(". ")
         if not dot or not number.isdigit():
             raise ValueError(f"script line is not numbered: {line!r}")
-        if int(number) != expected:
+        if number != str(expected):
             raise ValueError(f"script line should be numbered {expected}: {line!r}")
         if section == OVERLAP_HEADING and sections[section]:
             raise ValueError(f"script has a second overlap statement: {line!r}")
@@ -168,10 +168,8 @@ def _add_engine_args(sub: argparse.ArgumentParser) -> None:
 def _add_strategy_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--base", required=True, help="base query to partition")
     sub.add_argument("--field", choices=("SO", "CU", "AD"), default="SO")
-    sub.add_argument("--groups", help="prescribed groups, e.g. 'AB,CDEFG,...,J/AD=CA'")
+    sub.add_argument("--groups", help="prescribed groups, e.g. 'AB,...,J/AD=CA' or '/AD=LONDON'")
     sub.add_argument("--auto", action="store_true", help="greedy alphabetical packing")
-    sub.add_argument("--split-field", choices=("SO", "CU", "AD", "PY"))
-    sub.add_argument("--split-pivot", help="split the whole base on FIELD=PIVOT")
     sub.add_argument("--out", help="write output to this file instead of stdout")
 
 
@@ -287,18 +285,12 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _make_strategy(args: argparse.Namespace, engine: CappedEngine) -> Strategy:
-    chosen = [bool(args.groups), bool(args.auto), bool(args.split_pivot)]
-    if sum(chosen) != 1:
-        raise GroupSpecError("choose exactly one of --groups, --auto or --split-pivot")
+    if bool(args.groups) == args.auto:
+        raise GroupSpecError("choose exactly one of --groups or --auto")
     base = parse(args.base)
     field = FieldKind(args.field)
     if args.groups:
         return plan_prescribed(engine, base, field, parse_group_spec(args.groups))
-    if args.split_pivot:
-        if not args.split_field:
-            raise GroupSpecError("--split-pivot needs --split-field")
-        groups = split_pair("", FieldKind(args.split_field), args.split_pivot)
-        return plan_prescribed(engine, base, field, groups)
     return plan_auto(engine, base, field)
 
 

@@ -25,6 +25,7 @@ not. Ingest and the record assembler then build records without rechecks.
 
 from __future__ import annotations
 
+import io
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -189,7 +190,8 @@ def ingest(source: str | Iterable[str]) -> Corpus:
     checked once per call, records that repeat it share the parsed value,
     and ``Record`` does not check it again.
     """
-    lines = source.splitlines() if isinstance(source, str) else source
+    # A string is read as a text file is, breaking lines only on \n, \r and \r\n.
+    lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
     records: list[Record] = []
     seen_lines: dict[str, int] = {}
     parsed: dict[tuple[str, str], tuple[str, ...] | frozenset[str]] = {}

@@ -8,11 +8,14 @@ result sets all stay strictly below the cap, by bucketing a token field
     base AND (SO=C* OR SO=D* OR ...)
     ...
 
-Two planners build the statement list:
+Each statement realizes one group, which is one of two things: a pattern
+bucket (``Prefixes``) or one side of a pivot split of a prefix on a second
+field (``Split``: ``base AND SO=J* AND AD=CA`` / ``base AND SO=J* NOT AD=CA``).
+Two planners build the group list:
 
-- ``plan_prescribed`` realizes caller-supplied groups verbatim, including
-  pivot splits (``base AND SO=J* AND AD=CA`` / ``base AND SO=J* NOT AD=CA``)
-  for buckets known to be oversized.
+- ``plan_prescribed`` realizes caller-supplied groups verbatim, usually
+  parsed and checked from text by ``parse_group_spec``; pivot splits serve
+  buckets known to be oversized.
 - ``plan_auto`` packs symbols greedily in canonical order (A..Z then 0..9),
   extending a group while its realized count stays below the cap. A single
   symbol whose bucket alone reaches the cap is replaced by packed
@@ -62,24 +65,13 @@ WITHOUT_PIVOT = "without"
 
 
 @dataclass(frozen=True)
-class Letters:
-    """A bucket of first symbols, realized as ``SO=x1* OR SO=x2* OR ...``."""
-
-    symbols: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.symbols:
-            raise GroupSpecError("empty letter group")
-        for sym in self.symbols:
-            if sym not in SYMBOLS:
-                raise GroupSpecError(f"letter group symbol {sym!r} not in A..Z, 0..9")
-        ordered = tuple(sorted(set(self.symbols), key=symbol_sort_key))
-        object.__setattr__(self, "symbols", ordered)
-
-
-@dataclass(frozen=True)
 class Prefixes:
-    """A bucket of explicit patterns (deepened prefixes or exact residues)."""
+    """A bucket of patterns, realized as ``F=p1 OR F=p2 OR ...``.
+
+    A letter chunk of a group specification is one-symbol truncated
+    patterns (``SO=A* OR SO=B*``); ``plan_auto`` also packs deepened
+    prefixes and exact-title residues.
+    """
 
     patterns: tuple[Pattern, ...]
 
@@ -106,7 +98,7 @@ class Split:
             raise GroupSpecError(f"split side must be 'with' or 'without', got {self.side!r}")
 
 
-Group = Union[Letters, Prefixes, Split]
+Group = Union[Prefixes, Split]
 
 
 @dataclass(frozen=True)
@@ -130,8 +122,6 @@ def _bucket(base: Query, field: FieldKind, patterns: Iterable[Pattern]) -> Query
 
 def realize_group(base: Query, field: FieldKind, group: Group) -> Query:
     """Build the executable statement for one partition group."""
-    if isinstance(group, Letters):
-        return _bucket(base, field, (Pattern(sym, truncated=True) for sym in group.symbols))
     if isinstance(group, Prefixes):
         return _bucket(base, field, group.patterns)
     scoped = base if not group.prefix else _bucket(base, field, [Pattern(group.prefix, True)])
@@ -165,23 +155,19 @@ def build_exclusions(n: int) -> list[Query]:
 # ---------------------------------------------------------------------------
 
 
-def split_pair(prefix: str, pivot_field: FieldKind, value: str) -> tuple[Split, ...]:
-    """The with/without pivot-split pair for a pivot value such as ``CA`` or ``LOND*``."""
-    value = value.strip()
-    truncated = value.endswith("*")
-    pivot = Pattern(value[:-1] if truncated else value, truncated)
-    return tuple(Split(prefix, pivot_field, pivot, side) for side in (WITH_PIVOT, WITHOUT_PIVOT))
-
-
 def parse_group_spec(text: str) -> tuple[Group, ...]:
-    """Parse the textual group form, e.g. ``AB,CDEFG,...,J/AD=CA``.
+    """Parse and check the textual group form, e.g. ``AB,CDEFG,...,J/AD=CA``.
 
-    Comma-separated chunks; a plain chunk lists the first symbols of one
-    letter group, while ``PREFIX/FIELD=value`` expands to the with/without
-    pivot-split pair. An empty prefix (``/AD=LONDON``) splits the whole
-    base query.
+    Comma-separated chunks. A plain chunk lists the first symbols of one
+    bucket: ``Prefixes`` of one-symbol truncated patterns, in canonical
+    order (A..Z then 0..9) with duplicates dropped. ``PREFIX/FIELD=value``
+    expands to the with/without pivot-split pair, and an empty prefix
+    (``/AD=LONDON``) splits the whole base query. Symbols must be in A..Z,
+    0..9, no symbol may be listed in two chunks, and no split prefix may
+    start with a listed symbol, whatever the chunk order.
     """
     groups: list[Group] = []
+    listed: set[str] = set()
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
@@ -189,36 +175,49 @@ def parse_group_spec(text: str) -> tuple[Group, ...]:
         if "/" in chunk:
             prefix, _, pivot_text = chunk.partition("/")
             field_name, eq, value = pivot_text.partition("=")
-            if not eq or not value.strip():
+            value = value.strip()
+            if not eq or not value:
                 raise GroupSpecError(f"split group {chunk!r} must look like PREFIX/FIELD=value")
             try:
                 pivot_field = FieldKind(field_name.strip().upper())
             except ValueError:
                 raise GroupSpecError(f"unknown pivot field {field_name!r}") from None
-            groups.extend(split_pair(prefix.strip().upper(), pivot_field, value))
+            truncated = value.endswith("*")
+            pivot = Pattern(value[:-1] if truncated else value, truncated)
+            groups.extend(
+                Split(prefix.strip().upper(), pivot_field, pivot, side)
+                for side in (WITH_PIVOT, WITHOUT_PIVOT)
+            )
         else:
-            groups.append(Letters(tuple(chunk.upper())))
+            symbols = chunk.upper()
+            for sym in symbols:
+                if sym not in SYMBOLS:
+                    raise GroupSpecError(f"letter group symbol {sym!r} not in A..Z, 0..9")
+            clash = listed.intersection(symbols)
+            if clash:
+                raise GroupSpecError(f"symbol {sorted(clash)[0]!r} appears in two letter groups")
+            listed.update(symbols)
+            ordered = sorted(set(symbols), key=symbol_sort_key)
+            groups.append(Prefixes(tuple(Pattern(sym, truncated=True) for sym in ordered)))
+    for group in groups:
+        if isinstance(group, Split) and group.prefix and group.prefix[0] in listed:
+            raise GroupSpecError(
+                f"split prefix {group.prefix!r} collides with a letter group symbol"
+            )
     return tuple(groups)
 
 
 def validate_groups(groups: tuple[Group, ...]) -> None:
-    """Check the structural group invariants (disjointness, paired splits)."""
-    seen_letters: set[str] = set()
-    for group in groups:
-        if isinstance(group, Letters):
-            clash = seen_letters.intersection(group.symbols)
-            if clash:
-                raise GroupSpecError(f"symbol {sorted(clash)[0]!r} appears in two letter groups")
-            seen_letters.update(group.symbols)
+    """Check that every pivot split has both its with and without sides.
+
+    The other group checks are made once, where group text enters, by
+    ``parse_group_spec``.
+    """
     sides: dict[tuple, set[str]] = {}
     for group in groups:
         if isinstance(group, Split):
             key = (group.prefix, group.pivot_field, group.pivot)
             sides.setdefault(key, set()).add(group.side)
-            if group.prefix and group.prefix[0] in seen_letters:
-                raise GroupSpecError(
-                    f"split prefix {group.prefix!r} collides with a letter group symbol"
-                )
     for key, present in sides.items():
         if present != {WITH_PIVOT, WITHOUT_PIVOT}:
             raise GroupSpecError(
@@ -236,9 +235,7 @@ def _coverage_warnings(
         return ()  # an empty-prefix split covers the whole base
     covered: set[str] = set()
     for group in groups:
-        if isinstance(group, Letters):
-            covered.update(group.symbols)
-        elif isinstance(group, Prefixes):
+        if isinstance(group, Prefixes):
             covered.update(p.text[0] for p in group.patterns)
         elif group.prefix:
             covered.add(group.prefix[0])
@@ -272,6 +269,10 @@ def _effective_cap(engine: CappedEngine, cap: int | None) -> int:
         raise GroupSpecError(
             "a censored engine only answers probes at its own cap; "
             f"cannot plan for cap {cap} against engine cap {engine.config.cap}"
+        )
+    if cap > engine.config.cap:
+        raise GroupSpecError(
+            f"cannot plan for cap {cap} above the engine cap {engine.config.cap}"
         )
     return cap
 
@@ -374,16 +375,11 @@ def plan_auto(
     if not packed:
         # Degenerate base (matches nothing): keep one full-coverage statement.
         packed = [(symbols, 0)]
-    groups: list[Group] = []
-    for patterns, _ in packed:
-        if all(p.truncated and len(p.text) == 1 for p in patterns):
-            groups.append(Letters(tuple(p.text for p in patterns)))
-        else:
-            groups.append(Prefixes(tuple(patterns)))
+    groups = tuple(Prefixes(tuple(patterns)) for patterns, _ in packed)
     statements = tuple(realize_group(base, field, g) for g in groups)
     # Greedy plans only drop provably empty symbols, so canonical-coverage
     # warnings would be noise; stray-symbol warnings still apply.
-    return _assemble(engine, base, field, cap, tuple(groups), statements, False)
+    return _assemble(engine, base, field, cap, groups, statements, False)
 
 
 # The greedy body only asks whether a probe fits, which censored counts answer too.

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +17,7 @@ from capsplit import (
     parse_strategy_script,
     plan_prescribed,
 )
-from capsplit.cli import main
+from capsplit.cli import build_arg_parser, main
 
 from conftest import CUBA_BASE, REFERENCE_GROUPS_CUBA
 
@@ -134,17 +136,31 @@ def test_unknown_flag_and_bad_cap_are_usage_errors(cuba_file, capsys):
     capsys.readouterr()
 
 
-def test_split_pivot_requires_split_field(cuba_file, capsys):
-    args = ["run", "--corpus", cuba_file, "--base", CUBA_BASE, "--split-pivot", "HAVANA"]
-    assert main(args) == 2
-    assert "--split-field" in capsys.readouterr().err
-
-
 def test_exactly_one_planning_source(cuba_file, capsys):
-    args = ["run", "--corpus", cuba_file, "--base", CUBA_BASE,
-            "--auto", "--groups", "A,B"]
+    args = ["run", "--corpus", cuba_file, "--base", CUBA_BASE]
+    assert main(args + ["--auto", "--groups", "A,B"]) == 2
     assert main(args) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err.count("choose exactly one of --groups or --auto") == 2
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_commands_parse():
+    # every `capsplit ...` line of the README's sh blocks, parsed but not run
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", README.read_text(encoding="utf-8"), re.S | re.M):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["capsplit"]:
+                commands.append((line.strip(), words[1:]))
+    assert len(commands) >= 5
+    parser = build_arg_parser()
+    for line, argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 # -- plan ------------------------------------------------------------------------
@@ -218,8 +234,10 @@ def test_emitted_script_reparses_to_same_statements(cuba_corpus):
     [
         ("1. SO=A*\n3. SO=B*\n2. SO=C*\n", "3. SO=B*"),  # skipped
         ("1. SO=A*\nStatement to find overlapping\n1. #1 NOT #1\n", "1. #1 NOT #1"),  # repeated
+        ("\u0661. PY=2007\n", "\u0661. PY=2007"),  # a digit, but not an ASCII one
+        ("01. PY=2007\n", "01. PY=2007"),
     ],
-    ids=["skipped", "repeated"],
+    ids=["skipped", "repeated", "arabic-indic", "leading-zero"],
 )
 def test_script_numbers_must_run_in_session_order(script, bad_line):
     with pytest.raises(ValueError, match=re.escape(repr(bad_line))):
@@ -335,7 +353,7 @@ def test_validate_censored_uses_oracle_direct(cuba_file, capsys):
 
 
 def test_validate_split_pivot_flags(tmp_path, capsys):
-    # whole-base pivot split through the CLI flags
+    # whole-base pivot split through an empty-prefix group
     lines = ["# corpus"]
     for i in range(4):
         lines.append(f"L{i}\t2007\tA REV {i}\tENGLAND\tUCL LONDON")
@@ -345,7 +363,7 @@ def test_validate_split_pivot_flags(tmp_path, capsys):
     path.write_text("\n".join(lines) + "\n")
     args = ["validate", "--corpus", str(path),
             "--base", "PY=2007 AND CU=(England OR Scotland)",
-            "--split-field", "AD", "--split-pivot", "LONDON"]
+            "--groups", "/AD=LONDON"]
     assert main(args) == 0
     out = capsys.readouterr().out
     assert "statement.1.count=4" in out

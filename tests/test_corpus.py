@@ -5,8 +5,19 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from capsplit import Corpus, CorpusError, CorpusProfile, Record, generate, ingest, serialize
+from capsplit import (
+    Corpus,
+    CorpusError,
+    CorpusProfile,
+    Record,
+    generate,
+    ingest,
+    load_corpus,
+    serialize,
+)
 from capsplit.cli import main
 from capsplit.corpus import (
     FILE_HEADER,
@@ -146,6 +157,57 @@ def test_serialize_round_trip_identity():
 def test_serialize_is_deterministic():
     corpus = generate(CorpusProfile(seed=3, n_records=50))
     assert serialize(corpus) == serialize(corpus)
+
+
+@pytest.mark.parametrize(
+    "sep", ["\u2028", "\x85", "\f"], ids=["line-separator", "nel", "form-feed"]
+)
+def test_ingest_reads_a_string_as_a_file_is_read(sep, tmp_path):
+    # only \n, \r and \r\n end a line; other breaks are whitespace inside a value
+    text = f"R1\t2007\tA{sep}B REV\tUSA\t\r\nR2\t2008\tC REV\tUSA\t\rR3\t2009\tD\tUSA\t\n"
+    path = tmp_path / "c.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    assert ingest(text) == load_corpus(str(path))
+    assert [r.source_titles for r in ingest(text)] == [("A B REV",), ("C REV",), ("D",)]
+
+
+# Values of one to three words, keywords included, as generated corpora may hold them.
+_VALUES = st.lists(
+    st.sampled_from(["AND", "OR", "NOT", "ACTA", "J", "REV", "2007", "ÉCOLE", "X-RAY"]),
+    min_size=1, max_size=3,
+).map(" ".join)
+_ROWS = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from([0, 10_000, 123_456_789_012]), st.integers(0, 10**6)),
+        st.lists(_VALUES, min_size=1, max_size=2, unique=True),  # source titles
+        st.frozensets(_VALUES, min_size=1, max_size=2),  # countries
+        st.frozensets(_VALUES, max_size=2),  # addresses
+    ),
+    max_size=5,
+)
+
+
+@given(rows=_ROWS)
+def test_ingest_reads_back_what_serialize_writes(rows):
+    corpus = Corpus(tuple(
+        Record(f"R{i}", year, tuple(titles), countries, addresses)
+        for i, (year, titles, countries, addresses) in enumerate(rows)
+    ))
+    assert ingest(serialize(corpus)) == corpus
+
+
+@given(rows=_ROWS)
+def test_serialize_writes_back_what_ingest_reads(rows):
+    # the file format, spelled out: sorted countries and addresses, empty AD allowed
+    text = "".join(
+        [FILE_HEADER + "\n"]
+        + [
+            f"R{i}\t{year}\t{'|'.join(titles)}\t{'|'.join(sorted(countries))}"
+            f"\t{'|'.join(sorted(addresses))}\n"
+            for i, (year, titles, countries, addresses) in enumerate(rows)
+        ]
+    )
+    assert serialize(ingest(text)) == text
 
 
 def test_serialize_empty_address_field_round_trips():

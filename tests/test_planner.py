@@ -16,7 +16,6 @@ from capsplit import (
     EngineConfig,
     FieldKind,
     GroupSpecError,
-    Letters,
     Pattern,
     PlanInfeasibleError,
     Prefixes,
@@ -39,7 +38,7 @@ from capsplit import (
     serialize,
     validate_direct,
 )
-from capsplit.planner import split_pair, validate_groups
+from capsplit.planner import validate_groups
 
 from conftest import CUBA_BASE, REFERENCE_GROUPS_CUBA
 from helpers import make_record
@@ -64,6 +63,11 @@ class CountingEngine(CappedEngine):
 
     def repeated_probes(self) -> list[str]:
         return sorted(text for text, n in Counter(self.probed).items() if n > 1)
+
+
+def _initials(symbols: str) -> Prefixes:
+    """The bucket a letter chunk of a group specification parses to."""
+    return Prefixes(tuple(Pattern(sym, truncated=True) for sym in symbols))
 
 
 def _letters_corpus(buckets: dict[str, int]) -> Corpus:
@@ -109,8 +113,8 @@ def test_build_exclusions():
 
 def test_parse_group_spec_with_split():
     groups = parse_group_spec("AB,CDEFG,J/AD=CA")
-    assert groups[0] == Letters(("A", "B"))
-    assert groups[1] == Letters(("C", "D", "E", "F", "G"))
+    assert groups[0] == _initials("AB")
+    assert groups[1] == _initials("CDEFG")
     assert groups[2] == Split("J", FieldKind.AD, Pattern("CA"), "with")
     assert groups[3] == Split("J", FieldKind.AD, Pattern("CA"), "without")
 
@@ -127,7 +131,6 @@ def test_truncated_pivot_parses_alike_in_group_spec_and_split_flags():
     pivot = Pattern("LOND", truncated=True)
     expected = (Split("", FieldKind.AD, pivot, "with"), Split("", FieldKind.AD, pivot, "without"))
     assert parse_group_spec("/AD= lond* ") == expected
-    assert split_pair("", FieldKind.AD, " lond* ") == expected
 
 
 @pytest.mark.parametrize(
@@ -139,19 +142,20 @@ def test_parse_group_spec_errors(text):
 
 
 def test_validate_groups_rejects_overlap_and_half_splits():
-    with pytest.raises(GroupSpecError, match="two letter groups"):
-        validate_groups(parse_group_spec("AB,BC"))
+    with pytest.raises(GroupSpecError, match="'B' appears in two letter groups"):
+        parse_group_spec("AB,BC")
     with pytest.raises(GroupSpecError, match="both the with and without"):
         validate_groups((Split("J", FieldKind.AD, Pattern("CA"), "with"),))
-    with pytest.raises(GroupSpecError, match="collides"):
-        validate_groups(parse_group_spec("ABJ,J/AD=CA"))
+    for text in ("ABJ,J/AD=CA", "J/AD=CA,ABJ"):  # whatever the chunk order
+        with pytest.raises(GroupSpecError, match="split prefix 'J' collides"):
+            parse_group_spec(text)
 
 
 def test_letters_canonicalize_and_validate():
-    assert Letters(("B", "A", "B")).symbols == ("A", "B")
-    assert Letters(("1", "Z")).symbols == ("Z", "1")  # digits sort after letters
-    with pytest.raises(GroupSpecError):
-        Letters(("É",))
+    assert parse_group_spec("BAB") == (_initials("AB"),)
+    assert parse_group_spec("1Z") == (_initials("Z1"),)  # digits sort after letters
+    with pytest.raises(GroupSpecError, match="'É' not in A..Z, 0..9"):
+        parse_group_spec("É")
     with pytest.raises(GroupSpecError):
         Prefixes(())
     with pytest.raises(GroupSpecError):
@@ -216,8 +220,8 @@ def test_plan_auto_greedy_hand_example():
     counts = [engine.count(s).value for s in strategy.statements]
     assert counts == [70, 35]
     first, second = strategy.groups
-    assert isinstance(first, Letters) and first.symbols[:2] == ("A", "B")
-    assert isinstance(second, Letters) and second.symbols[0] == "C"
+    assert first.patterns[:2] == _initials("AB").patterns
+    assert second.patterns[0] == Pattern("C", truncated=True)
 
 
 def test_plan_auto_empty_base_keeps_one_statement():
@@ -333,11 +337,21 @@ def test_plan_censored_probe_budget_for_single_group():
     assert engine.probes <= 37  # alphabet size + 1
 
 
-def test_plan_mode_preconditions():
+def test_plan_mode_preconditions(cuba_corpus):
     corpus = _letters_corpus({"A": 5})
     censored = CappedEngine(corpus, EngineConfig(cap=10, count_mode=CENSORED))
     with pytest.raises(GroupSpecError, match="censored engine"):
         plan_censored(censored, parse("PY=2007"), SO, cap=99)
+    # a statement above the engine's cap could not be validated on it
+    visible = CappedEngine(cuba_corpus, EngineConfig(cap=100))
+    base = parse(CUBA_BASE)
+    with pytest.raises(GroupSpecError, match="cap 400 above the engine cap 100"):
+        plan_auto(visible, base, SO, cap=400)
+    with pytest.raises(GroupSpecError, match="cap 101 above the engine cap 100"):
+        plan_prescribed(visible, base, SO, parse_group_spec(REFERENCE_GROUPS_CUBA), cap=101)
+    for cap in (100, 60):
+        strategy = plan_auto(visible, base, SO, cap=cap)
+        assert validate_direct(strategy, visible).direct_count == 910
 
 
 _GENERATED = generate(CorpusProfile(seed=33, n_records=3000, multi_title_prob=0.2))

@@ -13,6 +13,8 @@ from capsplit import (
     EngineConfig,
     EngineError,
     FieldKind,
+    Pattern,
+    Prefixes,
     SetRef,
     Strategy,
     Verdict,
@@ -27,7 +29,6 @@ from capsplit import (
     run_strategy,
     validate_direct,
 )
-from capsplit.planner import Letters
 from capsplit.reconcile import ReconcileError
 
 from conftest import CUBA_BASE, REFERENCE_GROUPS_CUBA, UK_BASE
@@ -181,7 +182,7 @@ def test_cap_violation_yields_partial_report():
         base=parse("PY=2007"),
         cap=100,
         partition_field=SO,
-        groups=(Letters(("A",)),),
+        groups=(Prefixes((Pattern("A", truncated=True),)),),
         statements=(parse("PY=2007 AND SO=A*"),),
         overlap_stmt=build_overlap_statement(1),
         exclusion_stmts=tuple(build_exclusions(1)),
@@ -206,7 +207,7 @@ def test_cap_violation_in_censored_mode_hides_count():
         base=parse("PY=2007"),
         cap=100,
         partition_field=SO,
-        groups=(Letters(("A",)),),
+        groups=(Prefixes((Pattern("A", truncated=True),)),),
         statements=(parse("PY=2007 AND SO=A*"),),
         overlap_stmt=build_overlap_statement(1),
         exclusion_stmts=tuple(build_exclusions(1)),
