@@ -46,6 +46,7 @@ from .query import (
     Diff,
     FieldKind,
     Or,
+    Oracle,
     Pattern,
     Query,
     QueryError,

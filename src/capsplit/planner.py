@@ -162,12 +162,16 @@ def parse_group_spec(text: str) -> tuple[Group, ...]:
     bucket: ``Prefixes`` of one-symbol truncated patterns, in canonical
     order (A..Z then 0..9) with duplicates dropped. ``PREFIX/FIELD=value``
     expands to the with/without pivot-split pair, and an empty prefix
-    (``/AD=LONDON``) splits the whole base query. Symbols must be in A..Z,
-    0..9, no symbol may be listed in two chunks, and no split prefix may
-    start with a listed symbol, whatever the chunk order.
+    (``/AD=LONDON``) splits the whole base query. Each listed symbol, and
+    the first symbol of a split prefix, must upper-case to one symbol in
+    A..Z, 0..9. No two chunks may share records, whatever the chunk order:
+    no symbol is listed twice, no split prefix starts with a listed symbol
+    or with another split prefix (or equals it), and a whole-base split is
+    the only chunk.
     """
     groups: list[Group] = []
     listed: set[str] = set()
+    prefixes: list[str] = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
@@ -184,27 +188,55 @@ def parse_group_spec(text: str) -> tuple[Group, ...]:
                 raise GroupSpecError(f"unknown pivot field {field_name!r}") from None
             truncated = value.endswith("*")
             pivot = Pattern(value[:-1] if truncated else value, truncated)
+            prefix = _split_prefix(prefix)
+            prefixes.append(prefix)
             groups.extend(
-                Split(prefix.strip().upper(), pivot_field, pivot, side)
-                for side in (WITH_PIVOT, WITHOUT_PIVOT)
+                Split(prefix, pivot_field, pivot, side) for side in (WITH_PIVOT, WITHOUT_PIVOT)
             )
         else:
-            symbols = chunk.upper()
-            for sym in symbols:
-                if sym not in SYMBOLS:
-                    raise GroupSpecError(f"letter group symbol {sym!r} not in A..Z, 0..9")
+            symbols = [_symbol(ch, "letter group symbol") for ch in chunk]
             clash = listed.intersection(symbols)
             if clash:
                 raise GroupSpecError(f"symbol {sorted(clash)[0]!r} appears in two letter groups")
             listed.update(symbols)
             ordered = sorted(set(symbols), key=symbol_sort_key)
             groups.append(Prefixes(tuple(Pattern(sym, truncated=True) for sym in ordered)))
-    for group in groups:
-        if isinstance(group, Split) and group.prefix and group.prefix[0] in listed:
-            raise GroupSpecError(
-                f"split prefix {group.prefix!r} collides with a letter group symbol"
-            )
+    for i, prefix in enumerate(prefixes):
+        if prefix and prefix[0] in listed:
+            raise GroupSpecError(f"split prefix {prefix!r} collides with a letter group symbol")
+        if not prefix and len(groups) > 2:
+            raise GroupSpecError("a whole-base split (empty prefix) must be the only chunk")
+        for other in prefixes[:i]:
+            if prefix.startswith(other) or other.startswith(prefix):
+                raise GroupSpecError(
+                    f"split prefixes {other!r} and {prefix!r} overlap: "
+                    "both would export the same records"
+                )
     return tuple(groups)
+
+
+def _symbol(ch: str, what: str) -> str:
+    """Upper-case one character, which must become exactly one of A..Z, 0..9.
+
+    Checked per character because ``str.upper`` may lengthen one (``ß`` is
+    ``SS``), which would smuggle in symbols the text never listed.
+    """
+    upper = ch.upper()
+    if len(upper) != 1 or upper not in SYMBOLS:
+        raise GroupSpecError(f"{what} {upper if len(upper) == 1 else ch!r} not in A..Z, 0..9")
+    return upper
+
+
+def _split_prefix(text: str) -> str:
+    """Normalize a split prefix, checked as the truncated pattern it realizes as."""
+    text = text.strip()
+    if not text:
+        return ""
+    _symbol(text[0], "split prefix symbol")
+    try:
+        return Pattern(text, truncated=True).text
+    except QueryError as exc:
+        raise GroupSpecError(f"split prefix {text!r}: {exc}") from None
 
 
 def validate_groups(groups: tuple[Group, ...]) -> None:

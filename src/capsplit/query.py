@@ -23,6 +23,11 @@ CU any affiliation country, SO any source title (a record with two titles
 is found through either one), AD any whitespace-separated token of any
 address. Evaluation here is a direct per-field scan of the corpus and
 serves as the reference semantics; the indexed engine must agree with it.
+``Oracle`` evaluates over one corpus and keeps the id set of each distinct
+term it has scanned, so repeated direct counts scan each term once;
+``evaluate`` is a one-shot ``Oracle`` that keeps nothing. Neither holds an
+index, and this module imports nothing from the engine, planner or
+reconciliation (``tests/test_package.py`` checks this).
 """
 
 from __future__ import annotations
@@ -372,42 +377,70 @@ def _wrap_and(node: Query, text: str, right_side: bool) -> str:
 # ---------------------------------------------------------------------------
 
 
+class Oracle:
+    """Index-free evaluator over one corpus, scanning each distinct term once.
+
+    The first evaluation of a ``Term`` scans every record and keeps the
+    matching ids as a frozenset; later evaluations over the same corpus
+    reuse it, so the oracle holds at most one id set per distinct term.
+    Operators combine those sets and are not kept. The corpus is
+    immutable, so a kept term set can never go stale.
+    """
+
+    def __init__(self, corpus: Corpus):
+        self.corpus = corpus
+        self._terms: dict[Term, frozenset[str]] = {}
+
+    def evaluate(
+        self, query: Query, registry: Mapping[int, Set[str]] | None = None
+    ) -> set[str]:
+        """Evaluate a query to a fresh set of matching record ids.
+
+        ``registry`` resolves ``#n`` references to previously computed id
+        sets. Iterative, so arbitrarily long statement chains evaluate fine.
+        """
+        reg: Mapping[int, Set[str]] = registry if registry is not None else {}
+        results: list[frozenset[str] | Set[str]] = []
+        stack: list[tuple[Query, bool]] = [(query, False)]
+        while stack:
+            node, ready = stack.pop()
+            if isinstance(node, Term):
+                ids = self._terms.get(node)
+                if ids is None:
+                    ids = self._terms[node] = frozenset(_scan_term(self.corpus, node))
+                results.append(ids)
+            elif isinstance(node, SetRef):
+                try:
+                    results.append(reg[node.number])
+                except KeyError:
+                    raise QueryError(f"unbound set reference #{node.number}") from None
+            elif not ready:
+                stack.append((node, True))
+                stack.append((node.right, False))
+                stack.append((node.left, False))
+            else:
+                right = results.pop()
+                left = results.pop()
+                if isinstance(node, And):
+                    results.append(left & right)
+                elif isinstance(node, Or):
+                    results.append(left | right)
+                else:
+                    results.append(left - right)
+        # a copy, so no caller can change a kept term set or a registry entry
+        return set(results[0])
+
+
 def evaluate(
     query: Query, corpus: Corpus, registry: Mapping[int, Set[str]] | None = None
 ) -> set[str]:
-    """Evaluate a query to the set of matching record ids.
+    """Evaluate a query to the set of matching record ids by scanning ``corpus``.
 
-    ``registry`` resolves ``#n`` references to previously computed id sets.
-    This evaluator scans the corpus term by term; it is deliberately
-    index-free so it can serve as an oracle for faster implementations.
-    Iterative, so arbitrarily long statement chains evaluate fine.
+    A one-shot ``Oracle``: nothing is kept between calls. This evaluator is
+    deliberately index-free so it can serve as an oracle for faster
+    implementations.
     """
-    reg: Mapping[int, Set[str]] = registry if registry is not None else {}
-    results: list[set[str]] = []
-    stack: list[tuple[Query, bool]] = [(query, False)]
-    while stack:
-        node, ready = stack.pop()
-        if isinstance(node, Term):
-            results.append(_scan_term(corpus, node))
-        elif isinstance(node, SetRef):
-            try:
-                results.append(set(reg[node.number]))
-            except KeyError:
-                raise QueryError(f"unbound set reference #{node.number}") from None
-        elif not ready:
-            stack.append((node, True))
-            stack.append((node.right, False))
-            stack.append((node.left, False))
-        else:
-            right = results.pop()
-            left = results.pop()
-            if isinstance(node, And):
-                results.append(left & right)
-            elif isinstance(node, Or):
-                results.append(left | right)
-            else:
-                results.append(left - right)
-    return results[0]
+    return Oracle(corpus).evaluate(query, registry)
 
 
 def _scan_term(corpus: Corpus, term: Term) -> set[str]:

@@ -18,16 +18,27 @@ and the maximum per-record multiplicity from the section bitsets alone
 (``CappedEngine.coverage`` over ``#1..#n``). That is the same information
 an operator of a real capped interface gets by downloading each section,
 and it never reads the overlap or exclusion statements it cross-checks.
+
+A censored interface cannot report the direct count of the base, so
+``validate_direct`` takes it from the index-free ``query.Oracle`` instead.
+Each engine gets one oracle over its corpus, kept for exactly as long as
+the engine lives, so validating many exports of one engine scans the
+corpus once per distinct term rather than once per term of every base.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, replace
 from enum import Enum
 
 from .engine import VISIBLE, CappedEngine
 from .planner import Strategy
-from .query import SetRef, evaluate, print_normalized
+from .query import Oracle, SetRef, print_normalized
+
+
+# one oracle per engine, dropped with the engine; an oracle never refers back to it
+_ORACLES: weakref.WeakKeyDictionary[CappedEngine, Oracle] = weakref.WeakKeyDictionary()
 
 
 class ReconcileError(Exception):
@@ -170,14 +181,17 @@ def validate_direct(strategy: Strategy, engine: CappedEngine) -> RunReport:
 
     The direct count of the base query comes from the engine when counts
     are visible; a censored interface cannot report it, so it is computed
-    by the corpus-scan evaluator instead and labeled as oracle-sourced.
+    by the engine's corpus-scan oracle instead and labeled as oracle-sourced.
     """
     report = run_strategy(strategy, engine)
     if engine.config.count_mode == VISIBLE:
         direct = engine.count(strategy.base).expect_exact()
         source = "engine"
     else:
-        direct = len(evaluate(strategy.base, engine.corpus))
+        oracle = _ORACLES.get(engine)
+        if oracle is None:
+            oracle = _ORACLES[engine] = Oracle(engine.corpus)
+        direct = len(oracle.evaluate(strategy.base))
         source = "oracle"
     verdict = report.verdict
     if verdict is not Verdict.CAP_VIOLATION:

@@ -285,6 +285,15 @@ def test_validate_reference_fixture(cuba_file, capsys):
     assert out.endswith("verdict=Exact\n")
 
 
+def test_validate_refuses_a_split_given_twice_as_a_usage_error(cuba_file, capsys):
+    args = ["validate", "--corpus", cuba_file, "--base", CUBA_BASE,
+            "--groups", REFERENCE_GROUPS_CUBA + ",J/AD=HAVANA"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "split prefixes 'J' and 'J' overlap" in captured.err
+
+
 def test_report_lines_are_machine_parseable(cuba_file, capsys):
     args = ["validate", "--corpus", cuba_file, "--base", CUBA_BASE,
             "--groups", REFERENCE_GROUPS_CUBA]

@@ -53,3 +53,17 @@ def test_package_keeps_every_name_the_benchmark_calls():
     engine = capsplit.CappedEngine
     missing += [f"CappedEngine.{m}" for m in tables["ENGINE_METHODS"] if not hasattr(engine, m)]
     assert missing == []
+
+
+def test_query_oracle_stays_independent_of_the_engine():
+    # the index-free evaluator is the check on the engine, planner and reconciliation
+    path = PACKAGE / "query.py"
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            imported += [module, *(f"{module}.{alias.name}" for alias in node.names)]
+    parts = {part for name in imported for part in name.split(".")}
+    assert parts.isdisjoint({"engine", "planner", "reconcile"})

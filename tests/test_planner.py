@@ -134,7 +134,12 @@ def test_truncated_pivot_parses_alike_in_group_spec_and_split_flags():
 
 
 @pytest.mark.parametrize(
-    "text", ["", "A,,B", "J/AD", "J/XX=5", "AÉ", "J/AD=", "J/=CA"]
+    "text",
+    [
+        "", "A,,B", "J/AD", "J/XX=5", "AÉ", "J/AD=", "J/=CA",
+        # characters that upper-case to two symbols; unwritable split prefixes
+        "ß", "ﬁ", "ﬆ", "É/AD=CA", "OR J/AD=CA",
+    ],
 )
 def test_parse_group_spec_errors(text):
     with pytest.raises(GroupSpecError):
@@ -149,6 +154,33 @@ def test_validate_groups_rejects_overlap_and_half_splits():
     for text in ("ABJ,J/AD=CA", "J/AD=CA,ABJ"):  # whatever the chunk order
         with pytest.raises(GroupSpecError, match="split prefix 'J' collides"):
             parse_group_spec(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "J/AD=HAVANA,J/AD=HAVANA",
+        "J/AD=CA,J/AD=HAVANA",
+        "J/AD=CA,JO/AD=CA",
+        "/AD=LONDON,/AD=PARIS",
+        "AB,/AD=LONDON",
+    ],
+)
+def test_parse_group_spec_refuses_split_scopes_that_overlap(text):
+    for spec in (text, ",".join(reversed(text.split(",")))):  # whatever the chunk order
+        with pytest.raises(GroupSpecError, match="overlap|only chunk"):
+            parse_group_spec(spec)
+
+
+def test_split_prefix_is_checked_and_normalized_at_parse_time():
+    assert parse_group_spec("jo  urnal/AD=CA,K/AD=CA")[::2] == (
+        Split("JO URNAL", FieldKind.AD, Pattern("CA"), "with"),
+        Split("K", FieldKind.AD, Pattern("CA"), "with"),
+    )
+    with pytest.raises(GroupSpecError, match="split prefix symbol 'É' not in A..Z, 0..9"):
+        parse_group_spec("é/AD=CA")
+    with pytest.raises(GroupSpecError, match="reserved character"):
+        parse_group_spec("J*/AD=CA")
 
 
 def test_letters_canonicalize_and_validate():

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from capsplit import (
     And,
@@ -11,6 +13,7 @@ from capsplit import (
     Diff,
     FieldKind,
     Or,
+    Oracle,
     Pattern,
     QueryError,
     SetRef,
@@ -300,3 +303,51 @@ def test_evaluate_is_pure():
     second = evaluate(node, corpus)
     assert first == second
     assert corpus.records == before
+
+
+# -- the oracle's term cache -------------------------------------------------
+
+
+# trees over terms that hit generated corpora, a few that never do, and #1..#3
+_ORACLE_TREES = st.recursive(
+    st.one_of(
+        st.sampled_from(
+            ["PY=2005", "PY=2007", "PY=200*", "CU=USA", "CU=CUBA", "SO=A*", "SO=J*",
+             "AD=UNIV", "AD=MA", "AD=X*", "PY=1999"]
+        ).map(parse),
+        st.integers(1, 3).map(SetRef),
+    ),
+    lambda sub: st.one_of(st.builds(kind, sub, sub) for kind in (And, Or, Diff)),
+    max_leaves=5,
+)
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    n_records=st.integers(0, 60),
+    queries=st.lists(_ORACLE_TREES, max_size=8),
+)
+def test_oracle_agrees_with_one_shot_evaluate_across_queries(seed, n_records, queries):
+    corpus = generate(CorpusProfile(seed=seed, n_records=n_records, multi_title_prob=0.3))
+    registry = {
+        i: brute_eval(corpus, parse(text))
+        for i, text in enumerate(("PY=2007", "SO=J* OR SO=A*", "CU=USA NOT AD=MA"), start=1)
+    }
+    oracle = Oracle(corpus)
+    # every query twice, so later ones reuse the term sets earlier ones kept
+    for query in queries + queries:
+        expected = evaluate(query, corpus, registry)
+        assert oracle.evaluate(query, registry) == expected
+        assert expected == brute_eval(corpus, query, registry)
+
+
+def test_oracle_answers_are_fresh_sets():
+    oracle = Oracle(_toy_corpus())
+    registry = {1: {"R1", "R2"}}
+    for text in ("CU=USA", "CU=USA AND PY=2007", "#1"):
+        first = oracle.evaluate(parse(text), registry)
+        expected = set(first)
+        first.clear()
+        first.add("R9")
+        assert oracle.evaluate(parse(text), registry) == expected
+    assert registry == {1: {"R1", "R2"}}

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import gc
 import random
+import weakref
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -29,6 +32,7 @@ from capsplit import (
     run_strategy,
     validate_direct,
 )
+from capsplit import query, reconcile
 from capsplit.reconcile import ReconcileError
 
 from conftest import CUBA_BASE, REFERENCE_GROUPS_CUBA, UK_BASE
@@ -290,3 +294,53 @@ def test_wrong_exclusions_are_caught(cuba_corpus):
         ReconcileError, match="method B total 34 diverged from the materialized union of 910"
     ):
         run_strategy(broken, engine)
+
+
+# -- censored direct counts ---------------------------------------------------
+
+
+_DOMAINS = [
+    f"PY={year} AND CU={country}" for year in range(2005, 2010) for country in ("USA", "CUBA")
+]
+
+
+def _censored_exports(corpus):
+    engine = CappedEngine(corpus, EngineConfig(cap=150, count_mode=CENSORED))
+    return engine, [plan_auto(engine, parse(base), SO) for base in _DOMAINS]
+
+
+def test_censored_direct_counts_scan_each_distinct_term_once(monkeypatch):
+    corpus = generate(CorpusProfile(seed=5, n_records=1200))
+    engine, strategies = _censored_exports(corpus)
+    scanned = Counter()
+    scan = query._scan_term
+
+    def counting_scan(corpus, term):
+        scanned[term] += 1
+        return scan(corpus, term)
+
+    monkeypatch.setattr(query, "_scan_term", counting_scan)
+    for strategy in strategies + strategies:
+        report = validate_direct(strategy, engine)
+        assert report.direct_source == "oracle"
+        assert report.direct_count == len(brute_eval(corpus, strategy.base))
+        assert report.verdict is not Verdict.MISMATCH
+    # 10 bases over 5 years and 2 countries
+    assert len(scanned) == 7
+    assert set(scanned.values()) == {1}
+
+
+def test_each_engine_gets_its_own_oracle():
+    corpora = [generate(CorpusProfile(seed=seed, n_records=900)) for seed in (6, 7)]
+    exports = [_censored_exports(corpus) for corpus in corpora]
+    for (engine, strategies), corpus in zip(exports * 2, corpora * 2):
+        for strategy in strategies:
+            direct = validate_direct(strategy, engine).direct_count
+            assert direct == len(brute_eval(corpus, strategy.base))
+    # the oracle goes with its engine and never keeps it alive
+    engine = exports[0][0]
+    oracle = weakref.ref(reconcile._ORACLES[engine])
+    gone = weakref.ref(engine)
+    del engine, exports
+    gc.collect()
+    assert gone() is None and oracle() is None
