@@ -168,8 +168,11 @@ def _add_engine_args(sub: argparse.ArgumentParser) -> None:
 def _add_strategy_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--base", required=True, help="base query to partition")
     sub.add_argument("--field", choices=("SO", "CU", "AD"), default="SO")
-    sub.add_argument("--groups", help="prescribed groups, e.g. 'AB,...,J/AD=CA' or '/AD=LONDON'")
-    sub.add_argument("--auto", action="store_true", help="greedy alphabetical packing")
+    source = sub.add_mutually_exclusive_group(required=True)
+    source.add_argument(
+        "--groups", help="prescribed groups, e.g. 'AB,...,J/AD=CA' or '/AD=LONDON'"
+    )
+    source.add_argument("--auto", action="store_true", help="greedy alphabetical packing")
     sub.add_argument("--out", help="write output to this file instead of stdout")
 
 
@@ -285,11 +288,9 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _make_strategy(args: argparse.Namespace, engine: CappedEngine) -> Strategy:
-    if bool(args.groups) == args.auto:
-        raise GroupSpecError("choose exactly one of --groups or --auto")
     base = parse(args.base)
     field = FieldKind(args.field)
-    if args.groups:
+    if args.groups is not None:  # argparse lets exactly one of --groups, --auto through
         return plan_prescribed(engine, base, field, parse_group_spec(args.groups))
     return plan_auto(engine, base, field)
 

@@ -26,6 +26,7 @@ not. Ingest and the record assembler then build records without rechecks.
 from __future__ import annotations
 
 import io
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -414,6 +415,9 @@ _PROFILE_JSON_TYPES = {
 def _check_weights(weights: dict[str, float], what: str) -> None:
     if not weights:
         raise CorpusError(f"profile {what} is empty")
+    # random.choices needs a finite total; a NaN weight would pass every check below.
+    if not math.isfinite(sum(weights.values())):
+        raise CorpusError(f"profile {what} has a weight or a total that is not finite")
     if any(w < 0 for w in weights.values()):
         raise CorpusError(f"profile {what} has a negative weight")
     if not any(w > 0 for w in weights.values()):

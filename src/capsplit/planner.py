@@ -8,16 +8,16 @@ result sets all stay strictly below the cap, by bucketing a token field
     base AND (SO=C* OR SO=D* OR ...)
     ...
 
-Each statement realizes one group, which is one of two things: a pattern
-bucket (``Prefixes``) or one side of a pivot split of a prefix on a second
-field (``Split``: ``base AND SO=J* AND AD=CA`` / ``base AND SO=J* NOT AD=CA``).
-Two planners build the group list:
+Two planners build the statements:
 
 - ``plan_prescribed`` realizes caller-supplied groups verbatim, usually
-  parsed and checked from text by ``parse_group_spec``; pivot splits serve
-  buckets known to be oversized.
+  parsed and checked from text by ``parse_group_spec``. A group is one of
+  two things: a pattern bucket (``Prefixes``), realized as one statement,
+  or a pivot split of a prefix on a second field (``Split``), realized as
+  two, ``base AND SO=J* AND AD=CA`` then ``base AND SO=J* NOT AD=CA``.
+  Pivot splits serve buckets known to be oversized.
 - ``plan_auto`` packs symbols greedily in canonical order (A..Z then 0..9),
-  extending a group while its realized count stays below the cap. A single
+  extending a bucket while its statement's count stays below the cap. A single
   symbol whose bucket alone reaches the cap is replaced by packed
   longer-prefix buckets via the engine's next-symbol introspection, with
   exact-title residues covered by untruncated terms; deepening recurses
@@ -60,17 +60,12 @@ class PlanInfeasibleError(Exception):
     """No valid sub-cap partition exists for the given corpus and cap."""
 
 
-WITH_PIVOT = "with"
-WITHOUT_PIVOT = "without"
-
-
 @dataclass(frozen=True)
 class Prefixes:
     """A bucket of patterns, realized as ``F=p1 OR F=p2 OR ...``.
 
     A letter chunk of a group specification is one-symbol truncated
-    patterns (``SO=A* OR SO=B*``); ``plan_auto`` also packs deepened
-    prefixes and exact-title residues.
+    patterns (``SO=A* OR SO=B*``).
     """
 
     patterns: tuple[Pattern, ...]
@@ -82,7 +77,8 @@ class Prefixes:
 
 @dataclass(frozen=True)
 class Split:
-    """One side of a pivot split of a prefix bucket on a second field.
+    """A pivot split of a prefix bucket on a second field: the records of
+    the bucket with the pivot, then those without it.
 
     An empty prefix splits the whole base query (the two-statement
     include/exclude pattern used for mid-sized domains).
@@ -91,11 +87,6 @@ class Split:
     prefix: str
     pivot_field: FieldKind
     pivot: Pattern
-    side: str
-
-    def __post_init__(self) -> None:
-        if self.side not in (WITH_PIVOT, WITHOUT_PIVOT):
-            raise GroupSpecError(f"split side must be 'with' or 'without', got {self.side!r}")
 
 
 Group = Union[Prefixes, Split]
@@ -107,8 +98,6 @@ class Strategy:
 
     base: Query
     cap: int
-    partition_field: FieldKind
-    groups: tuple[Group, ...]
     statements: tuple[Query, ...]
     overlap_stmt: Query
     exclusion_stmts: tuple[Query, ...]
@@ -120,15 +109,13 @@ def _bucket(base: Query, field: FieldKind, patterns: Iterable[Pattern]) -> Query
     return And(base, or_chain([Term(field, p) for p in patterns]))
 
 
-def realize_group(base: Query, field: FieldKind, group: Group) -> Query:
-    """Build the executable statement for one partition group."""
+def realize_group(base: Query, field: FieldKind, group: Group) -> tuple[Query, ...]:
+    """Build the executable statements for one partition group, in script order."""
     if isinstance(group, Prefixes):
-        return _bucket(base, field, group.patterns)
+        return (_bucket(base, field, group.patterns),)
     scoped = base if not group.prefix else _bucket(base, field, [Pattern(group.prefix, True)])
     pivot_term = Term(group.pivot_field, group.pivot)
-    if group.side == WITH_PIVOT:
-        return And(scoped, pivot_term)
-    return Diff(scoped, pivot_term)
+    return And(scoped, pivot_term), Diff(scoped, pivot_term)
 
 
 def build_overlap_statement(n: int) -> Query:
@@ -161,7 +148,7 @@ def parse_group_spec(text: str) -> tuple[Group, ...]:
     Comma-separated chunks. A plain chunk lists the first symbols of one
     bucket: ``Prefixes`` of one-symbol truncated patterns, in canonical
     order (A..Z then 0..9) with duplicates dropped. ``PREFIX/FIELD=value``
-    expands to the with/without pivot-split pair, and an empty prefix
+    is one ``Split`` of the prefix on the pivot, and an empty prefix
     (``/AD=LONDON``) splits the whole base query. Each listed symbol, and
     the first symbol of a split prefix, must upper-case to one symbol in
     A..Z, 0..9. No two chunks may share records, whatever the chunk order:
@@ -190,9 +177,7 @@ def parse_group_spec(text: str) -> tuple[Group, ...]:
             pivot = Pattern(value[:-1] if truncated else value, truncated)
             prefix = _split_prefix(prefix)
             prefixes.append(prefix)
-            groups.extend(
-                Split(prefix, pivot_field, pivot, side) for side in (WITH_PIVOT, WITHOUT_PIVOT)
-            )
+            groups.append(Split(prefix, pivot_field, pivot))
         else:
             symbols = [_symbol(ch, "letter group symbol") for ch in chunk]
             clash = listed.intersection(symbols)
@@ -204,7 +189,7 @@ def parse_group_spec(text: str) -> tuple[Group, ...]:
     for i, prefix in enumerate(prefixes):
         if prefix and prefix[0] in listed:
             raise GroupSpecError(f"split prefix {prefix!r} collides with a letter group symbol")
-        if not prefix and len(groups) > 2:
+        if not prefix and len(groups) > 1:
             raise GroupSpecError("a whole-base split (empty prefix) must be the only chunk")
         for other in prefixes[:i]:
             if prefix.startswith(other) or other.startswith(prefix):
@@ -239,41 +224,13 @@ def _split_prefix(text: str) -> str:
         raise GroupSpecError(f"split prefix {text!r}: {exc}") from None
 
 
-def validate_groups(groups: tuple[Group, ...]) -> None:
-    """Check that every pivot split has both its with and without sides.
-
-    The other group checks are made once, where group text enters, by
-    ``parse_group_spec``.
-    """
-    sides: dict[tuple, set[str]] = {}
-    for group in groups:
-        if isinstance(group, Split):
-            key = (group.prefix, group.pivot_field, group.pivot)
-            sides.setdefault(key, set()).add(group.side)
-    for key, present in sides.items():
-        if present != {WITH_PIVOT, WITHOUT_PIVOT}:
-            raise GroupSpecError(
-                f"pivot split on prefix {key[0]!r} needs both the with and without sides"
-            )
-
-
 def _coverage_warnings(
-    groups: tuple[Group, ...],
-    engine: CappedEngine,
-    field: FieldKind,
-    check_canonical: bool = True,
+    engine: CappedEngine, field: FieldKind, covered: set[str]
 ) -> tuple[str, ...]:
-    if any(isinstance(g, Split) and not g.prefix for g in groups):
-        return ()  # an empty-prefix split covers the whole base
-    covered: set[str] = set()
-    for group in groups:
-        if isinstance(group, Prefixes):
-            covered.update(p.text[0] for p in group.patterns)
-        elif group.prefix:
-            covered.add(group.prefix[0])
+    """Warn about the canonical and the stored first symbols not in ``covered``."""
     warnings = []
     missing = [s for s in SYMBOLS if s not in covered]
-    if missing and check_canonical:
+    if missing:
         warnings.append(
             "groups leave first symbols uncovered: " + "".join(missing)
         )
@@ -323,18 +280,23 @@ def plan_prescribed(
 ) -> Strategy:
     """Realize caller-fixed groups, verifying every statement stays sub-cap."""
     cap = _effective_cap(engine, cap)
-    validate_groups(groups)
-    statements = []
-    for i, group in enumerate(groups, start=1):
-        stmt = realize_group(base, field, group)
+    statements = tuple(stmt for group in groups for stmt in realize_group(base, field, group))
+    for i, stmt in enumerate(statements, start=1):
         count = engine.count(stmt)
         if not _fits(count, cap):
             size = "at least the cap" if not count.is_exact else str(count.value)
             raise PlanInfeasibleError(
                 f"statement {i} ({print_normalized(stmt)}) has {size} records; cap is {cap}"
             )
-        statements.append(stmt)
-    return _assemble(engine, base, field, cap, tuple(groups), tuple(statements), True)
+    covered: set[str] = set()
+    for group in groups:
+        if isinstance(group, Prefixes):
+            covered.update(p.text[0] for p in group.patterns)
+        elif group.prefix:
+            covered.add(group.prefix[0])
+        else:  # a whole-base split covers every stored first symbol
+            covered.update(SYMBOLS, engine.prefix_children(field, ""))
+    return _assemble(base, cap, statements, _coverage_warnings(engine, field, covered))
 
 
 def plan_auto(
@@ -403,15 +365,12 @@ def plan_auto(
         return packed
 
     symbols = [Pattern(s, True) for s in SYMBOLS]
-    packed = [(patterns, n) for patterns, n in pack(symbols, [], 0) if n > 0]
-    if not packed:
-        # Degenerate base (matches nothing): keep one full-coverage statement.
-        packed = [(symbols, 0)]
-    groups = tuple(Prefixes(tuple(patterns)) for patterns, _ in packed)
-    statements = tuple(realize_group(base, field, g) for g in groups)
+    # A degenerate base (matches nothing) keeps one full-coverage statement.
+    packed = [patterns for patterns, n in pack(symbols, [], 0) if n > 0] or [symbols]
+    statements = tuple(_bucket(base, field, patterns) for patterns in packed)
     # Greedy plans only drop provably empty symbols, so canonical-coverage
     # warnings would be noise; stray-symbol warnings still apply.
-    return _assemble(engine, base, field, cap, groups, statements, False)
+    return _assemble(base, cap, statements, _coverage_warnings(engine, field, set(SYMBOLS)))
 
 
 # The greedy body only asks whether a probe fits, which censored counts answer too.
@@ -419,22 +378,14 @@ plan_censored = plan_auto
 
 
 def _assemble(
-    engine: CappedEngine,
-    base: Query,
-    field: FieldKind,
-    cap: int,
-    groups: tuple[Group, ...],
-    statements: tuple[Query, ...],
-    check_canonical_coverage: bool,
+    base: Query, cap: int, statements: tuple[Query, ...], warnings: tuple[str, ...]
 ) -> Strategy:
     n = len(statements)
     return Strategy(
         base=base,
         cap=cap,
-        partition_field=field,
-        groups=groups,
         statements=statements,
         overlap_stmt=build_overlap_statement(n),
         exclusion_stmts=tuple(build_exclusions(n)),
-        warnings=_coverage_warnings(groups, engine, field, check_canonical_coverage),
+        warnings=warnings,
     )

@@ -194,7 +194,7 @@ def _tokenize(text: str) -> list[_Token]:
             continue
         if ch == "#":
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in "0123456789":  # str.isdigit also takes ² and ١
                 j += 1
             if j == i + 1:
                 raise QueryError("expected a statement number after '#'", i)

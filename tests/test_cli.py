@@ -56,6 +56,18 @@ def test_gen_countries_flag(tmp_path):
     assert "CUBA" in body or "SPAIN" in body
 
 
+def test_gen_non_finite_weights_are_data_errors(tmp_path, capsys):
+    out = tmp_path / "c.tsv"
+    for countries in ("CUBA:inf,USA", "CUBA:nan,USA"):
+        assert main(["gen", "--n", "30", "--countries", countries, "--out", str(out)]) == 3
+    path = tmp_path / "profile.json"
+    for weights in ({"CUBA": float("nan")}, {"CUBA": float("inf"), "USA": 1.0}):
+        path.write_text(json.dumps({"seed": 1, "n_records": 30, "country_weights": weights}))
+        assert main(["gen", "--profile", str(path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.count("not finite") == 4
+    assert not out.exists()
+
+
 def test_gen_bad_profile_is_data_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"seed": 1, "n_records": 5, "bogus_field": true}')
@@ -124,6 +136,8 @@ def test_count_censored_prints_floor(cuba_file, capsys):
 def test_count_bad_query_is_usage_error(cuba_file, capsys):
     assert main(["count", "--corpus", cuba_file, "PY=2007 AND"]) == 2
     assert "offset" in capsys.readouterr().err
+    assert main(["count", "--corpus", cuba_file, "#²"]) == 2
+    assert "statement number after '#' (offset 0)" in capsys.readouterr().err
 
 
 # -- flag validation -------------------------------------------------------------
@@ -136,11 +150,20 @@ def test_unknown_flag_and_bad_cap_are_usage_errors(cuba_file, capsys):
     capsys.readouterr()
 
 
-def test_exactly_one_planning_source(cuba_file, capsys):
+def test_exactly_one_planning_source(cuba_file, tmp_path, capsys):
     args = ["run", "--corpus", cuba_file, "--base", CUBA_BASE]
     assert main(args + ["--auto", "--groups", "A,B"]) == 2
+    assert "argument --groups: not allowed with argument --auto" in capsys.readouterr().err
     assert main(args) == 2
-    assert capsys.readouterr().err.count("choose exactly one of --groups or --auto") == 2
+    assert "one of the arguments --groups --auto is required" in capsys.readouterr().err
+    assert main(args + ["--groups", ""]) == 2  # an empty SPEC is no call for --auto
+    assert "empty group in group specification" in capsys.readouterr().err
+    # refused as usage before the corpus is read, so a missing corpus is no data error
+    missing = str(tmp_path / "missing.tsv")
+    for command in ("plan", "run", "validate"):
+        argv = [command, "--corpus", missing, "--base", CUBA_BASE, "--auto", "--groups", "A"]
+        assert main(argv) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -315,8 +338,6 @@ def test_report_marks_unavailable_totals_on_cap_violation():
     strategy = Strategy(
         base=parse("PY=2007"),
         cap=10,
-        partition_field=FieldKind.SO,
-        groups=(),
         statements=(parse("PY=2007 AND SO=A*"),),
         overlap_stmt=build_overlap_statement(1),
         exclusion_stmts=tuple(build_exclusions(1)),

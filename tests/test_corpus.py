@@ -301,6 +301,22 @@ def test_invalid_profiles_rejected():
 
 
 @pytest.mark.parametrize(
+    "weights",
+    [
+        {"A": float("inf")},
+        {"A": 1.0, "B": float("nan")},
+        {"A": float("-inf"), "B": 1.0},
+        {"A": 1e308, "B": 1e308},  # each finite, the total is not
+    ],
+)
+def test_non_finite_weights_rejected(weights):
+    for field in ("country_weights", "initial_letter_weights"):
+        profile = CorpusProfile(seed=1, n_records=1, **{field: weights})
+        with pytest.raises(CorpusError, match=f"{field} has a weight or a total that is not"):
+            profile.validate()
+
+
+@pytest.mark.parametrize(
     "country_weights, address_pools",
     [
         # a reserved character in a country the RNG practically never draws

@@ -1,8 +1,9 @@
-"""The package stays pure standard library and keeps the names the benchmark calls."""
+"""The package stays pure standard library and keeps the names the benchmark uses."""
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -16,6 +17,15 @@ BENCHMARK_NAMES = (
     "build_fixture", "generate", "CorpusProfile", "save_corpus", "serialize",
     "EngineConfig", "FieldKind", "parse_group_spec",
 )
+
+# what perfbench/workloads.py reads off each export's strategy and report
+BENCHMARK_FIELDS = {
+    capsplit.Strategy: ("base", "cap", "statements", "overlap_stmt", "exclusion_stmts"),
+    capsplit.RunReport: (
+        "per_statement", "verdict", "max_multiplicity", "method_a_total", "method_b_total",
+        "union_cardinality", "direct_count", "direct_source",
+    ),
+}
 
 
 def test_package_imports_only_stdlib_and_itself():
@@ -52,6 +62,16 @@ def test_package_keeps_every_name_the_benchmark_calls():
     missing = [name for name in names if not hasattr(capsplit, name)]
     engine = capsplit.CappedEngine
     missing += [f"CappedEngine.{m}" for m in tables["ENGINE_METHODS"] if not hasattr(engine, m)]
+    assert missing == []
+
+
+def test_strategy_and_report_keep_every_field_the_benchmark_reads():
+    missing = [
+        f"{cls.__name__}.{name}"
+        for cls, names in BENCHMARK_FIELDS.items()
+        for name in names
+        if name not in {field.name for field in dataclasses.fields(cls)}
+    ]
     assert missing == []
 
 

@@ -38,7 +38,6 @@ from capsplit import (
     serialize,
     validate_direct,
 )
-from capsplit.planner import validate_groups
 
 from conftest import CUBA_BASE, REFERENCE_GROUPS_CUBA
 from helpers import make_record
@@ -112,25 +111,18 @@ def test_build_exclusions():
 
 
 def test_parse_group_spec_with_split():
-    groups = parse_group_spec("AB,CDEFG,J/AD=CA")
-    assert groups[0] == _initials("AB")
-    assert groups[1] == _initials("CDEFG")
-    assert groups[2] == Split("J", FieldKind.AD, Pattern("CA"), "with")
-    assert groups[3] == Split("J", FieldKind.AD, Pattern("CA"), "without")
+    assert parse_group_spec("AB,CDEFG,J/AD=CA") == (
+        _initials("AB"), _initials("CDEFG"), Split("J", FieldKind.AD, Pattern("CA"))
+    )
 
 
 def test_parse_group_spec_whole_base_split():
-    groups = parse_group_spec("/AD=LONDON")
-    assert groups == (
-        Split("", FieldKind.AD, Pattern("LONDON"), "with"),
-        Split("", FieldKind.AD, Pattern("LONDON"), "without"),
-    )
+    assert parse_group_spec("/AD=LONDON") == (Split("", FieldKind.AD, Pattern("LONDON")),)
 
 
 def test_truncated_pivot_parses_alike_in_group_spec_and_split_flags():
     pivot = Pattern("LOND", truncated=True)
-    expected = (Split("", FieldKind.AD, pivot, "with"), Split("", FieldKind.AD, pivot, "without"))
-    assert parse_group_spec("/AD= lond* ") == expected
+    assert parse_group_spec("/AD= lond* ") == (Split("", FieldKind.AD, pivot),)
 
 
 @pytest.mark.parametrize(
@@ -146,11 +138,9 @@ def test_parse_group_spec_errors(text):
         parse_group_spec(text)
 
 
-def test_validate_groups_rejects_overlap_and_half_splits():
+def test_parse_group_spec_refuses_letters_and_split_prefixes_that_overlap():
     with pytest.raises(GroupSpecError, match="'B' appears in two letter groups"):
         parse_group_spec("AB,BC")
-    with pytest.raises(GroupSpecError, match="both the with and without"):
-        validate_groups((Split("J", FieldKind.AD, Pattern("CA"), "with"),))
     for text in ("ABJ,J/AD=CA", "J/AD=CA,ABJ"):  # whatever the chunk order
         with pytest.raises(GroupSpecError, match="split prefix 'J' collides"):
             parse_group_spec(text)
@@ -173,9 +163,9 @@ def test_parse_group_spec_refuses_split_scopes_that_overlap(text):
 
 
 def test_split_prefix_is_checked_and_normalized_at_parse_time():
-    assert parse_group_spec("jo  urnal/AD=CA,K/AD=CA")[::2] == (
-        Split("JO URNAL", FieldKind.AD, Pattern("CA"), "with"),
-        Split("K", FieldKind.AD, Pattern("CA"), "with"),
+    assert parse_group_spec("jo  urnal/AD=CA,K/AD=CA") == (
+        Split("JO URNAL", FieldKind.AD, Pattern("CA")),
+        Split("K", FieldKind.AD, Pattern("CA")),
     )
     with pytest.raises(GroupSpecError, match="split prefix symbol 'É' not in A..Z, 0..9"):
         parse_group_spec("é/AD=CA")
@@ -190,8 +180,6 @@ def test_letters_canonicalize_and_validate():
         parse_group_spec("É")
     with pytest.raises(GroupSpecError):
         Prefixes(())
-    with pytest.raises(GroupSpecError):
-        Split("J", FieldKind.AD, Pattern("CA"), "sideways")
 
 
 # -- prescribed planning -------------------------------------------------------
@@ -230,6 +218,19 @@ def test_plan_prescribed_infeasible_names_statement(cuba_corpus):
         )
 
 
+def test_plan_prescribed_names_the_without_side_of_a_split_that_does_not_fit():
+    # J has 3 records with AD=CA and 12 without: the with side fits cap 10, the other does not
+    records = [make_record(f"A{i}", ("A REV",)) for i in range(4)]
+    records += [make_record(f"C{i}", ("JOURNAL",), addresses=("CA",)) for i in range(3)]
+    records += [make_record(f"N{i}", ("JOURNAL",), addresses=("NY",)) for i in range(12)]
+    engine = CappedEngine(Corpus(tuple(records)), EngineConfig(cap=10))
+    with pytest.raises(
+        PlanInfeasibleError,
+        match=r"^statement 3 \(PY=2007 AND SO=J\* NOT AD=CA\) has 12 records; cap is 10$",
+    ):
+        plan_prescribed(engine, parse("PY=2007"), SO, parse_group_spec("A,J/AD=CA"))
+
+
 def test_pivot_split_sides_are_disjoint(cuba_corpus):
     engine = CappedEngine(cuba_corpus)
     strategy = plan_prescribed(
@@ -251,9 +252,10 @@ def test_plan_auto_greedy_hand_example():
     # greedy closes {A,B} because 70 + 35 would reach the cap
     counts = [engine.count(s).value for s in strategy.statements]
     assert counts == [70, 35]
-    first, second = strategy.groups
-    assert first.patterns[:2] == _initials("AB").patterns
-    assert second.patterns[0] == Pattern("C", truncated=True)
+    base = "(SO=A* OR SO=B* OR SO=C* OR SO=D*)"
+    first, second = (print_normalized(s) for s in strategy.statements)
+    assert first == f"{base} AND (SO=A* OR SO=B*)"
+    assert second.startswith(f"{base} AND (SO=C* OR ")
 
 
 def test_plan_auto_empty_base_keeps_one_statement():
@@ -489,12 +491,20 @@ def test_planning_is_deterministic(cuba_corpus):
 
 def test_stray_symbol_warning():
     records = (
-        make_record("R1", ("ACTA REV",)),
+        make_record("R1", ("ACTA REV",), addresses=("LONDON",)),
         make_record("R2", ("ÉTUDES CELTIQUES",)),
     )
     engine = CappedEngine(Corpus(records), EngineConfig(cap=100))
-    strategy = plan_auto(engine, parse("PY=2007"), SO)
-    assert any("É" in w for w in strategy.warnings)
+    base = parse("PY=2007")
+    stray = "stored values start with symbols outside A..Z, 0..9 that no group covers: É"
+    # greedy plans drop only empty symbols, so only the stray warning applies
+    assert plan_auto(engine, base, SO).warnings == (stray,)
+    assert plan_prescribed(engine, base, SO, parse_group_spec("A")).warnings == (
+        "groups leave first symbols uncovered: BCDEFGHIJKLMNOPQRSTUVWXYZ0123456789",
+        stray,
+    )
+    # a whole-base split covers every first symbol, stray ones too
+    assert plan_prescribed(engine, base, SO, parse_group_spec("/AD=LONDON")).warnings == ()
 
 
 # titles of a few short words, so buckets deepen, keep exact residues, cross

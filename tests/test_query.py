@@ -100,6 +100,10 @@ def test_parse_multi_word_bare_value():
         ("CU=X AND", "unexpected end of query", 8),
         ("#0", "must be positive", 0),
         ("#", "statement number after '#'", 0),
+        # statement numbers are ASCII digits only, though str.isdigit takes these
+        ("#²", "statement number after '#'", 0),
+        ("#١", "statement number after '#'", 0),
+        ("#1²", "unexpected trailing input '²'", 2),
         ("SO=(A* AND B*)", "expected ')' or OR", 7),
         ("AND CU=X", "unexpected 'AND'", 0),
     ],

@@ -16,8 +16,6 @@ from capsplit import (
     EngineConfig,
     EngineError,
     FieldKind,
-    Pattern,
-    Prefixes,
     SetRef,
     Strategy,
     Verdict,
@@ -185,8 +183,6 @@ def test_cap_violation_yields_partial_report():
     strategy = Strategy(
         base=parse("PY=2007"),
         cap=100,
-        partition_field=SO,
-        groups=(Prefixes((Pattern("A", truncated=True),)),),
         statements=(parse("PY=2007 AND SO=A*"),),
         overlap_stmt=build_overlap_statement(1),
         exclusion_stmts=tuple(build_exclusions(1)),
@@ -210,8 +206,6 @@ def test_cap_violation_in_censored_mode_hides_count():
     strategy = Strategy(
         base=parse("PY=2007"),
         cap=100,
-        partition_field=SO,
-        groups=(Prefixes((Pattern("A", truncated=True),)),),
         statements=(parse("PY=2007 AND SO=A*"),),
         overlap_stmt=build_overlap_statement(1),
         exclusion_stmts=tuple(build_exclusions(1)),
