@@ -22,6 +22,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, replace
+from typing import Callable
 
 from .corpus import (
     DEFAULT_ADDRESS_POOLS,
@@ -281,18 +282,20 @@ def _load_engine(args: argparse.Namespace) -> CappedEngine:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    engine = _load_engine(args)
-    result = engine.count(parse(args.query))
+    query = parse(args.query)  # a bad query is a usage error, whatever the corpus
+    result = _load_engine(args).count(query)
     print(result.value if result.is_exact else f">={args.cap}")
     return EXIT_OK
 
 
-def _make_strategy(args: argparse.Namespace, engine: CappedEngine) -> Strategy:
+def _planner(args: argparse.Namespace) -> Callable[[CappedEngine], Strategy]:
+    """Parse ``--base`` and ``--groups`` into a planner, before any corpus is loaded."""
     base = parse(args.base)
     field = FieldKind(args.field)
     if args.groups is not None:  # argparse lets exactly one of --groups, --auto through
-        return plan_prescribed(engine, base, field, parse_group_spec(args.groups))
-    return plan_auto(engine, base, field)
+        groups = parse_group_spec(args.groups)
+        return lambda engine: plan_prescribed(engine, base, field, groups)
+    return lambda engine: plan_auto(engine, base, field)
 
 
 def _print_warnings(strategy: Strategy) -> None:
@@ -301,7 +304,8 @@ def _print_warnings(strategy: Strategy) -> None:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    strategy = _make_strategy(args, _load_engine(args))
+    plan = _planner(args)
+    strategy = plan(_load_engine(args))
     _print_warnings(strategy)
     _write_out(emit_strategy_script(strategy), args.out)
     return EXIT_OK
@@ -309,8 +313,9 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     """``run`` and ``validate``: the latter also compares against the direct count."""
+    plan = _planner(args)
     engine = _load_engine(args)
-    strategy = _make_strategy(args, engine)
+    strategy = plan(engine)
     _print_warnings(strategy)
     execute = validate_direct if args.command == "validate" else run_strategy
     report = execute(strategy, engine)

@@ -27,10 +27,14 @@ plain lists of record positions, so term lookups, prefix ranges and
 next-symbol introspection are all cheap. Every evaluated result is a
 Python ``int`` used as a bitset over record positions: AND, OR and NOT
 are ``&``, ``|`` and ``& ~``, and a count is ``int.bit_count()``. Each
-distinct ``Term`` leaf is turned into a bitset once and kept; a leaf
-cannot go stale, so that cache is bounded by the distinct leaves ever
-queried. Nothing else is cached: operator results are recomputed on
-every query, and the session list holds each statement's immutable int.
+distinct ``Term`` leaf is turned into a bitset once and kept: its
+postings set bits in a little-endian byte buffer of one bit per record,
+which ``int.from_bytes`` reads as the int. A leaf cannot go stale, so
+that cache is bounded by the distinct leaves ever queried. Next-symbol
+introspection hops from one child symbol to the next by bisection, so it
+reads one stored term per child, not every term under the prefix.
+Nothing else is cached: operator results are recomputed on every query,
+and the session list holds each statement's immutable int.
 """
 
 from __future__ import annotations
@@ -199,7 +203,19 @@ class CappedEngine:
             raise EngineError("prefix introspection is not supported for PY")
         prefix = prefix.upper()
         cut = len(prefix)
-        return {term[cut] for term in self._terms_with_prefix(field, prefix) if len(term) > cut}
+        terms = self._terms[field]
+        children: set[str] = set()
+        i = bisect_left(terms, prefix)
+        if i < len(terms) and terms[i] == prefix:
+            i += 1
+        # one term per child: hop past every term that starts with prefix + ch
+        while i < len(terms) and terms[i].startswith(prefix):
+            ch = terms[i][cut]
+            children.add(ch)
+            if ch == "\U0010ffff":
+                break
+            i = bisect_left(terms, prefix + chr(ord(ch) + 1), i)
+        return children
 
     # -- evaluation ---------------------------------------------------------
 
@@ -263,9 +279,9 @@ class CappedEngine:
             matched = [postings[t] for t in self._terms_with_prefix(term.field, text)]
         else:
             matched = [postings.get(text, ())]
-        flags = bytearray(b"0") * len(self._ids)
+        # little-endian bytes: position p is bit p & 7 of byte p >> 3
+        buf = bytearray((len(self._ids) + 7) >> 3)
         for pos in chain.from_iterable(matched):
-            flags[pos] = 49  # ord("1")
-        flags.reverse()  # base-2 text puts the highest position first
-        bits = self._leaves[term] = int(flags, 2) if flags else 0
+            buf[pos >> 3] |= 1 << (pos & 7)
+        bits = self._leaves[term] = int.from_bytes(buf, "little")
         return bits

@@ -16,8 +16,12 @@ Two planners build the statements:
   or a pivot split of a prefix on a second field (``Split``), realized as
   two, ``base AND SO=J* AND AD=CA`` then ``base AND SO=J* NOT AD=CA``.
   Pivot splits serve buckets known to be oversized.
-- ``plan_auto`` packs symbols greedily in canonical order (A..Z then 0..9),
-  extending a bucket while its statement's count stays below the cap. A single
+- ``plan_auto`` packs symbols greedily in canonical order (A..Z then 0..9):
+  each bucket is the longest run of symbols whose statement's count stays
+  below the cap. Counts never fall as a run grows, so it finds that run in
+  O(log n) probes, not one per symbol: it gallops through run widths 1, 2,
+  4, ... to the first that does not fit, then bisects. It first probes all
+  symbols at once, so a domain below the cap costs one probe. A single
   symbol whose bucket alone reaches the cap is replaced by packed
   longer-prefix buckets via the engine's next-symbol introspection, with
   exact-title residues covered by untruncated terms; deepening recurses
@@ -299,74 +303,126 @@ def plan_prescribed(
     return _assemble(base, cap, statements, _coverage_warnings(engine, field, covered))
 
 
-def plan_auto(
-    engine: CappedEngine, base: Query, field: FieldKind, cap: int | None = None
-) -> Strategy:
-    """Greedy alphabetical packing, on visible and censored engines alike."""
-    cap = _effective_cap(engine, cap)
+class _Packer:
+    """Greedy packing of one base's buckets on one field below one cap."""
 
-    def probe(patterns: list[Pattern]) -> CountResult:
-        return engine.count(_bucket(base, field, patterns))
+    def __init__(self, engine: CappedEngine, base: Query, field: FieldKind, cap: int):
+        self.engine = engine
+        self.base = base
+        self.field = field
+        self.cap = cap
 
-    def child_prefixes(prefix: str) -> list[Pattern]:
+    def probe(self, patterns: list[Pattern]) -> CountResult:
+        return self.engine.count(_bucket(self.base, self.field, patterns))
+
+    def child_prefixes(self, prefix: str) -> list[Pattern]:
         items: list[Pattern] = []
-        for ch in sorted(engine.prefix_children(field, prefix), key=symbol_sort_key):
+        for ch in sorted(self.engine.prefix_children(self.field, prefix), key=symbol_sort_key):
             if ch == " ":
                 # No pattern may end with a space (normalization strips it)
                 # and no stored value does either, so hop over the word
                 # boundary; none past AND, OR or NOT is writable (see expand).
-                items.extend(child_prefixes(prefix + ch))
+                items.extend(self.child_prefixes(prefix + ch))
             else:
                 with suppress(QueryError):
                     items.append(Pattern(prefix + ch, truncated=True))
         return items
 
-    def expand(item: Pattern) -> tuple[list[Pattern], list[Pattern], int]:
-        # Replace an oversized prefix bucket by all minimally-longer
-        # representable prefixes, after an opening run of its exact-value
-        # residue (if any), which is counted here and nowhere else.
-        children = child_prefixes(item.text)
+    def expand(self, item: Pattern) -> tuple[list[Pattern], list[Pattern], int]:
+        """Replace an oversized prefix bucket by all minimally-longer
+        representable prefixes, after an opening run of its exact-value
+        residue (if any), which is counted here and nowhere else."""
+        field = self.field
+        children = self.child_prefixes(item.text)
         try:
             exact = Pattern(item.text, truncated=False)
         except QueryError:
             # Ending on the word AND, OR or NOT, the text names neither its exact
             # residue nor values past that word: the children must cover it all.
-            if not children or engine.count(
-                Diff(_bucket(base, field, [item]), _bucket(base, field, children))
+            if not children or self.engine.count(
+                Diff(_bucket(self.base, field, [item]), _bucket(self.base, field, children))
             ).value != 0:
                 raise PlanInfeasibleError(f"no statements name all of {field.value}={item.text}*")
             return children, [], 0
-        exact_count = probe([exact])
-        if not _fits(exact_count, cap):
+        exact_count = self.probe([exact])
+        if not _fits(exact_count, self.cap):
             raise PlanInfeasibleError(
-                f"single value class {field.value}={item.text} reaches the cap {cap}; "
+                f"single value class {field.value}={item.text} reaches the cap {self.cap}; "
                 "no finer partition exists"
             )
         return children, [exact] if exact_count.value else [], exact_count.value
 
     def pack(
-        items: list[Pattern], current: list[Pattern], current_count: int
+        self,
+        items: list[Pattern],
+        current: list[Pattern],
+        current_count: int,
+        whole_first: bool = False,
     ) -> list[tuple[list[Pattern], int]]:
-        # Every item is truncated, so one that does not fit alone can deepen.
+        """Greedy runs of ``items`` after the opening run ``current``, with their counts.
+
+        Each run is the longest that still fits; an item that does not fit
+        even alone is deepened (every item is truncated, so it can be).
+        ``whole_first`` first probes all of ``current + items`` as one run.
+        """
+        too_wide = None
+        if whole_first:
+            whole = self.probe(current + items)
+            if _fits(whole, self.cap):
+                return [(current + items, whole.value)]
+            too_wide = len(items)
         packed: list[tuple[list[Pattern], int]] = []
-        for item in items:
-            result = probe(current + [item])
-            if not _fits(result, cap) and current:
-                packed.append((current, current_count))
-                current = []
-                result = probe([item])
-            if _fits(result, cap):
-                current.append(item)
-                current_count = result.value
-            else:
-                packed.extend(pack(*expand(item)))
-        if current:
+        i = 0
+        while i < len(items):
+            width, count = self.longest_fit(items[i:], current, current_count, too_wide)
+            run, i = current + items[i : i + width], i + width
+            current, current_count, too_wide = [], 0, None
+            if run:  # the next item, if any, does not fit after it: try it alone next
+                packed.append((run, count))
+            else:  # items[i] does not fit even alone: deepen it
+                packed.extend(self.pack(*self.expand(items[i])))
+                i += 1
+        if current:  # no items followed it
             packed.append((current, current_count))
         return packed
 
+    def longest_fit(
+        self,
+        items: list[Pattern],
+        current: list[Pattern],
+        current_count: int,
+        too_wide: int | None,
+    ) -> tuple[int, int]:
+        """The most leading ``items`` that still fit after ``current``, and their count.
+
+        A count never falls as the run grows, so gallop through widths 1, 2,
+        4, ... up to the first that does not fit, then bisect between the
+        last that did and it. ``too_wide``, if given, is a width known not
+        to fit. Every width is probed at most once, and the count returned
+        is one a probe returned (``current_count`` for width 0).
+        """
+        lo, hi = 0, too_wide or len(items) + 1
+        while hi - lo > 1:
+            width = min(max(2 * lo, 1), len(items))
+            if width >= hi:  # that wide is known not to fit: bisect
+                width = (lo + hi) // 2
+            result = self.probe(current + items[:width])
+            if _fits(result, self.cap):
+                lo, current_count = width, result.value
+            else:
+                hi = width
+        return lo, current_count
+
+
+def plan_auto(
+    engine: CappedEngine, base: Query, field: FieldKind, cap: int | None = None
+) -> Strategy:
+    """Greedy alphabetical packing, on visible and censored engines alike."""
+    cap = _effective_cap(engine, cap)
     symbols = [Pattern(s, True) for s in SYMBOLS]
+    runs = _Packer(engine, base, field, cap).pack(symbols, [], 0, whole_first=True)
     # A degenerate base (matches nothing) keeps one full-coverage statement.
-    packed = [patterns for patterns, n in pack(symbols, [], 0) if n > 0] or [symbols]
+    packed = [patterns for patterns, n in runs if n > 0] or [symbols]
     statements = tuple(_bucket(base, field, patterns) for patterns in packed)
     # Greedy plans only drop provably empty symbols, so canonical-coverage
     # warnings would be noise; stray-symbol warnings still apply.

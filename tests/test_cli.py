@@ -140,6 +140,24 @@ def test_count_bad_query_is_usage_error(cuba_file, capsys):
     assert "statement number after '#' (offset 0)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["count", "PY=2007 AND"], "offset"),
+        (["plan", "--base", "PY=(2007", "--auto"], "offset"),
+        (["run", "--base", "PY=2007", "--groups", "AB,B"], "'B' appears in two letter groups"),
+        (["validate", "--base", "PY=2007", "--groups", "J/XX=5"], "unknown pivot field"),
+    ],
+    ids=["count-query", "plan-base", "run-groups", "validate-groups"],
+)
+def test_bad_query_or_spec_is_usage_error_before_the_corpus_loads(argv, message, tmp_path, capsys):
+    missing = str(tmp_path / "missing.tsv")
+    assert main([argv[0], "--corpus", missing, *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "missing.tsv" not in err
+
+
 # -- flag validation -------------------------------------------------------------
 
 

@@ -5,7 +5,7 @@ from collections import Counter
 from itertools import chain
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from capsplit import (
@@ -19,7 +19,9 @@ from capsplit import (
     EngineConfig,
     EngineError,
     FieldKind,
+    Pattern,
     SetRef,
+    Term,
     build_overlap_statement,
     evaluate,
     generate,
@@ -289,6 +291,48 @@ def test_prefix_children_prefix_is_a_raw_position():
 def test_prefix_children_rejects_py(engine):
     with pytest.raises(EngineError, match="PY"):
         engine.prefix_children(FieldKind.PY, "2")
+
+
+# words of a few symbols, past "Z" and up to the last code point, joined by spaces
+_WORD = st.text(st.sampled_from(["J", "O", "A", "É", "1", "\U0010ffff"]), min_size=1, max_size=3)
+_VALUE = st.lists(_WORD, min_size=1, max_size=3).map(" ".join)
+
+
+@given(
+    titles=st.lists(_VALUE, min_size=1, max_size=12),
+    pick=st.tuples(st.integers(0, 11), st.integers(0, 12)),  # a title, a cut into it
+)
+@example(titles=["JO", "JO A", "JO É", "JOB"], pick=(0, 2))  # a term equals the prefix
+@example(titles=["JO", "JO A", "JO É", "JOB"], pick=(1, 3))  # the prefix ends on a space
+@example(titles=["J\U0010ffff", "J\U0010ffffA", "JA"], pick=(2, 1))  # the last code point
+def test_prefix_children_equals_a_scan_of_every_value(titles, pick):
+    corpus = Corpus(tuple(make_record(f"R{i:02d}", (t,)) for i, t in enumerate(titles)))
+    title = titles[pick[0] % len(titles)]
+    prefix = title[: pick[1] % (len(title) + 1)]
+    scan = {
+        t[len(prefix)]
+        for rec in corpus
+        for t in rec.source_titles
+        if t.startswith(prefix) and len(t) > len(prefix)
+    }
+    engine = CappedEngine(corpus)
+    assert engine.prefix_children(FieldKind.SO, prefix) == scan
+    assert engine.prefix_children(FieldKind.SO, "") == {t[0] for t in titles}
+
+
+@pytest.mark.parametrize("n", [0, 1, 8, 9, 16, 17, 300])
+def test_leaf_bitset_has_one_bit_per_posting(n):
+    # positions at byte boundaries: the first and last bit of a byte, the
+    # first of the next, and the corpus's last record
+    marked = {p for p in (0, 7, 8, n - 1) if 0 <= p < n}
+    titles = ["A REV" if p in marked else "B REV" for p in range(n)]
+    corpus = Corpus(tuple(make_record(f"R{p:03d}", (t,)) for p, t in enumerate(titles)))
+    engine = CappedEngine(corpus)
+    for text, postings in (("A", marked), ("B", set(range(n)) - marked)):
+        bits = engine._leaf(Term(FieldKind.SO, Pattern(text, truncated=True)))
+        assert bits == sum(1 << p for p in postings)
+    assert engine._leaf(Term(FieldKind.SO, Pattern("A REV"))) == sum(1 << p for p in marked)
+    assert engine._leaf(Term(FieldKind.SO, Pattern("Q", truncated=True))) == 0
 
 
 # -- shared-result hygiene ----------------------------------------------------

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -21,6 +22,7 @@ from capsplit import (
     Prefixes,
     SetRef,
     Split,
+    Strategy,
     VISIBLE,
     build_exclusions,
     build_overlap_statement,
@@ -38,6 +40,7 @@ from capsplit import (
     serialize,
     validate_direct,
 )
+from capsplit import planner
 
 from conftest import CUBA_BASE, REFERENCE_GROUPS_CUBA
 from helpers import make_record
@@ -371,6 +374,21 @@ def test_plan_censored_probe_budget_for_single_group():
     assert engine.probes <= 37  # alphabet size + 1
 
 
+@pytest.mark.parametrize("count_mode", [VISIBLE, CENSORED])
+def test_galloping_finds_the_longest_run_in_few_probes(count_mode):
+    # one record on each of A..8 and three on 9: the first 35 symbols fit below
+    # the cap of 36 and all 36 do not, so bisection ends next to the known miss
+    buckets = dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ012345678", 1) | {"9": 3}
+    engine = CountingEngine(_letters_corpus(buckets), EngineConfig(cap=36, count_mode=count_mode))
+    strategy = plan_auto(engine, parse("PY=2007"), SO)
+    # all 36, then runs of 1, 2, 4, 8, 16, 32, 34 and 35 symbols, then 9 alone;
+    # one probe per symbol would take 37
+    assert engine.probes == 10
+    assert engine.repeated_probes() == []
+    assert [print_normalized(s).count(" OR ") + 1 for s in strategy.statements] == [35, 1]
+    assert print_normalized(strategy.statements[1]) == "PY=2007 AND SO=9*"
+
+
 def test_plan_mode_preconditions(cuba_corpus):
     corpus = _letters_corpus({"A": 5})
     censored = CappedEngine(corpus, EngineConfig(cap=10, count_mode=CENSORED))
@@ -519,11 +537,15 @@ _RECORDS = st.lists(
 )
 
 
-@given(records=_RECORDS, cap=st.integers(2, 8))
-def test_greedy_plans_alike_in_both_modes_and_reconcile(records, cap):
-    corpus = Corpus(
+def _records_corpus(records) -> Corpus:
+    return Corpus(
         tuple(make_record(f"R{i:03d}", tuple(t), year) for i, (t, year) in enumerate(records))
     )
+
+
+@given(records=_RECORDS, cap=st.integers(2, 8))
+def test_greedy_plans_alike_in_both_modes_and_reconcile(records, cap):
+    corpus = _records_corpus(records)
     visible = CountingEngine(corpus, EngineConfig(cap=cap))
     censored = CountingEngine(corpus, EngineConfig(cap=cap, count_mode=CENSORED))
     base = parse("PY=2007")
@@ -541,3 +563,47 @@ def test_greedy_plans_alike_in_both_modes_and_reconcile(records, cap):
     for engine in (visible, censored):
         report = validate_direct(strategy, engine)
         assert report.method_b_total == report.union_cardinality == report.direct_count
+
+
+class _LinearPacker(planner._Packer):
+    """The reference greedy packing: one probe of ``current + [item]`` per item."""
+
+    def pack(self, items, current, current_count, whole_first=False):
+        packed = []
+        for item in items:
+            result = self.probe(current + [item])
+            if not planner._fits(result, self.cap) and current:
+                packed.append((current, current_count))
+                current = []
+                result = self.probe([item])
+            if planner._fits(result, self.cap):
+                current.append(item)
+                current_count = result.value
+            else:
+                packed.extend(self.pack(*self.expand(item)))
+        if current:
+            packed.append((current, current_count))
+        return packed
+
+
+def _plan_or_refusal(engine: CappedEngine, base) -> Strategy | str:
+    try:
+        return plan_auto(engine, base, SO)
+    except PlanInfeasibleError as exc:
+        return str(exc)
+
+
+@given(records=_RECORDS, cap=st.integers(2, 8), count_mode=st.sampled_from([VISIBLE, CENSORED]))
+def test_galloping_packs_like_linear_packing_in_fewer_probes(records, cap, count_mode):
+    corpus = _records_corpus(records)
+    config = EngineConfig(cap=cap, count_mode=count_mode)
+    linear, galloping = CountingEngine(corpus, config), CountingEngine(corpus, config)
+    base = parse("PY=2007")
+    with mock.patch.object(planner, "_Packer", _LinearPacker):
+        reference = _plan_or_refusal(linear, base)
+    strategy = _plan_or_refusal(galloping, base)
+    assert strategy == reference
+    statements = len(strategy.statements) if isinstance(strategy, Strategy) else 0
+    # at most two probes per run beyond linear packing, and the whole-domain probe
+    assert galloping.probes <= linear.probes + 2 * statements + 1
+    assert galloping.repeated_probes() == []
