@@ -32,6 +32,7 @@ from .corpus import (
     build_fixture,
     generate,
     load_corpus,
+    save_corpus,
     serialize,
 )
 from .engine import CapExceededError, CappedEngine, EngineConfig, EngineError
@@ -266,7 +267,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         if overrides:
             profile = replace(profile, **overrides)
         corpus = generate(profile)
-    _write_out(serialize(corpus), args.out)
+    if args.out:
+        save_corpus(corpus, args.out)
+    else:
+        sys.stdout.write(serialize(corpus))
     return EXIT_OK
 
 

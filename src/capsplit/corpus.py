@@ -16,11 +16,23 @@ This module owns:
   under the shipped seven-statement grouping are known exactly and are
   asserted by the regression suite.
 
+A corpus is stored by column, not by record: an id column, a year column
+and, for the source titles, countries and addresses, one ``Column`` each.
+A column holds a table of the distinct parsed values (a titles tuple, a
+country set, an address set) and one number per record into that table,
+so work that depends only on a value (parsing, serializing, indexing,
+matching) is done once per distinct value. A paper-scale corpus has half
+a million records but only tens of thousands of distinct titles and a few
+dozen distinct country and address sets. ``Record`` stays the value type
+of one record: ``Corpus(records)`` encodes records, and iterating a
+corpus builds them back on demand.
+
 Each value is checked once, where it enters: corpus text in ``ingest``,
 once per distinct field text; Python values in ``Record``/``Corpus``; a
 profile file's JSON types in ``CorpusProfile.from_dict``; and a generator
 profile's countries and address pools once per ``generate`` call, drawn or
-not. Ingest and the record assembler then build records without rechecks.
+not. Ingest, the generator and the fixtures then fill the columns without
+rechecks.
 """
 
 from __future__ import annotations
@@ -29,6 +41,7 @@ import io
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Iterator
 
 # Canonical symbol order for title initials: letters first, then digits.
@@ -124,50 +137,140 @@ class Record:
         object.__setattr__(self, "addresses", addresses)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class Column:
+    """One dictionary-encoded field: its distinct values and, per record, an index into them.
+
+    ``values`` holds each distinct parsed value once (a titles tuple, a
+    country set or an address set); ``codes[pos]`` is the index of the
+    value of the record at ``pos``. Iterating yields the value of every
+    record in order.
+    """
+
+    values: tuple
+    codes: tuple[int, ...]
+
+    def __iter__(self) -> Iterator:
+        return map(self.values.__getitem__, self.codes)
+
+
+class _Encoder:
+    """Numbers distinct values in first-seen order while recording one code per record."""
+
+    def __init__(self) -> None:
+        self.numbers: dict = {}  # value -> its number, in first-seen order
+        self.codes: list[int] = []
+
+    def code(self, value) -> int:
+        """The number of ``value``, given it if new; records nothing."""
+        return self.numbers.setdefault(value, len(self.numbers))
+
+    def add(self, value) -> None:
+        self.codes.append(self.numbers.setdefault(value, len(self.numbers)))
+
+    def column(self, order: list[int] | None = None) -> Column:
+        """The column of the recorded codes, or of ``codes[i] for i in order``."""
+        codes = self.codes if order is None else map(self.codes.__getitem__, order)
+        return Column(tuple(self.numbers), tuple(codes))
+
+
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Corpus:
-    """Immutable ordered record collection; iteration order is ingestion order."""
+    """Immutable ordered record collection, stored by column.
 
-    records: tuple[Record, ...]
+    ``ids`` and ``years`` hold one entry per record; ``source_titles``,
+    ``countries`` and ``addresses`` are ``Column``s, so each distinct
+    value is stored once however many records carry it. ``Corpus(records)``
+    builds one from ``Record``s; iterating yields equal ``Record``s in
+    order, built on demand. Two corpora are equal when they hold the same
+    records in the same order, however their value tables are laid out.
+    """
 
-    def __post_init__(self) -> None:
+    ids: tuple[str, ...]
+    years: tuple[int, ...]
+    source_titles: Column
+    countries: Column
+    addresses: Column
+
+    def __init__(self, records: Iterable[Record]):
+        ids: list[str] = []
+        years: list[int] = []
+        titles, countries, addresses = _Encoder(), _Encoder(), _Encoder()
         seen: dict[str, int] = {}
-        for pos, rec in enumerate(self.records):
+        for pos, rec in enumerate(records):
             if rec.id in seen:
                 raise CorpusError(
                     f"duplicate record id {rec.id!r} at position {pos + 1} "
                     f"(first seen at position {seen[rec.id] + 1})"
                 )
             seen[rec.id] = pos
+            ids.append(rec.id)
+            years.append(rec.pub_year)
+            titles.add(rec.source_titles)
+            countries.add(rec.countries)
+            addresses.add(rec.addresses)
+        self._fill(tuple(ids), tuple(years), titles.column(), countries.column(),
+                   addresses.column())
+
+    @classmethod
+    def _of(cls, ids: tuple[str, ...], years: tuple[int, ...], titles: Column,
+            countries: Column, addresses: Column) -> "Corpus":
+        """A corpus of columns whose values and ids were checked where they entered."""
+        corpus = object.__new__(cls)
+        corpus._fill(ids, years, titles, countries, addresses)
+        return corpus
+
+    def _fill(self, *columns) -> None:
+        names = ("ids", "years", "source_titles", "countries", "addresses")
+        for name, column in zip(names, columns):
+            object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ids)
 
     def __iter__(self) -> Iterator[Record]:
-        return iter(self.records)
+        # the values were checked when they entered the corpus, so the
+        # records are built without Record's checks
+        new, put = object.__new__, object.__setattr__
+        for rid, year, titles, countries, addresses in zip(
+            self.ids, self.years, self.source_titles, self.countries, self.addresses
+        ):
+            rec = new(Record)
+            put(rec, "id", rid)
+            put(rec, "pub_year", year)
+            put(rec, "source_titles", titles)
+            put(rec, "countries", countries)
+            put(rec, "addresses", addresses)
+            yield rec
+
+    @property
+    def records(self) -> tuple[Record, ...]:
+        """Every record in order, built on demand."""
+        return tuple(self)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Corpus):
+            return NotImplemented
+        return (
+            self.ids == other.ids
+            and self.years == other.years
+            and all(
+                list(getattr(self, name)) == list(getattr(other, name))
+                for name in ("source_titles", "countries", "addresses")
+            )
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.ids)
 
 
-def _unchecked(cls, **values):
-    """Build a frozen dataclass from already-checked values, skipping ``__post_init__``."""
-    obj = object.__new__(cls)
-    for name, value in values.items():
-        object.__setattr__(obj, name, value)
-    return obj
-
-
-def _assemble(rows: Iterable[tuple], n: int) -> Corpus:
-    """Number ``n`` normalized ``(year, titles, countries, addresses)`` rows R0000001...
-
-    The values are program constants or were checked once on entry, and
-    the ids are unique by construction, so nothing is checked again.
-    """
+def _numbered(years: tuple[int, ...], titles: Column, countries: Column,
+              addresses: Column) -> Corpus:
+    """Number generated columns R0000001, R0000002, ...; unique by construction."""
+    n = len(years)
     width = max(7, len(str(n)))
-    records = tuple(
-        _unchecked(Record, id=f"R{pos + 1:0{width}d}", pub_year=year, source_titles=tuple(titles),
-                   countries=frozenset(countries), addresses=frozenset(addresses))
-        for pos, (year, titles, countries, addresses) in enumerate(rows)
-    )
-    return _unchecked(Corpus, records=records)
+    ids = tuple(f"R{pos:0{width}d}" for pos in range(1, n + 1))
+    return Corpus._of(ids, years, titles, countries, addresses)
 
 
 # ---------------------------------------------------------------------------
@@ -188,15 +291,21 @@ def ingest(source: str | Iterable[str]) -> Corpus:
     ``source`` is either the whole text or an iterable of lines (an open
     text file works). Errors carry the 1-based line number; duplicate ids
     name both offending lines. Each distinct text of a field is parsed and
-    checked once per call, records that repeat it share the parsed value,
-    and ``Record`` does not check it again.
+    checked once per call, and each record stores only the number of its
+    parsed value in that field's table, so texts that normalize alike
+    (``usa``, ``USA``) share one value.
     """
     # A string is read as a text file is, breaking lines only on \n, \r and \r\n.
     lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
-    records: list[Record] = []
+    ids: list[str] = []
+    years: list[int] = []
     seen_lines: dict[str, int] = {}
-    parsed: dict[tuple[str, str], tuple[str, ...] | frozenset[str]] = {}
-    years: dict[str, int] = {}
+    year_of: dict[str, int] = {}
+    titles, countries, addresses = _Encoder(), _Encoder(), _Encoder()
+    # per field: raw text -> the number of its parsed value
+    so_codes: dict[str, int] = {}
+    cu_codes: dict[str, int] = {}
+    ad_codes: dict[str, int] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
         if line.startswith("#"):
@@ -210,14 +319,19 @@ def ingest(source: str | Iterable[str]) -> Corpus:
             )
         id_text, year_text, so_text, cu_text, ad_text = fields
         try:
-            year = years.get(year_text)
+            year = year_of.get(year_text)
             if year is None:
-                year = years[year_text] = _parse_year(year_text)
+                year = year_of[year_text] = _parse_year(year_text)
             rid = _check_id(id_text)
-            titles, countries, addresses = (
-                parsed[key] if key in parsed else parsed.setdefault(key, _parse_field(*key))
-                for key in (("SO", so_text), ("CU", cu_text), ("AD", ad_text))
-            )
+            so = so_codes.get(so_text)
+            if so is None:
+                so = so_codes[so_text] = titles.code(_parse_field("SO", so_text))
+            cu = cu_codes.get(cu_text)
+            if cu is None:
+                cu = cu_codes[cu_text] = countries.code(_parse_field("CU", cu_text))
+            ad = ad_codes.get(ad_text)
+            if ad is None:
+                ad = ad_codes[ad_text] = addresses.code(_parse_field("AD", ad_text))
         except CorpusError as exc:
             raise CorpusError(f"line {lineno}: {exc}") from None
         if rid in seen_lines:
@@ -225,9 +339,13 @@ def ingest(source: str | Iterable[str]) -> Corpus:
                 f"line {lineno}: duplicate id {rid!r} (first defined on line {seen_lines[rid]})"
             )
         seen_lines[rid] = lineno
-        records.append(_unchecked(Record, id=rid, pub_year=year, source_titles=titles,
-                                  countries=countries, addresses=addresses))
-    return _unchecked(Corpus, records=tuple(records))
+        ids.append(rid)
+        years.append(year)
+        titles.codes.append(so)
+        countries.codes.append(cu)
+        addresses.codes.append(ad)
+    return Corpus._of(tuple(ids), tuple(years), titles.column(), countries.column(),
+                      addresses.column())
 
 
 # field tag -> (the name of one value, the container of the values)
@@ -247,22 +365,22 @@ def _parse_field(tag: str, text: str) -> tuple[str, ...] | frozenset[str]:
     return container(_check_value(value, what) for value in values)
 
 
+def _lines(corpus: Corpus) -> Iterator[str]:
+    """The on-disk lines of ``corpus``, each ending in ``\\n``, header first."""
+    yield FILE_HEADER + "\n"
+    # each distinct value is joined once; sets serialize sorted
+    year_texts = {year: str(year) for year in set(corpus.years)}
+    so = ["|".join(titles) for titles in corpus.source_titles.values]
+    cu, ad = (["|".join(sorted(v)) for v in column.values]
+              for column in (corpus.countries, corpus.addresses))
+    for rid, year, s, c, a in zip(corpus.ids, corpus.years, corpus.source_titles.codes,
+                                  corpus.countries.codes, corpus.addresses.codes):
+        yield f"{rid}\t{year_texts[year]}\t{so[s]}\t{cu[c]}\t{ad[a]}\n"
+
+
 def serialize(corpus: Corpus) -> str:
     """Render a corpus in the on-disk format; byte-deterministic."""
-    out = [FILE_HEADER]
-    for rec in corpus.records:
-        out.append(
-            "\t".join(
-                (
-                    rec.id,
-                    str(rec.pub_year),
-                    "|".join(rec.source_titles),
-                    "|".join(sorted(rec.countries)),
-                    "|".join(sorted(rec.addresses)),
-                )
-            )
-        )
-    return "\n".join(out) + "\n"
+    return "".join(_lines(corpus))
 
 
 def load_corpus(path: str) -> Corpus:
@@ -271,8 +389,11 @@ def load_corpus(path: str) -> Corpus:
 
 
 def save_corpus(corpus: Corpus, path: str) -> None:
+    """Write ``serialize(corpus)`` to ``path``, a batch of lines at a time."""
+    lines = _lines(corpus)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize(corpus))
+        while batch := "".join(islice(lines, 4096)):
+            fh.write(batch)
 
 
 # ---------------------------------------------------------------------------
@@ -447,27 +568,33 @@ def generate(profile: CorpusProfile) -> Corpus:
     countries = [
         (
             frozenset((_check_value(normalize_text(c), "country"),)),
-            tuple(_check_value(normalize_text(a), "address") for a in pools.get(c, ())),
+            tuple(
+                frozenset((_check_value(normalize_text(a), "address"),))
+                for a in pools.get(c, ())
+            ),
         )
         for c in names
     ]
     letters, letter_w = _weighted_items(profile.initial_letter_weights)
     lo, hi = profile.year_range
 
-    def rows() -> Iterator[tuple]:
-        for _ in range(profile.n_records):
-            country, pool = rng.choices(countries, country_w)[0]
-            first = _random_title(rng, rng.choices(letters, letter_w)[0])
-            titles = (first,)
-            if rng.random() < profile.multi_title_prob:
+    years: list[int] = []
+    titles, cu, ad = _Encoder(), _Encoder(), _Encoder()
+    no_address = frozenset()
+    for _ in range(profile.n_records):
+        country, pool = rng.choices(countries, country_w)[0]
+        first = _random_title(rng, rng.choices(letters, letter_w)[0])
+        if rng.random() < profile.multi_title_prob:
+            second = _random_title(rng, rng.choices(letters, letter_w)[0])
+            while second == first:
                 second = _random_title(rng, rng.choices(letters, letter_w)[0])
-                while second == first:
-                    second = _random_title(rng, rng.choices(letters, letter_w)[0])
-                titles = (first, second)
-            addresses = (rng.choice(pool),) if pool else ()
-            yield rng.randint(lo, hi), titles, country, addresses
-
-    return _assemble(rows(), profile.n_records)
+            titles.add((first, second))
+        else:
+            titles.add((first,))
+        cu.add(country)
+        ad.add(rng.choice(pool) if pool else no_address)
+        years.append(rng.randint(lo, hi))
+    return _numbered(tuple(years), titles.column(), cu.column(), ad.column())
 
 
 # ---------------------------------------------------------------------------
@@ -678,23 +805,35 @@ def _build_split_fixture(spec: _SplitFixtureSpec) -> Corpus:
             return (rng.choice(any_pool), rng.choice(any_pool))
         return (rng.choice(any_pool),)
 
+    home = frozenset((spec.country,))
+
     def countries_for() -> frozenset[str]:
         if rng.random() < 0.08:
             return frozenset((spec.country, rng.choice(_COLLABORATOR_COUNTRIES)))
-        return frozenset((spec.country,))
+        return home
 
-    rows = []
+    # the columns are filled in drawing order, then shuffled
+    titles, countries, addresses = _Encoder(), _Encoder(), _Encoder()
     for stmt, count in enumerate(spec.exclusive):
         for _ in range(count):
-            rows.append((_FIXTURE_YEAR, (pick_title(stmt),), countries_for(), addresses_for(stmt)))
+            titles.add((pick_title(stmt),))
+            countries.add(countries_for())
+            addresses.add(frozenset(addresses_for(stmt)))
     pairs = pair_overlap_degrees(spec.overlap_degree, forbidden=frozenset({(5, 6)}))
     for i, j in pairs:
-        rows.append(
-            (_FIXTURE_YEAR, (pick_title(i), pick_title(j)), countries_for(), addresses_for(i, j))
-        )
+        titles.add((pick_title(i), pick_title(j)))
+        countries.add(countries_for())
+        addresses.add(frozenset(addresses_for(i, j)))
+    return _shuffled(rng, titles, countries, addresses)
 
-    rng.shuffle(rows)
-    return _assemble(rows, len(rows))
+
+def _shuffled(rng: random.Random, titles: _Encoder, countries: _Encoder,
+              addresses: _Encoder) -> Corpus:
+    """Number a fixture's rows in a shuffled order; shuffling depends only on the row count."""
+    order = list(range(len(titles.codes)))
+    rng.shuffle(order)
+    columns = (encoder.column(order) for encoder in (titles, countries, addresses))
+    return _numbered((_FIXTURE_YEAR,) * len(order), *columns)
 
 
 def _build_uk_fixture() -> Corpus:
@@ -715,15 +854,17 @@ def _build_uk_fixture() -> Corpus:
             return frozenset((base, rng.choice(_COLLABORATOR_COUNTRIES)))
         return frozenset((base,))
 
-    rows = []
+    titles, countries, addresses = _Encoder(), _Encoder(), _Encoder()
     for _ in range(_UK_WITH_LONDON):
         addrs = [rng.choice(_UK_LONDON_POOL)]
         if rng.random() < 0.2:
             addrs.append(rng.choice(_UK_OTHER_POOL))
-        rows.append((_FIXTURE_YEAR, titles_for(), nation(), addrs))
+        addresses.add(frozenset(addrs))
+        titles.add(titles_for())
+        countries.add(nation())
     for _ in range(_UK_WITHOUT_LONDON):
-        addrs = (rng.choice(_UK_OTHER_POOL),) if rng.random() > 0.05 else ()
-        rows.append((_FIXTURE_YEAR, titles_for(), nation(), addrs))
-
-    rng.shuffle(rows)
-    return _assemble(rows, len(rows))
+        addresses.add(frozenset((rng.choice(_UK_OTHER_POOL),)) if rng.random() > 0.05
+                      else frozenset())
+        titles.add(titles_for())
+        countries.add(nation())
+    return _shuffled(rng, titles, countries, addresses)

@@ -23,18 +23,25 @@ large. ``censored`` reports counts at or above the cap only as
 may have to probe.
 
 Indexing is a per-field sorted term dictionary whose postings are
-plain lists of record positions, so term lookups, prefix ranges and
-next-symbol introspection are all cheap. Every evaluated result is a
-Python ``int`` used as a bitset over record positions: AND, OR and NOT
-are ``&``, ``|`` and ``& ~``, and a count is ``int.bit_count()``. Each
-distinct ``Term`` leaf is turned into a bitset once and kept: its
-postings set bits in a little-endian byte buffer of one bit per record,
-which ``int.from_bytes`` reads as the int. A leaf cannot go stale, so
+lists of record positions, so term lookups, prefix ranges and
+next-symbol introspection are all cheap. The index is built from the
+corpus columns: positions are grouped by value once per field, and a
+term's postings join the groups of the distinct values that hold it, so
+an address set is split into tokens once, however many records share
+it. Postings are not sorted; a leaf only sets their bits. Every
+evaluated result is a Python ``int`` used as a bitset over record
+positions: AND, OR and NOT are ``&``, ``|`` and ``& ~``, and a count is
+``int.bit_count()``. Each distinct ``Term`` leaf is turned into a bitset
+once and kept: its postings set bits in a little-endian byte buffer of
+one bit per record, which ``int.from_bytes`` reads as the int. A leaf
+cannot go stale, so
 that cache is bounded by the distinct leaves ever queried. Next-symbol
 introspection hops from one child symbol to the next by bisection, so it
 reads one stored term per child, not every term under the prefix.
 Nothing else is cached: operator results are recomputed on every query,
-and the session list holds each statement's immutable int.
+and the session list holds each statement's immutable int. ``retrieve``
+reads a result's bytes and visits only those with a set bit, so its cost
+follows the result size, not the corpus size.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from dataclasses import dataclass
 from itertools import chain, compress
 from typing import Iterable, Iterator
 
-from .corpus import Corpus
+from .corpus import Column, Corpus
 from .query import (
     And,
     FieldKind,
@@ -58,8 +65,8 @@ from .query import (
 VISIBLE = "visible"
 CENSORED = "censored"
 
-# base-2 digits of a bitset -> one 0/1 byte per record position
-_BITS_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+# byte value -> the offsets of its set bits, lowest first
+_SET_BITS = tuple(tuple(bit for bit in range(8) if byte >> bit & 1) for byte in range(256))
 
 
 class EngineError(Exception):
@@ -118,28 +125,18 @@ class CappedEngine:
     def __init__(self, corpus: Corpus, config: EngineConfig | None = None):
         self.corpus = corpus
         self.config = config or EngineConfig()
-        self._ids = [rec.id for rec in corpus]
-        index: dict[FieldKind, dict[str, list[int]]] = {
-            field: defaultdict(list) for field in FieldKind
-        }
-        # one dict lookup per field, not per record (enum hashing is not free)
-        years, countries, titles, tokens = (
-            index[field] for field in (FieldKind.PY, FieldKind.CU, FieldKind.SO, FieldKind.AD)
-        )
-        for pos, rec in enumerate(corpus):
-            years[str(rec.pub_year)].append(pos)
-            for country in rec.countries:
-                countries[country].append(pos)
-            for title in rec.source_titles:
-                titles[title].append(pos)
-            for address in rec.addresses:
-                for token in address.split():
-                    tokens[token].append(pos)
+        self._ids = corpus.ids
+        # one int object per position, shared by the postings of every field
+        positions = list(range(len(corpus)))
+        by_year = _group(positions, corpus.years)
         self._postings: dict[FieldKind, dict[str, list[int]]] = {
-            field: dict(terms) for field, terms in index.items()
+            FieldKind.PY: {str(year): group for year, group in by_year.items()},
+            FieldKind.CU: _postings(positions, corpus.countries, iter),
+            FieldKind.SO: _postings(positions, corpus.source_titles, iter),
+            FieldKind.AD: _postings(positions, corpus.addresses, _address_tokens),
         }
         self._terms: dict[FieldKind, list[str]] = {
-            field: sorted(terms) for field, terms in index.items()
+            field: sorted(terms) for field, terms in self._postings.items()
         }
         self._leaves: dict[Term, int] = {}
         self._statements: list[int] = []  # #k is self._statements[k - 1]
@@ -152,9 +149,14 @@ class CappedEngine:
     def retrieve(self, query: Query) -> set[str]:
         """Materialize the result iff its cardinality is strictly below the cap."""
         hits = self._below_cap(query)
-        # lowest position first, one 0/1 byte per position up to the highest set bit
-        flags = format(hits, "b")[::-1].encode().translate(_BITS_TO_FLAGS)
-        return set(compress(self._ids, flags))
+        # byte i holds positions 8i..8i+7; only the bytes with a set bit are visited
+        data = hits.to_bytes((hits.bit_length() + 7) >> 3, "little")
+        ids = self._ids
+        return {
+            ids[(i << 3) + bit]
+            for i in compress(range(len(data)), data)
+            for bit in _SET_BITS[data[i]]
+        }
 
     def coverage(self, queries: Iterable[Query]) -> list[int]:
         """How many records at least k of the queries match, for k = 1, 2, ...
@@ -285,3 +287,30 @@ class CappedEngine:
             buf[pos >> 3] |= 1 << (pos & 7)
         bits = self._leaves[term] = int.from_bytes(buf, "little")
         return bits
+
+
+def _group(positions: list[int], keys: Iterable) -> dict:
+    """The positions of each distinct key, where ``keys`` has one key per position."""
+    groups: dict = defaultdict(list)
+    for pos, key in zip(positions, keys):
+        groups[key].append(pos)
+    return groups
+
+
+def _postings(positions: list[int], column: Column, terms_of) -> dict[str, list[int]]:
+    """Each term's record positions, built once per distinct value of the column.
+
+    ``terms_of`` names the terms of one value; a term's postings join the
+    positions of every value that has it, so they are not sorted.
+    """
+    values = column.values
+    postings: dict[str, list[int]] = defaultdict(list)
+    for code, group in _group(positions, column.codes).items():
+        for term in terms_of(values[code]):
+            postings[term].extend(group)
+    return dict(postings)
+
+
+def _address_tokens(addresses: frozenset[str]) -> set[str]:
+    """The distinct whitespace-separated tokens of an address set."""
+    return {token for address in addresses for token in address.split()}

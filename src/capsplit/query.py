@@ -23,6 +23,9 @@ CU any affiliation country, SO any source title (a record with two titles
 is found through either one), AD any whitespace-separated token of any
 address. Evaluation here is a direct per-field scan of the corpus and
 serves as the reference semantics; the indexed engine must agree with it.
+A term scan matches its pattern once per distinct string of the field (a
+year, a country, a title, an address token), then makes one pass over
+the field's column of value numbers to collect the ids.
 ``Oracle`` evaluates over one corpus and keeps the id set of each distinct
 term it has scanned, so repeated direct counts scan each term once;
 ``evaluate`` is a one-shot ``Oracle`` that keeps nothing. Neither holds an
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from typing import Mapping, Set, Union
 
 from .corpus import Corpus, normalize_text
@@ -380,8 +384,8 @@ def _wrap_and(node: Query, text: str, right_side: bool) -> str:
 class Oracle:
     """Index-free evaluator over one corpus, scanning each distinct term once.
 
-    The first evaluation of a ``Term`` scans every record and keeps the
-    matching ids as a frozenset; later evaluations over the same corpus
+    The first evaluation of a ``Term`` scans the field's column and keeps
+    the matching ids as a frozenset; later evaluations over the same corpus
     reuse it, so the oracle holds at most one id set per distinct term.
     Operators combine those sets and are not kept. The corpus is
     immutable, so a kept term set can never go stale.
@@ -444,23 +448,23 @@ def evaluate(
 
 
 def _scan_term(corpus: Corpus, term: Term) -> set[str]:
-    pattern = term.pattern
+    """The ids of the records ``term`` matches: one match per distinct string, one column pass.
+
+    Each distinct string a record can be found through (a year's digits, a
+    country, a title, an address token) is matched once; then one pass over
+    the field's column keeps the ids whose value holds a matched string.
+    """
+    match = term.pattern.matches
     field = term.field
-    found: set[str] = set()
     if field is FieldKind.PY:
-        for rec in corpus:
-            if pattern.matches(str(rec.pub_year)):
-                found.add(rec.id)
-    elif field is FieldKind.CU:
-        for rec in corpus:
-            if any(pattern.matches(c) for c in rec.countries):
-                found.add(rec.id)
-    elif field is FieldKind.SO:
-        for rec in corpus:
-            if any(pattern.matches(t) for t in rec.source_titles):
-                found.add(rec.id)
-    else:  # AD: match whole whitespace-separated address tokens
-        for rec in corpus:
-            if any(pattern.matches(tok) for addr in rec.addresses for tok in addr.split()):
-                found.add(rec.id)
-    return found
+        years = {year for year in set(corpus.years) if match(str(year))}
+        return {rid for rid, year in zip(corpus.ids, corpus.years) if year in years}
+    if field is FieldKind.AD:
+        column = corpus.addresses
+        strings = [{tok for addr in value for tok in addr.split()} for value in column.values]
+    else:
+        column = corpus.countries if field is FieldKind.CU else corpus.source_titles
+        strings = column.values
+    matched = {s for s in set().union(*strings) if match(s)}
+    hit = [not matched.isdisjoint(value) for value in strings]
+    return set(compress(corpus.ids, map(hit.__getitem__, column.codes)))

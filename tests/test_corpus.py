@@ -16,6 +16,7 @@ from capsplit import (
     generate,
     ingest,
     load_corpus,
+    save_corpus,
     serialize,
 )
 from capsplit.cli import main
@@ -176,15 +177,13 @@ _VALUES = st.lists(
     st.sampled_from(["AND", "OR", "NOT", "ACTA", "J", "REV", "2007", "ÉCOLE", "X-RAY"]),
     min_size=1, max_size=3,
 ).map(" ".join)
-_ROWS = st.lists(
-    st.tuples(
-        st.one_of(st.sampled_from([0, 10_000, 123_456_789_012]), st.integers(0, 10**6)),
-        st.lists(_VALUES, min_size=1, max_size=2, unique=True),  # source titles
-        st.frozensets(_VALUES, min_size=1, max_size=2),  # countries
-        st.frozensets(_VALUES, max_size=2),  # addresses
-    ),
-    max_size=5,
+_ROW = st.tuples(
+    st.one_of(st.sampled_from([0, 10_000, 123_456_789_012]), st.integers(0, 10**6)),
+    st.lists(_VALUES, min_size=1, max_size=2, unique=True),  # source titles
+    st.frozensets(_VALUES, min_size=1, max_size=2),  # countries
+    st.frozensets(_VALUES, max_size=2),  # addresses
 )
+_ROWS = st.lists(_ROW, max_size=5)
 
 
 @given(rows=_ROWS)
@@ -208,6 +207,43 @@ def test_serialize_writes_back_what_ingest_reads(rows):
         ]
     )
     assert serialize(ingest(text)) == text
+
+
+@given(rows=st.lists(_ROW, max_size=60))
+def test_corpus_of_records_gives_them_back(rows):
+    records = [
+        Record(f"R{i}", year, tuple(titles), countries, addresses)
+        for i, (year, titles, countries, addresses) in enumerate(rows)
+    ]
+    corpus = Corpus(records)
+    assert len(corpus) == len(records)
+    assert list(corpus) == records
+    assert corpus.records == tuple(records)
+    assert ingest(serialize(corpus)) == corpus
+
+
+def test_texts_that_normalize_alike_share_one_value():
+    corpus = ingest("R1\t2007\tA REV\tusa\t\nR2\t2007\ta  rev\tUSA\t\nR3\t2007\tA REV\t usa \t")
+    assert [r.countries for r in corpus] == [frozenset({"USA"})] * 3
+    assert [r.source_titles for r in corpus] == [("A REV",)] * 3
+    assert corpus.countries.values == (frozenset({"USA"}),)
+    assert corpus.source_titles.values == (("A REV",),)
+    # equality is by content: records built one by one give an equal corpus
+    assert corpus == Corpus(make_record(f"R{i}", ("a rev",), countries=("usa",)) for i in (1, 2, 3))
+    assert corpus != Corpus(make_record(f"R{i}", ("A REV",), countries=("UK",)) for i in (1, 2, 3))
+
+
+@pytest.mark.parametrize("name", ["cuba_t3", "uk_s1", "empty", "generated"])
+def test_save_corpus_writes_serialize_bytes(name, tmp_path, request):
+    if name == "empty":
+        corpus = Corpus(())
+    elif name == "generated":
+        corpus = generate(CorpusProfile(seed=4, n_records=9000))
+    else:
+        corpus = request.getfixturevalue(name.split("_")[0] + "_corpus")
+    path = tmp_path / "c.tsv"
+    save_corpus(corpus, str(path))
+    assert path.read_bytes() == serialize(corpus).encode("utf-8")
 
 
 def test_serialize_empty_address_field_round_trips():
@@ -338,12 +374,15 @@ def test_bad_profile_value_fails_even_if_never_drawn(country_weights, address_po
 def test_generator_skips_record_and_corpus_rechecks(monkeypatch):
     calls = []
     monkeypatch.setattr(Record, "__post_init__", lambda self: calls.append("record"))
-    monkeypatch.setattr(Corpus, "__post_init__", lambda self: calls.append("corpus"))
+    monkeypatch.setattr(Corpus, "__init__", lambda self, records: calls.append("corpus"))
     generate(CorpusProfile(seed=1, n_records=50))
     build_fixture("cuba_t3")
     assert calls == []
-    # ingest checks the text itself, so it builds records and the corpus unchecked too
-    ingest("R1\t2007\tA REV\tUSA\t\nR2\t2007\tB REV\tUSA\t")
+    # ingest checks the text itself, so it fills the columns unchecked too
+    corpus = ingest("R1\t2007\tA REV\tUSA\t\nR2\t2007\tB REV\tUSA\t")
+    assert calls == []
+    # records built on demand from the columns are not checked again either
+    assert [r.id for r in corpus] == ["R1", "R2"]
     assert calls == []
 
 
@@ -478,8 +517,7 @@ def _sha256(corpus: Corpus) -> str:
 def test_fixture_bytes_are_pinned(name, request):
     corpus = request.getfixturevalue(name.split("_")[0] + "_corpus")  # built once, in conftest
     assert _sha256(corpus) == _FIXTURE_SHA256[name]
-    if name != "usa_t1":  # left out to keep the suite's run time down
-        assert ingest(serialize(corpus)) == corpus
+    assert ingest(serialize(corpus)) == corpus
 
 
 @pytest.mark.parametrize(

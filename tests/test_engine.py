@@ -131,6 +131,26 @@ def test_retrieve_returns_matching_ids(corpus, engine):
     assert engine.retrieve(query) == brute_eval(corpus, query)
 
 
+@given(
+    marks=st.lists(st.booleans(), max_size=60),
+    edges=st.sets(st.sampled_from([0, 7, 8, -1])),
+    mode=st.sampled_from([VISIBLE, CENSORED]),
+)
+def test_retrieve_maps_each_set_bit_to_its_id(marks, edges, mode):
+    # byte boundaries (positions 0, 7, 8) and the last record, N-1, are marked on demand
+    n = len(marks)
+    marked = {p for p, mark in enumerate(marks) if mark} | {e % n for e in edges if -n <= e < n}
+    corpus = Corpus(tuple(
+        make_record(f"R{p:02d}", ("A REV" if p in marked else "B REV",)) for p in range(n)
+    ))
+    engine = CappedEngine(corpus, EngineConfig(cap=n + 1, count_mode=mode))
+    query = parse("SO=A*")
+    hits = engine._eval(query)
+    ids = corpus.ids
+    assert engine.retrieve(query) == {ids[p] for p in range(n) if hits >> p & 1}
+    assert engine.retrieve(query) == {f"R{p:02d}" for p in marked}
+
+
 def test_cap_exceeded_error_payload(corpus):
     query = parse("PY=2*")
     visible = CappedEngine(corpus, EngineConfig(cap=10))

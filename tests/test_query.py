@@ -24,6 +24,7 @@ from capsplit import (
     parse,
     print_normalized,
 )
+from capsplit.query import _scan_term
 
 from helpers import brute_eval, make_record
 
@@ -343,6 +344,40 @@ def test_oracle_agrees_with_one_shot_evaluate_across_queries(seed, n_records, qu
         expected = evaluate(query, corpus, registry)
         assert oracle.evaluate(query, registry) == expected
         assert expected == brute_eval(corpus, query, registry)
+
+
+@pytest.mark.parametrize(
+    "text, strings",
+    [
+        ("PY=2007", {"2007", "2008"}),
+        ("CU=U*", {"USA", "CUBA", "UK"}),
+        ("SO=B REV", {"A REV", "B REV", "C REV"}),
+        ("AD=MA", {"MIT", "CAMBRIDGE", "MA", "UNIV", "HAVANA"}),
+    ],
+)
+def test_scan_term_matches_each_distinct_string_once(text, strings, monkeypatch):
+    # 300 records over a handful of distinct values: the pattern sees each once
+    values = [
+        (2007, ("A REV",), ("USA",), ("MIT CAMBRIDGE MA",)),
+        (2008, ("B REV", "C REV"), ("CUBA", "USA"), ("UNIV HAVANA", "MIT CAMBRIDGE MA")),
+        (2007, ("C REV",), ("UK",), ()),
+    ]
+    corpus = Corpus(tuple(
+        make_record(f"R{i:03d}", titles, year, countries, addresses)
+        for i, (year, titles, countries, addresses) in enumerate(values * 100)
+    ))
+    seen = []
+    matches = Pattern.matches
+
+    def counted(self, value):
+        seen.append(value)
+        return matches(self, value)
+
+    monkeypatch.setattr(Pattern, "matches", counted)
+    found = _scan_term(corpus, parse(text))
+    assert sorted(seen) == sorted(strings)
+    monkeypatch.undo()
+    assert found == brute_eval(corpus, parse(text))
 
 
 def test_oracle_answers_are_fresh_sets():
