@@ -16,16 +16,17 @@ This module owns:
   under the shipped seven-statement grouping are known exactly and are
   asserted by the regression suite.
 
-A corpus is stored by column, not by record: an id column, a year column
-and, for the source titles, countries and addresses, one ``Column`` each.
-A column holds a table of the distinct parsed values (a titles tuple, a
-country set, an address set) and one number per record into that table,
-so work that depends only on a value (parsing, serializing, indexing,
-matching) is done once per distinct value. A paper-scale corpus has half
-a million records but only tens of thousands of distinct titles and a few
-dozen distinct country and address sets. ``Record`` stays the value type
-of one record: ``Corpus(records)`` encodes records, and iterating a
-corpus builds them back on demand.
+A corpus is stored by column, not by record: an id column and, for the
+year, source titles, countries and addresses, one ``Column`` each. A
+column holds a table of the distinct parsed values (a year, a titles
+tuple, a country set, an address set) and one number per record into that
+table, so work that depends only on a value (parsing, serializing,
+indexing, matching) is done once per distinct value. A paper-scale corpus
+has half a million records but one year, tens of thousands of distinct
+titles and a few dozen distinct country and address sets. One encoder
+fills every column, parsing each distinct raw value once. ``Record``
+stays the value type of one record: ``Corpus(records)`` encodes records,
+and iterating a corpus builds them back on demand.
 
 Each value is checked once, where it enters: corpus text in ``ingest``,
 once per distinct field text; Python values in ``Record``/``Corpus``; a
@@ -40,7 +41,9 @@ from __future__ import annotations
 import io
 import math
 import random
+import sys
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
 from typing import Iterable, Iterator
 
@@ -95,6 +98,15 @@ def _parse_year(text: str) -> int:
     return year
 
 
+def _too_long(year: int) -> bool:
+    """Whether ``year`` has more digits than ``str`` converts, so no corpus text can hold it."""
+    try:
+        str(year)
+    except ValueError:
+        return True
+    return False
+
+
 def _check_id(text: str) -> str:
     """Normalize a record id and check that it is one token free of ``#`` and ``|``."""
     rid = normalize_text(text)
@@ -124,6 +136,9 @@ class Record:
         year = self.pub_year
         if not isinstance(year, int) or isinstance(year, bool) or year < 0:
             raise CorpusError(f"record {rid!r} pub_year must be a non-negative int, got {year!r}")
+        if _too_long(year):
+            raise CorpusError(f"record {rid!r} pub_year must be a non-negative int of at most "
+                              f"{sys.get_int_max_str_digits()} digits")
         titles = tuple(_check_value(normalize_text(t), "source title") for t in self.source_titles)
         if not titles:
             raise CorpusError(f"record {rid!r} has no source titles")
@@ -141,9 +156,9 @@ class Record:
 class Column:
     """One dictionary-encoded field: its distinct values and, per record, an index into them.
 
-    ``values`` holds each distinct parsed value once (a titles tuple, a
-    country set or an address set); ``codes[pos]`` is the index of the
-    value of the record at ``pos``. Iterating yields the value of every
+    ``values`` holds each distinct parsed value once (a year, a titles
+    tuple, a country set or an address set); ``codes[pos]`` is the index
+    of the value of the record at ``pos``. Iterating yields the value of every
     record in order.
     """
 
@@ -154,19 +169,28 @@ class Column:
         return map(self.values.__getitem__, self.codes)
 
 
-class _Encoder:
-    """Numbers distinct values in first-seen order while recording one code per record."""
+class _Encoder(dict):
+    """Maps a raw value to the number of its parsed value, recording one code per record.
 
-    def __init__(self) -> None:
-        self.numbers: dict = {}  # value -> its number, in first-seen order
+    A raw value seen for the first time is parsed once, by ``parse`` (none:
+    the raw value is the value); parsed values are numbered in first-seen
+    order, so raw values that parse alike share one number. ``add`` records
+    the number of one record's raw value.
+    """
+
+    def __init__(self, parse=None) -> None:
+        super().__init__()
+        self.parse = parse
+        self.numbers: dict = {}  # parsed value -> its number, in first-seen order
         self.codes: list[int] = []
 
-    def code(self, value) -> int:
-        """The number of ``value``, given it if new; records nothing."""
-        return self.numbers.setdefault(value, len(self.numbers))
+    def __missing__(self, raw) -> int:
+        value = raw if self.parse is None else self.parse(raw)
+        number = self[raw] = self.numbers.setdefault(value, len(self.numbers))
+        return number
 
-    def add(self, value) -> None:
-        self.codes.append(self.numbers.setdefault(value, len(self.numbers)))
+    def add(self, raw) -> None:
+        self.codes.append(self[raw])
 
     def column(self, order: list[int] | None = None) -> Column:
         """The column of the recorded codes, or of ``codes[i] for i in order``."""
@@ -178,7 +202,7 @@ class _Encoder:
 class Corpus:
     """Immutable ordered record collection, stored by column.
 
-    ``ids`` and ``years`` hold one entry per record; ``source_titles``,
+    ``ids`` holds one id per record; ``years``, ``source_titles``,
     ``countries`` and ``addresses`` are ``Column``s, so each distinct
     value is stored once however many records carry it. ``Corpus(records)``
     builds one from ``Record``s; iterating yields equal ``Record``s in
@@ -187,33 +211,32 @@ class Corpus:
     """
 
     ids: tuple[str, ...]
-    years: tuple[int, ...]
+    years: Column
     source_titles: Column
     countries: Column
     addresses: Column
 
     def __init__(self, records: Iterable[Record]):
         ids: list[str] = []
-        years: list[int] = []
-        titles, countries, addresses = _Encoder(), _Encoder(), _Encoder()
-        seen: dict[str, int] = {}
+        seen: set[str] = set()
+        years, titles, countries, addresses = _Encoder(), _Encoder(), _Encoder(), _Encoder()
         for pos, rec in enumerate(records):
             if rec.id in seen:
                 raise CorpusError(
                     f"duplicate record id {rec.id!r} at position {pos + 1} "
-                    f"(first seen at position {seen[rec.id] + 1})"
+                    f"(first seen at position {ids.index(rec.id) + 1})"
                 )
-            seen[rec.id] = pos
+            seen.add(rec.id)
             ids.append(rec.id)
-            years.append(rec.pub_year)
+            years.add(rec.pub_year)
             titles.add(rec.source_titles)
             countries.add(rec.countries)
             addresses.add(rec.addresses)
-        self._fill(tuple(ids), tuple(years), titles.column(), countries.column(),
+        self._fill(tuple(ids), years.column(), titles.column(), countries.column(),
                    addresses.column())
 
     @classmethod
-    def _of(cls, ids: tuple[str, ...], years: tuple[int, ...], titles: Column,
+    def _of(cls, ids: tuple[str, ...], years: Column, titles: Column,
             countries: Column, addresses: Column) -> "Corpus":
         """A corpus of columns whose values and ids were checked where they entered."""
         corpus = object.__new__(cls)
@@ -251,23 +274,19 @@ class Corpus:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Corpus):
             return NotImplemented
-        return (
-            self.ids == other.ids
-            and self.years == other.years
-            and all(
-                list(getattr(self, name)) == list(getattr(other, name))
-                for name in ("source_titles", "countries", "addresses")
-            )
+        return self.ids == other.ids and all(
+            list(getattr(self, name)) == list(getattr(other, name))
+            for name in ("years", "source_titles", "countries", "addresses")
         )
 
     def __hash__(self) -> int:
         return hash(self.ids)
 
 
-def _numbered(years: tuple[int, ...], titles: Column, countries: Column,
+def _numbered(years: Column, titles: Column, countries: Column,
               addresses: Column) -> Corpus:
     """Number generated columns R0000001, R0000002, ...; unique by construction."""
-    n = len(years)
+    n = len(years.codes)
     width = max(7, len(str(n)))
     ids = tuple(f"R{pos:0{width}d}" for pos in range(1, n + 1))
     return Corpus._of(ids, years, titles, countries, addresses)
@@ -298,17 +317,14 @@ def ingest(source: str | Iterable[str]) -> Corpus:
     # A string is read as a text file is, breaking lines only on \n, \r and \r\n.
     lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
     ids: list[str] = []
-    years: list[int] = []
-    seen_lines: dict[str, int] = {}
-    year_of: dict[str, int] = {}
-    titles, countries, addresses = _Encoder(), _Encoder(), _Encoder()
-    # per field: raw text -> the number of its parsed value
-    so_codes: dict[str, int] = {}
-    cu_codes: dict[str, int] = {}
-    ad_codes: dict[str, int] = {}
+    seen: set[str] = set()
+    comments: list[int] = []  # the line numbers of comment lines, ascending
+    years = _Encoder(_parse_year)
+    titles, countries, addresses = (_Encoder(partial(_parse_field, t)) for t in ("SO", "CU", "AD"))
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
         if line.startswith("#"):
+            comments.append(lineno)
             continue
         if not line.strip():
             raise CorpusError(f"line {lineno}: blank line is not valid corpus data")
@@ -319,33 +335,35 @@ def ingest(source: str | Iterable[str]) -> Corpus:
             )
         id_text, year_text, so_text, cu_text, ad_text = fields
         try:
-            year = year_of.get(year_text)
-            if year is None:
-                year = year_of[year_text] = _parse_year(year_text)
+            year = years[year_text]
             rid = _check_id(id_text)
-            so = so_codes.get(so_text)
-            if so is None:
-                so = so_codes[so_text] = titles.code(_parse_field("SO", so_text))
-            cu = cu_codes.get(cu_text)
-            if cu is None:
-                cu = cu_codes[cu_text] = countries.code(_parse_field("CU", cu_text))
-            ad = ad_codes.get(ad_text)
-            if ad is None:
-                ad = ad_codes[ad_text] = addresses.code(_parse_field("AD", ad_text))
+            so, cu, ad = titles[so_text], countries[cu_text], addresses[ad_text]
         except CorpusError as exc:
             raise CorpusError(f"line {lineno}: {exc}") from None
-        if rid in seen_lines:
+        if rid in seen:
             raise CorpusError(
-                f"line {lineno}: duplicate id {rid!r} (first defined on line {seen_lines[rid]})"
+                f"line {lineno}: duplicate id {rid!r} "
+                f"(first defined on line {_line_of(ids.index(rid), comments)})"
             )
-        seen_lines[rid] = lineno
+        seen.add(rid)
         ids.append(rid)
-        years.append(year)
+        # appended here rather than by add, which would cost four Python calls a line
+        years.codes.append(year)
         titles.codes.append(so)
         countries.codes.append(cu)
         addresses.codes.append(ad)
-    return Corpus._of(tuple(ids), tuple(years), titles.column(), countries.column(),
+    return Corpus._of(tuple(ids), years.column(), titles.column(), countries.column(),
                       addresses.column())
+
+
+def _line_of(index: int, comments: list[int]) -> int:
+    """The line number of data line ``index`` (0-based), past the comment lines before it."""
+    line = index + 1
+    for comment in comments:
+        if comment > line:
+            break
+        line += 1
+    return line
 
 
 # field tag -> (the name of one value, the container of the values)
@@ -368,14 +386,14 @@ def _parse_field(tag: str, text: str) -> tuple[str, ...] | frozenset[str]:
 def _lines(corpus: Corpus) -> Iterator[str]:
     """The on-disk lines of ``corpus``, each ending in ``\\n``, header first."""
     yield FILE_HEADER + "\n"
-    # each distinct value is joined once; sets serialize sorted
-    year_texts = {year: str(year) for year in set(corpus.years)}
+    # each distinct value is written once; sets serialize sorted
+    py = [str(year) for year in corpus.years.values]
     so = ["|".join(titles) for titles in corpus.source_titles.values]
     cu, ad = (["|".join(sorted(v)) for v in column.values]
               for column in (corpus.countries, corpus.addresses))
-    for rid, year, s, c, a in zip(corpus.ids, corpus.years, corpus.source_titles.codes,
-                                  corpus.countries.codes, corpus.addresses.codes):
-        yield f"{rid}\t{year_texts[year]}\t{so[s]}\t{cu[c]}\t{ad[a]}\n"
+    for rid, y, s, c, a in zip(corpus.ids, corpus.years.codes, corpus.source_titles.codes,
+                               corpus.countries.codes, corpus.addresses.codes):
+        yield f"{rid}\t{py[y]}\t{so[s]}\t{cu[c]}\t{ad[a]}\n"
 
 
 def serialize(corpus: Corpus) -> str:
@@ -460,6 +478,9 @@ class CorpusProfile:
         if self.n_records < 0:
             raise CorpusError("profile n_records must be non-negative")
         lo, hi = self.year_range
+        if any(map(_too_long, self.year_range)):
+            raise CorpusError(f"profile year_range has a year of more than "
+                              f"{sys.get_int_max_str_digits()} digits")
         if lo < 0:
             raise CorpusError(f"profile year_range {self.year_range} starts below year 0")
         if lo > hi:
@@ -578,8 +599,7 @@ def generate(profile: CorpusProfile) -> Corpus:
     letters, letter_w = _weighted_items(profile.initial_letter_weights)
     lo, hi = profile.year_range
 
-    years: list[int] = []
-    titles, cu, ad = _Encoder(), _Encoder(), _Encoder()
+    years, titles, cu, ad = _Encoder(), _Encoder(), _Encoder(), _Encoder()
     no_address = frozenset()
     for _ in range(profile.n_records):
         country, pool = rng.choices(countries, country_w)[0]
@@ -593,8 +613,8 @@ def generate(profile: CorpusProfile) -> Corpus:
             titles.add((first,))
         cu.add(country)
         ad.add(rng.choice(pool) if pool else no_address)
-        years.append(rng.randint(lo, hi))
-    return _numbered(tuple(years), titles.column(), cu.column(), ad.column())
+        years.add(rng.randint(lo, hi))
+    return _numbered(years.column(), titles.column(), cu.column(), ad.column())
 
 
 # ---------------------------------------------------------------------------
@@ -833,7 +853,7 @@ def _shuffled(rng: random.Random, titles: _Encoder, countries: _Encoder,
     order = list(range(len(titles.codes)))
     rng.shuffle(order)
     columns = (encoder.column(order) for encoder in (titles, countries, addresses))
-    return _numbered((_FIXTURE_YEAR,) * len(order), *columns)
+    return _numbered(Column((_FIXTURE_YEAR,), (0,) * len(order)), *columns)
 
 
 def _build_uk_fixture() -> Corpus:

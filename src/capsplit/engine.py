@@ -25,13 +25,13 @@ may have to probe.
 Indexing is a per-field sorted term dictionary whose postings are
 lists of record positions, so term lookups, prefix ranges and
 next-symbol introspection are all cheap. The index is built from the
-corpus columns: positions are grouped by value once per field, and a
-term's postings join the groups of the distinct values that hold it, so
-an address set is split into tokens once, however many records share
-it. Postings are not sorted; a leaf only sets their bits. Every
-evaluated result is a Python ``int`` used as a bitset over record
-positions: AND, OR and NOT are ``&``, ``|`` and ``& ~``, and a count is
-``int.bit_count()``. Each distinct ``Term`` leaf is turned into a bitset
+four corpus columns alike: positions are grouped by value once per
+field, and a term's postings join the groups of the distinct values that
+hold it, so a year is written as digits and an address set is split into
+tokens once, however many records share it. Postings are not sorted; a
+leaf only sets their bits. Every evaluated result is a Python ``int``
+used as a bitset over record positions: AND, OR and NOT are ``&``, ``|``
+and ``& ~``, and a count is ``int.bit_count()``. Each distinct ``Term`` leaf is turned into a bitset
 once and kept: its postings set bits in a little-endian byte buffer of
 one bit per record, which ``int.from_bytes`` reads as the int. A leaf
 cannot go stale, so
@@ -128,9 +128,8 @@ class CappedEngine:
         self._ids = corpus.ids
         # one int object per position, shared by the postings of every field
         positions = list(range(len(corpus)))
-        by_year = _group(positions, corpus.years)
         self._postings: dict[FieldKind, dict[str, list[int]]] = {
-            FieldKind.PY: {str(year): group for year, group in by_year.items()},
+            FieldKind.PY: _postings(positions, corpus.years, lambda year: (str(year),)),
             FieldKind.CU: _postings(positions, corpus.countries, iter),
             FieldKind.SO: _postings(positions, corpus.source_titles, iter),
             FieldKind.AD: _postings(positions, corpus.addresses, _address_tokens),

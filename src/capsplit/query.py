@@ -452,14 +452,15 @@ def _scan_term(corpus: Corpus, term: Term) -> set[str]:
 
     Each distinct string a record can be found through (a year's digits, a
     country, a title, an address token) is matched once; then one pass over
-    the field's column keeps the ids whose value holds a matched string.
+    the field's column of value numbers keeps the ids whose value holds a
+    matched string. Every field, the year included, takes this path.
     """
     match = term.pattern.matches
     field = term.field
     if field is FieldKind.PY:
-        years = {year for year in set(corpus.years) if match(str(year))}
-        return {rid for rid, year in zip(corpus.ids, corpus.years) if year in years}
-    if field is FieldKind.AD:
+        column = corpus.years
+        strings = [(str(year),) for year in column.values]
+    elif field is FieldKind.AD:
         column = corpus.addresses
         strings = [{tok for addr in value for tok in addr.split()} for value in column.values]
     else:

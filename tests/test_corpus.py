@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -19,6 +20,7 @@ from capsplit import (
     save_corpus,
     serialize,
 )
+import capsplit.corpus
 from capsplit.cli import main
 from capsplit.corpus import (
     FILE_HEADER,
@@ -59,6 +61,15 @@ def test_ingest_duplicate_id_names_both_lines():
     text = "R1\t2007\tA REV\tUSA\t\nR1\t2008\tB REV\tUSA\t"
     with pytest.raises(CorpusError, match=r"line 2: duplicate id 'R1'.*line 1"):
         ingest(text)
+    # comment lines before and between the two definitions count as lines
+    text = (
+        f"{FILE_HEADER}\n# second comment\nR0\t2007\tA REV\tUSA\t\n# between\n"
+        "R1\t2007\tA REV\tUSA\t\n# a\n# b\nR2\t2007\tA REV\tUSA\t\n# c\nR1\t2008\tB REV\tUSA\t\n"
+    )
+    with pytest.raises(CorpusError, match=r"^line 10: duplicate id 'R1' \(first defined on line 5\)$"):
+        ingest(text)
+    with pytest.raises(CorpusError, match=r"^line 5: duplicate id 'R0' \(first defined on line 3\)$"):
+        ingest(f"{FILE_HEADER}\n#\nR0\t2007\tA REV\tUSA\t\n#\nR0\t2007\tA REV\tUSA\t\n")
 
 
 def test_ingest_wrong_field_count_names_line():
@@ -98,7 +109,10 @@ def test_ingest_years_round_trip(year):
     assert serialize(ingest(text)) == text
 
 
-@pytest.mark.parametrize("year", [-1, True, "2007", 2007.0, None])
+@pytest.mark.parametrize(
+    "year",
+    [-1, True, "2007", 2007.0, None, pytest.param(10**5000, id="5001-digits")],
+)
 def test_record_rejects_a_year_ingest_could_not_read_back(year):
     with pytest.raises(CorpusError, match="pub_year must be a non-negative int"):
         make_record("R1", ("A REV",), year=year)
@@ -142,6 +156,39 @@ def test_ingest_parses_repeated_field_text_once_per_field():
         ingest("R1\t2007\tA REV\tUSA\t\nR2\t2007\tA REV\t\t")
 
 
+def test_ingest_parses_each_distinct_raw_text_once_per_field(monkeypatch, cuba_corpus):
+    calls: Counter = Counter()
+    parse_field, parse_year = capsplit.corpus._parse_field, capsplit.corpus._parse_year
+
+    def counted_field(tag, text):
+        calls[tag, text] += 1
+        return parse_field(tag, text)
+
+    def counted_year(text):
+        calls["PY", text] += 1
+        return parse_year(text)
+
+    monkeypatch.setattr(capsplit.corpus, "_parse_field", counted_field)
+    monkeypatch.setattr(capsplit.corpus, "_parse_year", counted_year)
+    rows = [
+        ("2007", "A REV", "USA", "MIT CAMBRIDGE"),
+        ("2007", "A REV", "USA", "MIT CAMBRIDGE"),
+        ("2008", "B REV|A REV", "USA|CUBA", "MIT CAMBRIDGE"),
+        ("2007", "a rev", "usa", ""),
+        ("2008", "A REV", "USA", ""),
+    ]
+    corpus = ingest("".join("\t".join((f"R{i}", *row)) + "\n" for i, row in enumerate(rows)))
+    assert calls == Counter(
+        {(tag, text): 1 for row in rows for tag, text in zip(("PY", "SO", "CU", "AD"), row)}
+    )
+    # raw texts that parse alike share one value
+    assert corpus.years.values == (2007, 2008)
+    assert corpus.source_titles.values == (("A REV",), ("B REV", "A REV"))
+    assert corpus.countries.codes == (0, 0, 1, 0, 0)
+    # a fixture has one year
+    assert cuba_corpus.years.values == (2007,)
+
+
 # -- serialize --------------------------------------------------------------
 
 
@@ -178,7 +225,8 @@ _VALUES = st.lists(
     min_size=1, max_size=3,
 ).map(" ".join)
 _ROW = st.tuples(
-    st.one_of(st.sampled_from([0, 10_000, 123_456_789_012]), st.integers(0, 10**6)),
+    # 10**4299 has 4300 digits, the most that ingest reads
+    st.one_of(st.sampled_from([0, 10_000, 123_456_789_012, 10**4299]), st.integers(0, 10**6)),
     st.lists(_VALUES, min_size=1, max_size=2, unique=True),  # source titles
     st.frozensets(_VALUES, min_size=1, max_size=2),  # countries
     st.frozensets(_VALUES, max_size=2),  # addresses
@@ -326,6 +374,8 @@ def test_invalid_profiles_rejected():
         generate(CorpusProfile(seed=1, n_records=1, year_range=(2009, 2005)))
     with pytest.raises(CorpusError, match="starts below year 0"):
         generate(CorpusProfile(seed=1, n_records=1, year_range=(-5, 2007)))
+    with pytest.raises(CorpusError, match="year_range has a year of more than"):
+        generate(CorpusProfile(seed=1, n_records=1, year_range=(0, 10**5000)))
     with pytest.raises(CorpusError, match="negative weight"):
         generate(CorpusProfile(seed=1, n_records=1, country_weights={"USA": -1.0}))
     with pytest.raises(CorpusError, match="no positive weight"):
