@@ -152,10 +152,12 @@ def emit_report(report: RunReport) -> str:
 
 
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    try:  # int() alone would also take "１０", "1_000" and " 7 "
+        value = int(text) if text.isascii() and text.isdigit() else None
+    except ValueError:  # more digits than int() converts
+        value = None
+    if value is None:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number in ASCII digits")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value

@@ -44,7 +44,7 @@ import random
 import sys
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator
 
 # Canonical symbol order for title initials: letters first, then digits.
@@ -315,13 +315,17 @@ def ingest(source: str | Iterable[str]) -> Corpus:
     (``usa``, ``USA``) share one value.
     """
     # A string is read as a text file is, breaking lines only on \n, \r and \r\n.
-    lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
+    lines = iter(io.StringIO(source, newline=None) if isinstance(source, str) else source)
+    first = list(islice(lines, 1))
+    if first and first[0].startswith("\ufeff"):
+        raise CorpusError("line 1: text starts with a byte-order mark (U+FEFF); "
+                          "corpus text is UTF-8 without one")
     ids: list[str] = []
     seen: set[str] = set()
     comments: list[int] = []  # the line numbers of comment lines, ascending
     years = _Encoder(_parse_year)
     titles, countries, addresses = (_Encoder(partial(_parse_field, t)) for t in ("SO", "CU", "AD"))
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(chain(first, lines), start=1):
         line = raw.rstrip("\n")
         if line.startswith("#"):
             comments.append(lineno)

@@ -29,19 +29,22 @@ four corpus columns alike: positions are grouped by value once per
 field, and a term's postings join the groups of the distinct values that
 hold it, so a year is written as digits and an address set is split into
 tokens once, however many records share it. Postings are not sorted; a
-leaf only sets their bits. Every evaluated result is a Python ``int``
-used as a bitset over record positions: AND, OR and NOT are ``&``, ``|``
-and ``& ~``, and a count is ``int.bit_count()``. Each distinct ``Term`` leaf is turned into a bitset
+leaf only sets their bits.
+
+A query is evaluated by ``query.fold``, the one walk of a query tree.
+Every result is a Python ``int`` used as a bitset over record positions:
+AND, OR and NOT are ``&``, ``|`` and ``& ~``, and a count is
+``int.bit_count()``. Each distinct ``Term`` leaf is turned into a bitset
 once and kept: its postings set bits in a little-endian byte buffer of
 one bit per record, which ``int.from_bytes`` reads as the int. A leaf
-cannot go stale, so
-that cache is bounded by the distinct leaves ever queried. Next-symbol
-introspection hops from one child symbol to the next by bisection, so it
-reads one stored term per child, not every term under the prefix.
-Nothing else is cached: operator results are recomputed on every query,
-and the session list holds each statement's immutable int. ``retrieve``
-reads a result's bytes and visits only those with a set bit, so its cost
-follows the result size, not the corpus size.
+cannot go stale, so that cache is bounded by the distinct leaves ever
+queried. Nothing else is cached: operator results are recomputed on
+every query, and the session list holds each statement's immutable int.
+Next-symbol introspection hops from one child symbol to the next by
+bisection, so it reads one stored term per child, not every term under
+the prefix. ``retrieve`` reads a result's bytes and visits only those
+with a set bit, so its cost follows the result size, not the corpus
+size.
 """
 
 from __future__ import annotations
@@ -53,14 +56,7 @@ from itertools import chain, compress
 from typing import Iterable, Iterator
 
 from .corpus import Column, Corpus
-from .query import (
-    And,
-    FieldKind,
-    Or,
-    Query,
-    SetRef,
-    Term,
-)
+from .query import And, Diff, FieldKind, Or, Query, SetRef, Term, fold
 
 VISIBLE = "visible"
 CENSORED = "censored"
@@ -241,51 +237,39 @@ class CappedEngine:
             yield terms[i]
             i += 1
 
-    def _eval(self, node: Query) -> int:
-        # Iterative, so statement chains of any length evaluate fine.
-        results: list[int] = []
-        stack: list[tuple[Query, bool]] = [(node, False)]
-        while stack:
-            current, ready = stack.pop()
-            if isinstance(current, Term):
-                results.append(self._leaf(current))
-            elif isinstance(current, SetRef):
-                # SetRef numbers are >= 1; a statement still being registered
-                # is not in the list yet, so self and forward references fail too
-                if current.number > len(self._statements):
-                    raise EngineError(f"unbound set reference #{current.number}")
-                results.append(self._statements[current.number - 1])
-            elif not ready:
-                stack.append((current, True))
-                stack.append((current.right, False))
-                stack.append((current.left, False))
-            else:
-                right = results.pop()
-                left = results.pop()
-                if isinstance(current, And):
-                    results.append(left & right)
-                elif isinstance(current, Or):
-                    results.append(left | right)
-                else:
-                    results.append(left & ~right)
-        return results[0]
+    def _eval(self, query: Query) -> int:
+        return fold(query, self._leaf, _combine)
 
-    def _leaf(self, term: Term) -> int:
-        bits = self._leaves.get(term)
+    def _leaf(self, node: Term | SetRef) -> int:
+        if isinstance(node, SetRef):
+            # SetRef numbers are >= 1; a statement still being registered
+            # is not in the list yet, so self and forward references fail too
+            if node.number > len(self._statements):
+                raise EngineError(f"unbound set reference #{node.number}")
+            return self._statements[node.number - 1]
+        bits = self._leaves.get(node)
         if bits is not None:
             return bits
-        postings = self._postings[term.field]
-        text = term.pattern.text
-        if term.pattern.truncated:
-            matched = [postings[t] for t in self._terms_with_prefix(term.field, text)]
+        postings = self._postings[node.field]
+        text = node.pattern.text
+        if node.pattern.truncated:
+            matched = [postings[t] for t in self._terms_with_prefix(node.field, text)]
         else:
             matched = [postings.get(text, ())]
         # little-endian bytes: position p is bit p & 7 of byte p >> 3
         buf = bytearray((len(self._ids) + 7) >> 3)
         for pos in chain.from_iterable(matched):
             buf[pos >> 3] |= 1 << (pos & 7)
-        bits = self._leaves[term] = int.from_bytes(buf, "little")
+        bits = self._leaves[node] = int.from_bytes(buf, "little")
         return bits
+
+
+def _combine(node: And | Or | Diff, left: int, right: int) -> int:
+    if isinstance(node, And):
+        return left & right
+    if isinstance(node, Or):
+        return left | right
+    return left & ~right
 
 
 def _group(positions: list[int], keys: Iterable) -> dict:

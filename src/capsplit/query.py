@@ -18,6 +18,11 @@ is sugar for ``FIELD=a OR FIELD=b`` and is expanded during parsing.
 Values may span several words (``CU=NORTH IRELAND``) and may end in a
 ``*`` truncation marker that turns equality into prefix matching.
 
+A query tree is walked in one place, ``postorder``, with an explicit stack,
+since an overlap statement over 64 sections nests 2,016 pairs deep. The
+engine, ``Oracle.evaluate`` and ``print_normalized`` are each a ``fold``
+over it, and equality compares two post-order sequences.
+
 Field semantics over a corpus: PY matches the decimal publication year,
 CU any affiliation country, SO any source title (a record with two titles
 is found through either one), AD any whitespace-separated token of any
@@ -37,8 +42,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
-from typing import Mapping, Set, Union
+from itertools import compress, zip_longest
+from typing import Callable, Iterator, Mapping, Set, TypeVar, Union
 
 from .corpus import Corpus, normalize_text
 
@@ -61,7 +66,6 @@ class FieldKind(Enum):
 
 
 _PATTERN_FORBIDDEN = set("()=#*")
-_KEYWORDS = {"AND", "OR", "NOT"}
 
 
 @dataclass(frozen=True)
@@ -103,25 +107,15 @@ class Term:
 
 class _Binary:
     def __eq__(self, other: object) -> bool:
-        # Iterative: an overlap statement over 64 sections is an OR chain
-        # 2,016 pairs deep, past the interpreter's recursion limit.
+        # Every node's arity is fixed, so its post-order sequence determines the tree.
         if self is other:
             return True
         if type(other) is not type(self):
             return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if type(a) is not type(b):
-                return False
-            if isinstance(a, _Binary):
-                stack.append((a.right, b.right))
-                stack.append((a.left, b.left))
-            elif a != b:  # Term/SetRef: shallow dataclass equality
-                return False
-        return True
+        return all(
+            type(a) is type(b) and (isinstance(a, _Binary) or a == b)
+            for a, b in zip_longest(postorder(self), postorder(other))
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,6 +150,35 @@ class SetRef:
 
 
 Query = Union[Term, And, Or, Diff, SetRef]
+
+# the surface keyword of each operator, for the parser and the printer alike
+_KEYWORDS: dict[str, type[_Binary]] = {"AND": And, "OR": Or, "NOT": Diff}
+_SPELLING = {op: word for word, op in _KEYWORDS.items()}
+
+T = TypeVar("T")
+
+
+def postorder(query: Query) -> Iterator[Query]:
+    """Yield each node of ``query`` after its operands, left before right, without recursion."""
+    stack: list[tuple[Query, bool]] = [(query, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded or not isinstance(node, _Binary):
+            yield node
+        else:
+            stack += ((node, True), (node.right, False), (node.left, False))
+
+
+def fold(query: Query, leaf: Callable[..., T], combine: Callable[..., T]) -> T:
+    """The value of ``query``: ``leaf(node)`` at a leaf, ``combine(node, left, right)`` above."""
+    values: list[T] = []
+    for node in postorder(query):
+        if isinstance(node, _Binary):
+            right = values.pop()
+            values[-1] = combine(node, values[-1], right)
+        else:
+            values.append(leaf(node))
+    return values[0]
 
 
 def or_chain(parts: list[Query]) -> Query:
@@ -257,7 +280,7 @@ class _Parser:
         while self.peek().kind == "kw" and self.peek().text in ("AND", "NOT"):
             op = self.take()
             right = self.primary()
-            node = And(node, right) if op.text == "AND" else Diff(node, right)
+            node = _KEYWORDS[op.text](node, right)
         return node
 
     def primary(self) -> Query:
@@ -328,52 +351,28 @@ def parse(text: str) -> Query:
 def print_normalized(query: Query) -> str:
     """Render the canonical text form; reparsing yields an identical tree.
 
-    AND/NOT chains print flat; OR operands that are AND/NOT expressions are
-    always parenthesized (``(#1 AND #2) OR (#1 AND #3)``), as are any
-    right-nested same-precedence operands, so the printed structure is
-    unambiguous under the left-associative grammar.
-
-    Iterative so that statement chains of any length render without
-    hitting the interpreter's recursion limit.
+    An operator operand is parenthesized when it is the right operand, or
+    when exactly one of it and its parent is an OR. So AND/NOT chains
+    print flat, OR operands that are AND/NOT expressions are always
+    parenthesized (``(#1 AND #2) OR (#1 AND #3)``), and the printed
+    structure is unambiguous under the left-associative grammar.
     """
-    rendered: list[str] = []
-    stack: list[tuple[Query, bool]] = [(query, False)]
-    while stack:
-        node, ready = stack.pop()
-        if isinstance(node, Term):
-            star = "*" if node.pattern.truncated else ""
-            rendered.append(f"{node.field.value}={node.pattern.text}{star}")
-        elif isinstance(node, SetRef):
-            rendered.append(f"#{node.number}")
-        elif not ready:
-            stack.append((node, True))
-            stack.append((node.right, False))
-            stack.append((node.left, False))
-        else:
-            right = rendered.pop()
-            left = rendered.pop()
-            if isinstance(node, Or):
-                left = _wrap_or(node.left, left, right_side=False)
-                right = _wrap_or(node.right, right, right_side=True)
-                rendered.append(f"{left} OR {right}")
-            else:
-                op = "AND" if isinstance(node, And) else "NOT"
-                left = _wrap_and(node.left, left, right_side=False)
-                right = _wrap_and(node.right, right, right_side=True)
-                rendered.append(f"{left} {op} {right}")
-    return rendered[0]
+    return fold(query, _print_leaf, _print_operator)
 
 
-def _wrap_or(node: Query, text: str, right_side: bool) -> str:
-    if isinstance(node, (And, Diff)) or (right_side and isinstance(node, Or)):
-        return f"({text})"
-    return text
+def _print_leaf(node: Term | SetRef) -> str:
+    if isinstance(node, SetRef):
+        return f"#{node.number}"
+    star = "*" if node.pattern.truncated else ""
+    return f"{node.field.value}={node.pattern.text}{star}"
 
 
-def _wrap_and(node: Query, text: str, right_side: bool) -> str:
-    if isinstance(node, Or) or (right_side and isinstance(node, (And, Diff))):
-        return f"({text})"
-    return text
+def _print_operator(node: And | Or | Diff, left: str, right: str) -> str:
+    if isinstance(node.left, _Binary) and (type(node.left) is Or) != (type(node) is Or):
+        left = f"({left})"
+    if isinstance(node.right, _Binary):
+        right = f"({right})"
+    return f"{left} {_SPELLING[type(node)]} {right}"
 
 
 # ---------------------------------------------------------------------------
@@ -401,38 +400,31 @@ class Oracle:
         """Evaluate a query to a fresh set of matching record ids.
 
         ``registry`` resolves ``#n`` references to previously computed id
-        sets. Iterative, so arbitrarily long statement chains evaluate fine.
+        sets.
         """
         reg: Mapping[int, Set[str]] = registry if registry is not None else {}
-        results: list[frozenset[str] | Set[str]] = []
-        stack: list[tuple[Query, bool]] = [(query, False)]
-        while stack:
-            node, ready = stack.pop()
-            if isinstance(node, Term):
-                ids = self._terms.get(node)
-                if ids is None:
-                    ids = self._terms[node] = frozenset(_scan_term(self.corpus, node))
-                results.append(ids)
-            elif isinstance(node, SetRef):
+
+        def leaf(node: Term | SetRef) -> frozenset[str] | Set[str]:
+            if isinstance(node, SetRef):
                 try:
-                    results.append(reg[node.number])
+                    return reg[node.number]
                 except KeyError:
                     raise QueryError(f"unbound set reference #{node.number}") from None
-            elif not ready:
-                stack.append((node, True))
-                stack.append((node.right, False))
-                stack.append((node.left, False))
-            else:
-                right = results.pop()
-                left = results.pop()
-                if isinstance(node, And):
-                    results.append(left & right)
-                elif isinstance(node, Or):
-                    results.append(left | right)
-                else:
-                    results.append(left - right)
+            ids = self._terms.get(node)
+            if ids is None:
+                ids = self._terms[node] = frozenset(_scan_term(self.corpus, node))
+            return ids
+
         # a copy, so no caller can change a kept term set or a registry entry
-        return set(results[0])
+        return set(fold(query, leaf, _combine_sets))
+
+
+def _combine_sets(node: And | Or | Diff, left: Set[str], right: Set[str]) -> Set[str]:
+    if isinstance(node, And):
+        return left & right
+    if isinstance(node, Or):
+        return left | right
+    return left - right
 
 
 def evaluate(

@@ -168,6 +168,17 @@ def test_unknown_flag_and_bad_cap_are_usage_errors(cuba_file, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "cap",
+    ["\uff11\uff10", "\u0663", "1_000", " 7 ", "7 ", "+7", "-1", "0", "7.0", "", "9" * 5000],
+    ids=["full-width", "arabic-indic", "underscore", "spaces", "trailing-space", "plus",
+         "negative", "zero", "decimal", "empty", "5000-digits"],
+)
+def test_cap_takes_ascii_digits_only(cap, cuba_file, capsys):
+    assert main(["count", "--corpus", cuba_file, "--cap", cap, "PY=2007"]) == 2
+    assert "argument --cap" in capsys.readouterr().err
+
+
 def test_exactly_one_planning_source(cuba_file, tmp_path, capsys):
     args = ["run", "--corpus", cuba_file, "--base", CUBA_BASE]
     assert main(args + ["--auto", "--groups", "A,B"]) == 2

@@ -102,6 +102,20 @@ def test_ingest_accepts_only_years_that_round_trip(year, tmp_path, capsys):
     assert "unparsable year" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("header", [True, False], ids=["header", "no-header"])
+def test_ingest_refuses_a_leading_byte_order_mark(header, tmp_path, capsys):
+    text = (f"{FILE_HEADER}\n" if header else "") + "R1\t2007\tA REV\tUSA\t\n"
+    assert len(ingest(text)) == 1
+    with pytest.raises(CorpusError, match=r"^line 1: .*byte-order mark"):
+        ingest("\ufeff" + text)
+    path = tmp_path / "bom.tsv"
+    path.write_text(text, encoding="utf-8-sig")  # UTF-8 with a leading EF BB BF
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert main(["ingest", "--corpus", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "line 1:" in err and "byte-order mark" in err
+
+
 @pytest.mark.parametrize("year", ["0", "7", "2007", "10000"])
 def test_ingest_years_round_trip(year):
     text = f"{FILE_HEADER}\nR1\t{year}\tA REV\tUSA\t\n"

@@ -169,6 +169,56 @@ def test_print_overlap_statement_has_21_parenthesized_pairs():
     assert text.endswith("(#6 AND #7)")
 
 
+# A parenthesizes an operator operand iff it is the right operand or
+# exactly one of it and its parent is an OR. The operand is CU=X <op> SO=A*
+# (or SO=A* alone); its sibling is PY=1.
+_OPERANDS = {
+    "Term": Term(SO, Pattern("A", truncated=True)),
+    "And": And(Term(CU, Pattern("X")), Term(SO, Pattern("A", truncated=True))),
+    "Or": Or(Term(CU, Pattern("X")), Term(SO, Pattern("A", truncated=True))),
+    "Diff": Diff(Term(CU, Pattern("X")), Term(SO, Pattern("A", truncated=True))),
+}
+_PARENTHESIZATION = [
+    (And, "left", "Term", "SO=A* AND PY=1"),
+    (And, "left", "And", "CU=X AND SO=A* AND PY=1"),
+    (And, "left", "Or", "(CU=X OR SO=A*) AND PY=1"),
+    (And, "left", "Diff", "CU=X NOT SO=A* AND PY=1"),
+    (And, "right", "Term", "PY=1 AND SO=A*"),
+    (And, "right", "And", "PY=1 AND (CU=X AND SO=A*)"),
+    (And, "right", "Or", "PY=1 AND (CU=X OR SO=A*)"),
+    (And, "right", "Diff", "PY=1 AND (CU=X NOT SO=A*)"),
+    (Or, "left", "Term", "SO=A* OR PY=1"),
+    (Or, "left", "And", "(CU=X AND SO=A*) OR PY=1"),
+    (Or, "left", "Or", "CU=X OR SO=A* OR PY=1"),
+    (Or, "left", "Diff", "(CU=X NOT SO=A*) OR PY=1"),
+    (Or, "right", "Term", "PY=1 OR SO=A*"),
+    (Or, "right", "And", "PY=1 OR (CU=X AND SO=A*)"),
+    (Or, "right", "Or", "PY=1 OR (CU=X OR SO=A*)"),
+    (Or, "right", "Diff", "PY=1 OR (CU=X NOT SO=A*)"),
+    (Diff, "left", "Term", "SO=A* NOT PY=1"),
+    (Diff, "left", "And", "CU=X AND SO=A* NOT PY=1"),
+    (Diff, "left", "Or", "(CU=X OR SO=A*) NOT PY=1"),
+    (Diff, "left", "Diff", "CU=X NOT SO=A* NOT PY=1"),
+    (Diff, "right", "Term", "PY=1 NOT SO=A*"),
+    (Diff, "right", "And", "PY=1 NOT (CU=X AND SO=A*)"),
+    (Diff, "right", "Or", "PY=1 NOT (CU=X OR SO=A*)"),
+    (Diff, "right", "Diff", "PY=1 NOT (CU=X NOT SO=A*)"),
+]
+
+
+@pytest.mark.parametrize(
+    "parent, side, operand, text",
+    _PARENTHESIZATION,
+    ids=[f"{parent.__name__}-{side}-{operand}" for parent, side, operand, _ in _PARENTHESIZATION],
+)
+def test_print_parenthesizes_operator_operands(parent, side, operand, text):
+    sibling = Term(PY, Pattern("1"))
+    pair = (_OPERANDS[operand], sibling) if side == "left" else (sibling, _OPERANDS[operand])
+    query = parent(*pair)
+    assert print_normalized(query) == text
+    assert parse(text) == query
+
+
 def _random_pattern(rng: random.Random) -> Pattern:
     words = [
         "".join(rng.choice("ABCXYZ019") for _ in range(rng.randint(1, 4)))
@@ -194,6 +244,23 @@ def test_print_parse_round_trip_on_random_asts():
         reparsed = parse(text)
         assert reparsed == ast
         assert print_normalized(reparsed) == text  # idempotent
+
+
+def test_equality_depends_on_shape_not_only_on_leaves():
+    a, b, c = (Term(SO, Pattern(t)) for t in "ABC")
+    unequal = [
+        (Or(Or(a, b), c), Or(a, Or(b, c))),
+        (And(a, b), Diff(a, b)),
+        (Or(a, b), Or(Or(a, b), c)),
+        (And(Or(a, b), c), And(Or(a, b), And(c, c))),
+        (Or(a, b), Or(a, SetRef(1))),
+        (build_overlap_statement(64), build_overlap_statement(63)),
+    ]
+    for left, right in unequal:
+        assert left != right and right != left
+    assert Term(SO, Pattern("1")) != SetRef(1)
+    assert Or(Or(a, b), c) == Or(Or(Term(SO, Pattern("A")), b), c)
+    assert build_overlap_statement(64) == build_overlap_statement(64)
 
 
 # -- evaluation -------------------------------------------------------------
