@@ -29,6 +29,7 @@ from .corpus import (
     FIXTURE_NAMES,
     CorpusError,
     CorpusProfile,
+    _ascii_int,
     build_fixture,
     generate,
     load_corpus,
@@ -151,13 +152,15 @@ def emit_report(report: RunReport) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    try:  # int() alone would also take "１０", "1_000" and " 7 "
-        value = int(text) if text.isascii() and text.isdigit() else None
-    except ValueError:  # more digits than int() converts
-        value = None
+def _natural_int(text: str) -> int:
+    value = _ascii_int(text)
     if value is None:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number in ASCII digits")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = _natural_int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
@@ -191,8 +194,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", help="output path (default: stdout)")
     gen.add_argument("--profile", help="JSON generator profile")
     gen.add_argument("--fixture", choices=FIXTURE_NAMES, help="write a shipped fixture instead")
-    gen.add_argument("--seed", type=int)
-    gen.add_argument("--n", type=int)
+    gen.add_argument("--seed", type=_natural_int)
+    gen.add_argument("--n", type=_natural_int)
     gen.add_argument("--multi-title-prob", type=float, dest="multi_title_prob")
     gen.add_argument("--countries", help="comma list of NAME[:WEIGHT]")
 

@@ -28,11 +28,14 @@ fills every column, parsing each distinct raw value once. ``Record``
 stays the value type of one record: ``Corpus(records)`` encodes records,
 and iterating a corpus builds them back on demand.
 
-Each value is checked once, where it enters: corpus text in ``ingest``,
-once per distinct field text; Python values in ``Record``/``Corpus``; a
-profile file's JSON types in ``CorpusProfile.from_dict``; and a generator
-profile's countries and address pools once per ``generate`` call, drawn or
-not. Ingest, the generator and the fixtures then fill the columns without
+Each kind of input has one reader, whatever door it enters by.
+``_parse_field`` reads SO, CU and AD values: ``ingest`` text once per
+distinct field text, ``Record``'s Python values, and a generator profile's
+countries and address pools once per ``generate`` call, drawn or not.
+``CorpusProfile.validate`` checks a profile's types, then its values, for
+Python and JSON profiles alike. ``_ascii_int`` reads a number written in
+ASCII digits: a year here, and the CLI's counts and ``#N`` in queries.
+Ingest, the generator and the fixtures then fill the columns without
 rechecks.
 """
 
@@ -42,7 +45,7 @@ import io
 import math
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import chain, islice
 from typing import Iterable, Iterator
@@ -78,21 +81,19 @@ class CorpusError(ValueError):
 _VALUE_RESERVED = set("|()=#*")
 
 
-def _check_value(value: str, what: str) -> str:
-    if not value:
-        raise CorpusError(f"empty {what}")
-    bad = _VALUE_RESERVED.intersection(value)
-    if bad:
-        raise CorpusError(f"{what} {value!r} contains reserved character {sorted(bad)[0]!r}")
-    return value
+def _ascii_int(text: str) -> int | None:
+    """The number ``text`` writes in ASCII digits, or None, also past ``int``'s digit limit."""
+    if not (text.isascii() and text.isdigit()):  # int() alone takes "１０", "1_0" and " 7"
+        return None
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        return None
 
 
 def _parse_year(text: str) -> int:
     """Read a year written as ``serialize`` writes one: ASCII digits, no sign or leading zero."""
-    try:
-        year = int(text) if text.isascii() and text.isdigit() else None
-    except ValueError:  # more digits than int() converts
-        year = None
+    year = _ascii_int(text)
     if year is None or str(year) != text:
         raise CorpusError(f"unparsable year {text!r}")
     return year
@@ -139,17 +140,12 @@ class Record:
         if _too_long(year):
             raise CorpusError(f"record {rid!r} pub_year must be a non-negative int of at most "
                               f"{sys.get_int_max_str_digits()} digits")
-        titles = tuple(_check_value(normalize_text(t), "source title") for t in self.source_titles)
-        if not titles:
-            raise CorpusError(f"record {rid!r} has no source titles")
-        countries = frozenset(_check_value(normalize_text(c), "country") for c in self.countries)
-        if not countries:
-            raise CorpusError(f"record {rid!r} has no countries")
-        addresses = frozenset(_check_value(normalize_text(a), "address") for a in self.addresses)
         object.__setattr__(self, "id", rid)
-        object.__setattr__(self, "source_titles", titles)
-        object.__setattr__(self, "countries", countries)
-        object.__setattr__(self, "addresses", addresses)
+        for tag, name in (("SO", "source_titles"), ("CU", "countries"), ("AD", "addresses")):
+            try:
+                object.__setattr__(self, name, _parse_field(tag, getattr(self, name), text=False))
+            except CorpusError as exc:
+                raise CorpusError(f"record {rid!r}: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,17 +370,31 @@ def _line_of(index: int, comments: list[int]) -> int:
 _FIELDS = {"SO": ("source title", tuple), "CU": ("country", frozenset), "AD": ("address", frozenset)}
 
 
-def _parse_field(tag: str, text: str) -> tuple[str, ...] | frozenset[str]:
-    """Split one field on ``|``, normalize each value and check it; only AD may be empty."""
+def _parse_field(tag: str, values: str | Iterable[str],
+                 text: bool = True) -> tuple[str, ...] | frozenset[str]:
+    """Read one field's values: its text, split on ``|``, or (``text=False``) a collection.
+
+    Every entry point reads SO, CU and AD values here. Each value is
+    normalized; none may be empty or hold a reserved character, and only AD
+    may have none. A bare string given for a collection is refused: iterating
+    it would make each character a value.
+    """
     what, container = _FIELDS[tag]
-    if not text:
+    if text:
+        values = values.split("|") if values else ()
+    elif isinstance(values, str):
+        raise CorpusError(f"{tag} values must be a collection, got the string {values!r}")
+    values = [normalize_text(value) for value in values]
+    if not values:
         if tag == "AD":
             return frozenset()
         raise CorpusError(f"empty {tag} field")
-    values = [normalize_text(part) for part in text.split("|")]
     if not all(values):
         raise CorpusError(f"{tag} field has an empty value")
-    return container(_check_value(value, what) for value in values)
+    for value in values:
+        if bad := _VALUE_RESERVED.intersection(value):
+            raise CorpusError(f"{what} {value!r} contains reserved character {sorted(bad)[0]!r}")
+    return container(values)
 
 
 def _lines(corpus: Corpus) -> Iterator[str]:
@@ -477,6 +487,11 @@ class CorpusProfile:
     )
 
     def validate(self) -> None:
+        """Check every field's type, then its value, however the profile was built."""
+        for name, (what, ok) in _PROFILE_TYPES.items():
+            value = getattr(self, name)
+            if not ok(value):
+                raise CorpusError(f"profile {name} must be {what}, got {value!r}")
         if self.seed < 0:
             raise CorpusError("profile seed must be a non-negative integer")
         if self.n_records < 0:
@@ -499,62 +514,50 @@ class CorpusProfile:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CorpusProfile":
-        """Build a profile from parsed JSON, where lists stand in for tuples.
-
-        The JSON type of every known field is checked here, where a profile
-        file enters, so a mistyped value fails with ``CorpusError`` instead
-        of deep inside ``validate`` or ``generate``.
-        """
+        """A validated profile from parsed JSON, its lists turned into tuples once checked."""
         if not isinstance(data, dict):
             raise CorpusError("profile must be a JSON object")
-        for name, value in data.items():
-            if name in _PROFILE_JSON_TYPES:
-                what, ok = _PROFILE_JSON_TYPES[name]
-                if not ok(value):
-                    raise CorpusError(f"profile {name} must be {what}, got {value!r}")
-        kwargs = dict(data)
-        if "year_range" in kwargs:
-            kwargs["year_range"] = tuple(kwargs["year_range"])
-        if "address_pools" in kwargs:
-            kwargs["address_pools"] = {
-                country: tuple(pool) for country, pool in kwargs["address_pools"].items()
-            }
-        return cls(**kwargs)
+        profile = cls(**data)
+        profile.validate()
+        pools = {country: tuple(pool) for country, pool in profile.address_pools.items()}
+        return replace(profile, year_range=tuple(profile.year_range), address_pools=pools)
 
 
-def _json_int(value: object) -> bool:
+def _int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _json_number(value: object) -> bool:
-    return _json_int(value) or isinstance(value, float)
+def _number(value: object) -> bool:
+    return _int(value) or isinstance(value, float)
 
 
-def _json_year_range(value: object) -> bool:
-    return isinstance(value, list) and len(value) == 2 and all(map(_json_int, value))
+def _year_range(value: object) -> bool:
+    return isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_int, value))
 
 
-def _json_weights(value: object) -> bool:
-    return isinstance(value, dict) and all(map(_json_number, value.values()))
-
-
-def _json_pools(value: object) -> bool:
+def _weights(value: object) -> bool:
     return isinstance(value, dict) and all(
-        isinstance(pool, list) and all(isinstance(a, str) for a in pool)
+        isinstance(key, str) and _number(weight) for key, weight in value.items()
+    )
+
+
+def _pools(value: object) -> bool:
+    return isinstance(value, dict) and all(
+        isinstance(pool, (list, tuple)) and all(isinstance(a, str) for a in pool)
         for pool in value.values()
     )
 
 
-# profile field -> (its JSON type, in words; the check); unknown fields are
-# left for the dataclass constructor to reject
-_PROFILE_JSON_TYPES = {
-    "seed": ("an integer", _json_int),
-    "n_records": ("an integer", _json_int),
-    "year_range": ("a list of two integers", _json_year_range),
-    "country_weights": ("an object of numbers", _json_weights),
-    "initial_letter_weights": ("an object of numbers", _json_weights),
-    "multi_title_prob": ("a number", _json_number),
-    "address_pools": ("an object of string lists", _json_pools),
+# profile field -> (its type as JSON names it, in words; the check). A JSON
+# list may be a Python list or tuple.
+_PROFILE_TYPES = {
+    "seed": ("an integer", _int),
+    "n_records": ("an integer", _int),
+    "year_range": ("a list of two integers", _year_range),
+    "country_weights": ("an object of numbers", _weights),
+    "initial_letter_weights": ("an object of numbers", _weights),
+    "multi_title_prob": ("a number", _number),
+    "address_pools": ("an object of string lists", _pools),
 }
 
 
@@ -586,20 +589,17 @@ def generate(profile: CorpusProfile) -> Corpus:
     profile.validate()
     rng = random.Random(profile.seed)
     names, country_w = _weighted_items(profile.country_weights)
-    # Caller-supplied names and pools are checked here, once, in the order
-    # fixed above, so no generated record is checked again. Pools are keyed
-    # by the raw country name.
-    pools = profile.address_pools
-    countries = [
-        (
-            frozenset((_check_value(normalize_text(c), "country"),)),
-            tuple(
-                frozenset((_check_value(normalize_text(a), "address"),))
-                for a in pools.get(c, ())
-            ),
-        )
-        for c in names
-    ]
+    # Caller-supplied names and pools are read here, once, in the order fixed
+    # above, so no generated record is checked again. Pools are keyed by the
+    # raw country name, and each address is drawn as a set of one.
+    pools, countries = profile.address_pools, []
+    for c in names:
+        try:
+            country = _parse_field("CU", (c,), text=False)
+            pool = tuple(_parse_field("AD", (a,), text=False) for a in pools.get(c, ()))
+            countries.append((country, pool))
+        except CorpusError as exc:
+            raise CorpusError(f"profile country {c!r}: {exc}") from None
     letters, letter_w = _weighted_items(profile.initial_letter_weights)
     lo, hi = profile.year_range
 

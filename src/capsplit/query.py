@@ -45,7 +45,7 @@ from enum import Enum
 from itertools import compress, zip_longest
 from typing import Callable, Iterator, Mapping, Set, TypeVar, Union
 
-from .corpus import Corpus, normalize_text
+from .corpus import Corpus, _ascii_int, normalize_text
 
 
 class QueryError(ValueError):
@@ -223,9 +223,10 @@ def _tokenize(text: str) -> list[_Token]:
             j = i + 1
             while j < n and text[j] in "0123456789":  # str.isdigit also takes ² and ١
                 j += 1
-            if j == i + 1:
+            number = _ascii_int(text[i + 1 : j])
+            if number is None:
                 raise QueryError("expected a statement number after '#'", i)
-            tokens.append(_Token("ref", text[i:j], i, number=int(text[i + 1 : j])))
+            tokens.append(_Token("ref", text[i:j], i, number=number))
             i = j
             continue
         j = i

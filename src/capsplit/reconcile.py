@@ -34,7 +34,7 @@ from enum import Enum
 
 from .engine import VISIBLE, CappedEngine
 from .planner import Strategy
-from .query import Oracle, SetRef, print_normalized
+from .query import Oracle, SetRef
 
 
 # one oracle per engine, dropped with the engine; an oracle never refers back to it
@@ -55,7 +55,6 @@ class Verdict(Enum):
 @dataclass(frozen=True)
 class StatementResult:
     number: int
-    text: str
     count: int | None  # None when the engine censored the count
     running_sum: int | None
 
@@ -100,7 +99,6 @@ def run_strategy(strategy: Strategy, engine: CappedEngine) -> RunReport:
     n = len(strategy.statements)
     cap = strategy.cap
     per_statement: list[StatementResult] = []
-    counts: list[int] = []
     running: int | None = 0
     violated = False
     engine.clear_statements()
@@ -109,10 +107,8 @@ def run_strategy(strategy: Strategy, engine: CappedEngine) -> RunReport:
         value = result.value
         if value is None or value >= cap:
             violated = True
-        else:
-            counts.append(value)
         running = None if (running is None or value is None) else running + value
-        per_statement.append(StatementResult(i, print_normalized(stmt), value, running))
+        per_statement.append(StatementResult(i, value, running))
     if violated:
         return RunReport(
             per_statement=tuple(per_statement),
@@ -155,7 +151,7 @@ def run_strategy(strategy: Strategy, engine: CappedEngine) -> RunReport:
         # sections carry the same information.
         overlap_count = materialized_overlap
 
-    method_a_total = sum(counts) - overlap_count
+    method_a_total = running - overlap_count
     method_b_total = excl_running + overlap_count
     if method_b_total != union_cardinality:
         raise ReconcileError(

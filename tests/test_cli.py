@@ -9,9 +9,12 @@ import pytest
 
 from capsplit import (
     CappedEngine,
+    CorpusError,
+    CorpusProfile,
     FieldKind,
     emit_report,
     emit_strategy_script,
+    generate,
     parse,
     parse_group_spec,
     parse_strategy_script,
@@ -80,6 +83,11 @@ def test_gen_bad_profile_is_data_error(tmp_path, capsys):
     [
         ({"seed": 1, "n_records": "5"}, "n_records"),
         ({"seed": 1, "n_records": 5, "address_pools": {"USA": "MIT"}}, "address_pools"),
+        ({"seed": 1.5, "n_records": 5}, "seed"),
+        ({"seed": 1, "n_records": 5, "year_range": [2005]}, "year_range"),
+        ({"seed": 1, "n_records": 5, "country_weights": {"USA": "5"}}, "country_weights"),
+        ({"seed": 1, "n_records": 5, "initial_letter_weights": ["A"]}, "initial_letter_weights"),
+        ({"seed": 1, "n_records": 5, "multi_title_prob": True}, "multi_title_prob"),
     ],
 )
 def test_gen_mistyped_profile_is_data_error(tmp_path, capsys, profile, field):
@@ -90,6 +98,11 @@ def test_gen_mistyped_profile_is_data_error(tmp_path, capsys, profile, field):
     err = capsys.readouterr().err
     assert f"invalid profile {path}" in err and field in err
     assert not out.exists()
+    # the same value in a Python profile fails the same check with the same message
+    with pytest.raises(CorpusError) as python_err:
+        generate(CorpusProfile(**profile))
+    assert err == f"error: invalid profile {path}: {python_err.value}\n"
+    assert str(python_err.value).startswith(f"profile {field} must be ")
 
 
 def test_gen_reserved_character_in_profile_is_data_error(tmp_path, capsys):
@@ -138,6 +151,9 @@ def test_count_bad_query_is_usage_error(cuba_file, capsys):
     assert "offset" in capsys.readouterr().err
     assert main(["count", "--corpus", cuba_file, "#²"]) == 2
     assert "statement number after '#' (offset 0)" in capsys.readouterr().err
+    # more digits than int() converts
+    assert main(["count", "--corpus", cuba_file, "#" + "1" * 5000]) == 2
+    assert "statement number after '#' (offset 0)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -177,6 +193,19 @@ def test_unknown_flag_and_bad_cap_are_usage_errors(cuba_file, capsys):
 def test_cap_takes_ascii_digits_only(cap, cuba_file, capsys):
     assert main(["count", "--corpus", cuba_file, "--cap", cap, "PY=2007"]) == 2
     assert "argument --cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--n", "1_0"), ("--n", "\uff11\uff10"), ("--seed", "\u0663"), ("--seed", "-1"),
+     ("--n", "9" * 5000)],
+    ids=["n-underscore", "n-full-width", "seed-arabic-indic", "seed-negative", "n-5000-digits"],
+)
+def test_gen_counts_take_ascii_digits_only(flag, value, tmp_path, capsys):
+    out = tmp_path / "c.tsv"
+    assert main(["gen", flag, value, "--out", str(out)]) == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exactly_one_planning_source(cuba_file, tmp_path, capsys):

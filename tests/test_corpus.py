@@ -327,6 +327,8 @@ def test_record_rejects_reserved_characters():
         make_record("R1", ("A|B",))
     with pytest.raises(CorpusError):
         make_record("R1", ())
+    with pytest.raises(CorpusError, match="got the string 'NATURE'"):
+        make_record("R1", "NATURE")  # one title, not six of one letter each
     with pytest.raises(CorpusError):
         Record(id="R1", pub_year=2007, source_titles=("A REV",), countries=frozenset(),
                addresses=frozenset())
@@ -334,6 +336,54 @@ def test_record_rejects_reserved_characters():
     for bad in ("ANN REV (PART A)", "A=B REV", "A#1 REV", "A* REV"):
         with pytest.raises(CorpusError, match="reserved character"):
             make_record("R1", (bad,))
+
+
+_RECORD_FIELDS = {"SO": "source_titles", "CU": "countries", "AD": "addresses"}
+
+
+# one bad field, as corpus text and as a Python collection (None where that
+# entry point cannot carry it, the bad value last), and the message body of
+# the refusal
+@pytest.mark.parametrize(
+    "tag, text, values, body",
+    [
+        ("SO", None, "NATURE", "SO values must be a collection, got the string 'NATURE'"),
+        ("AD", None, "MIT", "AD values must be a collection, got the string 'MIT'"),
+        ("CU", "USA| ", ("USA", " "), "CU field has an empty value"),
+        ("AD", "MIT|", ("MIT", ""), "AD field has an empty value"),
+        ("SO", "A(B REV", ("A(B REV",), "source title 'A(B REV' contains reserved character '('"),
+        ("CU", "US=A", ("US=A",), "country 'US=A' contains reserved character '='"),
+        ("AD", "MIT*", ("MIT*",), "address 'MIT*' contains reserved character '*'"),
+        ("SO", "", (), "empty SO field"),
+        ("CU", "", (), "empty CU field"),
+    ],
+    ids=["so-string", "ad-string", "cu-empty-value", "ad-empty-value", "so-reserved",
+         "cu-reserved", "ad-reserved", "so-empty", "cu-empty"],
+)
+def test_bad_field_value_gives_one_message_at_every_entry_point(tag, text, values, body):
+    if text is not None:
+        fields = {"SO": "A REV", "CU": "USA", "AD": "", tag: text}
+        with pytest.raises(CorpusError) as err:
+            ingest("\t".join(("R1", "2007", fields["SO"], fields["CU"], fields["AD"])))
+        assert str(err.value) == f"line 1: {body}"
+    kwargs = {"source_titles": ("A REV",), "countries": ("USA",), "addresses": (),
+              _RECORD_FIELDS[tag]: values}
+    with pytest.raises(CorpusError) as err:
+        Record("R1", 2007, **kwargs)
+    assert str(err.value) == f"record 'R1': {body}"
+    # a generator profile reads each country, and each address of a pool, as
+    # one value; a pool given as one string fails the profile's type check
+    if tag == "SO" or not values or isinstance(values, str):
+        return
+    if tag == "CU":
+        country, pools = values[-1], {}
+    else:
+        country, pools = "USA", {"USA": values}
+    profile = CorpusProfile(seed=1, n_records=0, country_weights={"USA": 1.0, country: 1.0},
+                            address_pools=pools)
+    with pytest.raises(CorpusError) as err:
+        generate(profile)
+    assert str(err.value) == f"profile country {country!r}: {body}"
 
 
 def test_corpus_rejects_duplicate_ids():

@@ -105,6 +105,7 @@ def test_parse_multi_word_bare_value():
         ("#²", "statement number after '#'", 0),
         ("#١", "statement number after '#'", 0),
         ("#1²", "unexpected trailing input '²'", 2),
+        pytest.param("#" + "1" * 5000, "statement number after '#'", 0, id="5000-digits"),
         ("SO=(A* AND B*)", "expected ')' or OR", 7),
         ("AND CU=X", "unexpected 'AND'", 0),
     ],
