@@ -56,14 +56,7 @@ from .query import (
     parse,
     print_normalized,
 )
-from .reconcile import (
-    ExactnessFinding,
-    RunReport,
-    Verdict,
-    check_exactness,
-    run_strategy,
-    validate_direct,
-)
+from .reconcile import RunReport, Verdict, run_strategy, validate_direct
 from .cli import emit_report, emit_strategy_script, parse_strategy_script
 
 __version__ = "0.1.0"

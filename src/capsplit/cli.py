@@ -29,6 +29,7 @@ from .corpus import (
     FIXTURE_NAMES,
     CorpusError,
     CorpusProfile,
+    _ascii_float,
     _ascii_int,
     build_fixture,
     generate,
@@ -159,6 +160,13 @@ def _natural_int(text: str) -> int:
     return value
 
 
+def _ascii_number(text: str) -> float:
+    value = _ascii_float(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number in ASCII digits")
+    return value
+
+
 def _positive_int(text: str) -> int:
     value = _natural_int(text)
     if value < 1:
@@ -196,7 +204,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     gen.add_argument("--fixture", choices=FIXTURE_NAMES, help="write a shipped fixture instead")
     gen.add_argument("--seed", type=_natural_int)
     gen.add_argument("--n", type=_natural_int)
-    gen.add_argument("--multi-title-prob", type=float, dest="multi_title_prob")
+    gen.add_argument("--multi-title-prob", type=_ascii_number, dest="multi_title_prob")
     gen.add_argument("--countries", help="comma list of NAME[:WEIGHT]")
 
     ingest_p = sub.add_parser("ingest", help="validate a corpus file")
@@ -237,10 +245,10 @@ def _parse_countries(text: str) -> dict[str, float]:
         name = name.strip().upper()
         if not name:
             raise CorpusError(f"bad --countries entry in {text!r}")
-        try:
-            weights[name] = float(weight) if weight else 1.0
-        except ValueError:
-            raise CorpusError(f"bad country weight {weight!r}") from None
+        value = _ascii_float(weight) if weight else 1.0
+        if value is None:
+            raise CorpusError(f"country weight {weight!r} is not finite, or not ASCII digits")
+        weights[name] = value
     return weights
 
 

@@ -34,7 +34,8 @@ distinct field text, ``Record``'s Python values, and a generator profile's
 countries and address pools once per ``generate`` call, drawn or not.
 ``CorpusProfile.validate`` checks a profile's types, then its values, for
 Python and JSON profiles alike. ``_ascii_int`` reads a number written in
-ASCII digits: a year here, and the CLI's counts and ``#N`` in queries.
+ASCII digits: a year here, and the CLI's counts and ``#N`` in queries;
+``_ascii_float`` also takes one ``.``, for ``gen``'s weights and probability.
 Ingest, the generator and the fixtures then fill the columns without
 rechecks.
 """
@@ -89,6 +90,12 @@ def _ascii_int(text: str) -> int | None:
         return int(text)
     except ValueError:  # more digits than int() converts
         return None
+
+
+def _ascii_float(text: str) -> float | None:
+    """The number ``text`` writes in ASCII digits with at most one ``.``, or None."""
+    # float() alone takes "٠.٥", "1_0", " 7" and "inf"
+    return float(text) if text.isascii() and text.replace(".", "", 1).isdigit() else None
 
 
 def _parse_year(text: str) -> int:

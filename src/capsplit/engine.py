@@ -21,6 +21,9 @@ Two count modes exist. ``visible`` reports every count exactly, however
 large. ``censored`` reports counts at or above the cap only as
 "at least the cap", which is the harder interface an automatic planner
 may have to probe.
+``CountResult.fits(cap)`` is the one cap rule (exact and strictly below
+the cap) that the engine, planner and runner ask; ``str`` of a count
+gives the digits or "at least the cap" for every refusal message.
 
 Indexing is a per-field sorted term dictionary whose postings are
 lists of record positions, so term lookups, prefix ranges and
@@ -75,8 +78,7 @@ class CapExceededError(EngineError):
     def __init__(self, count: "CountResult", cap: int):
         self.count = count
         self.cap = cap
-        size = "at least the cap" if count.value is None else str(count.value)
-        super().__init__(f"result set has {size} records; cap is {cap}")
+        super().__init__(f"result set has {count} records; cap is {cap}")
 
 
 @dataclass(frozen=True)
@@ -113,6 +115,13 @@ class CountResult:
         if self.value is None:
             raise EngineError("count was censored at the cap")
         return self.value
+
+    def fits(self, cap: int) -> bool:
+        """Whether the result can be materialized: exact and strictly below ``cap``."""
+        return self.value is not None and self.value < cap
+
+    def __str__(self) -> str:
+        return "at least the cap" if self.value is None else str(self.value)
 
 
 class CappedEngine:
@@ -224,9 +233,9 @@ class CappedEngine:
     def _below_cap(self, query: Query) -> int:
         """Evaluate a query that is to be materialized; refuse it at or above the cap."""
         hits = self._eval(query)
-        n = hits.bit_count()
-        if n >= self.config.cap:
-            raise CapExceededError(self._to_count(n), self.config.cap)
+        count = self._to_count(hits.bit_count())
+        if not count.fits(self.config.cap):
+            raise CapExceededError(count, self.config.cap)
         return hits
 
     def _terms_with_prefix(self, field: FieldKind, prefix: str) -> Iterator[str]:

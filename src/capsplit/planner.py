@@ -270,11 +270,6 @@ def _effective_cap(engine: CappedEngine, cap: int | None) -> int:
     return cap
 
 
-def _fits(count: CountResult, cap: int) -> bool:
-    # Strict: a statement counting exactly the cap is not retrievable.
-    return count.is_exact and count.value < cap
-
-
 def plan_prescribed(
     engine: CappedEngine,
     base: Query,
@@ -287,10 +282,9 @@ def plan_prescribed(
     statements = tuple(stmt for group in groups for stmt in realize_group(base, field, group))
     for i, stmt in enumerate(statements, start=1):
         count = engine.count(stmt)
-        if not _fits(count, cap):
-            size = "at least the cap" if not count.is_exact else str(count.value)
+        if not count.fits(cap):
             raise PlanInfeasibleError(
-                f"statement {i} ({print_normalized(stmt)}) has {size} records; cap is {cap}"
+                f"statement {i} ({print_normalized(stmt)}) has {count} records; cap is {cap}"
             )
     covered: set[str] = set()
     for group in groups:
@@ -345,7 +339,7 @@ class _Packer:
                 raise PlanInfeasibleError(f"no statements name all of {field.value}={item.text}*")
             return children, [], 0
         exact_count = self.probe([exact])
-        if not _fits(exact_count, self.cap):
+        if not exact_count.fits(self.cap):
             raise PlanInfeasibleError(
                 f"single value class {field.value}={item.text} reaches the cap {self.cap}; "
                 "no finer partition exists"
@@ -368,7 +362,7 @@ class _Packer:
         too_wide = None
         if whole_first:
             whole = self.probe(current + items)
-            if _fits(whole, self.cap):
+            if whole.fits(self.cap):
                 return [(current + items, whole.value)]
             too_wide = len(items)
         packed: list[tuple[list[Pattern], int]] = []
@@ -407,7 +401,7 @@ class _Packer:
             if width >= hi:  # that wide is known not to fit: bisect
                 width = (lo + hi) // 2
             result = self.probe(current + items[:width])
-            if _fits(result, self.cap):
+            if result.fits(self.cap):
                 lo, current_count = width, result.value
             else:
                 hi = width

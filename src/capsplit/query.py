@@ -21,7 +21,8 @@ Values may span several words (``CU=NORTH IRELAND``) and may end in a
 A query tree is walked in one place, ``postorder``, with an explicit stack,
 since an overlap statement over 64 sections nests 2,016 pairs deep. The
 engine, ``Oracle.evaluate`` and ``print_normalized`` are each a ``fold``
-over it, and equality compares two post-order sequences.
+over it, and equality compares two post-order sequences. The printer's
+time grows with the text length times a log factor, not with its square.
 
 Field semantics over a corpus: PY matches the decimal publication year,
 CU any affiliation country, SO any source title (a record with two titles
@@ -40,6 +41,7 @@ reconciliation (``tests/test_package.py`` checks this).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, zip_longest
@@ -357,23 +359,33 @@ def print_normalized(query: Query) -> str:
     print flat, OR operands that are AND/NOT expressions are always
     parenthesized (``(#1 AND #2) OR (#1 AND #3)``), and the printed
     structure is unambiguous under the left-associative grammar.
+    Each subtree prints to a deque of pieces; an operator moves the
+    shorter operand's pieces onto the longer one, so a piece moves
+    O(log n) times, and the text is joined once.
     """
-    return fold(query, _print_leaf, _print_operator)
+    return "".join(fold(query, _print_leaf, _print_operator))
 
 
-def _print_leaf(node: Term | SetRef) -> str:
+def _print_leaf(node: Term | SetRef) -> deque[str]:
     if isinstance(node, SetRef):
-        return f"#{node.number}"
+        return deque((f"#{node.number}",))
     star = "*" if node.pattern.truncated else ""
-    return f"{node.field.value}={node.pattern.text}{star}"
+    return deque((f"{node.field.value}={node.pattern.text}{star}",))
 
 
-def _print_operator(node: And | Or | Diff, left: str, right: str) -> str:
+def _print_operator(node: And | Or | Diff, left: deque[str], right: deque[str]) -> deque[str]:
     if isinstance(node.left, _Binary) and (type(node.left) is Or) != (type(node) is Or):
-        left = f"({left})"
+        left.appendleft("(")
+        left.append(")")
     if isinstance(node.right, _Binary):
-        right = f"({right})"
-    return f"{left} {_SPELLING[type(node)]} {right}"
+        right.appendleft("(")
+        right.append(")")
+    right.appendleft(f" {_SPELLING[type(node)]} ")
+    if len(left) >= len(right):
+        left.extend(right)
+        return left
+    right.extendleft(reversed(left))
+    return right
 
 
 # ---------------------------------------------------------------------------

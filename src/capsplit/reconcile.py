@@ -12,12 +12,17 @@ complete retrieval total two ways:
   any multiplicity: the exclusion sets are pairwise disjoint and disjoint
   from the overlap set, so the sum telescopes to the union cardinality.
 
+One loop registers the statements and the exclusions alike, each as a
+``Row``. A statement that does not fit the cap ends the run with a
+report of the statement rows and the CapViolation verdict alone.
+
 Every partition statement is sub-cap and therefore materializable, so the
 runner also takes the union, the records shared by two or more sections
 and the maximum per-record multiplicity from the section bitsets alone
 (``CappedEngine.coverage`` over ``#1..#n``). That is the same information
 an operator of a real capped interface gets by downloading each section,
 and it never reads the overlap or exclusion statements it cross-checks.
+Method A's surplus, if any, is ``method_a_total - union_cardinality``.
 
 A censored interface cannot report the direct count of the base, so
 ``validate_direct`` takes it from the index-free ``query.Oracle`` instead.
@@ -32,9 +37,9 @@ import weakref
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .engine import VISIBLE, CappedEngine
+from .engine import VISIBLE, CappedEngine, CountResult
 from .planner import Strategy
-from .query import Oracle, SetRef
+from .query import Oracle, Query, SetRef
 
 
 # one oracle per engine, dropped with the engine; an oracle never refers back to it
@@ -53,41 +58,26 @@ class Verdict(Enum):
 
 
 @dataclass(frozen=True)
-class StatementResult:
+class Row:
+    """One counted statement and the running sum; an exclusion row takes the excluded number."""
+
     number: int
-    count: int | None  # None when the engine censored the count
+    count: int | None  # None when censored, as is every running sum from it on
     running_sum: int | None
 
 
 @dataclass(frozen=True)
-class ExclusionResult:
-    number: int  # number of the statement being excluded, 1..n
-    count: int
-    running_sum: int
-
-
-@dataclass(frozen=True)
 class RunReport:
-    per_statement: tuple[StatementResult, ...]
-    overlap_count: int | None
-    method_a_total: int | None
-    per_exclusion: tuple[ExclusionResult, ...]
-    method_b_total: int | None
-    union_cardinality: int | None
-    max_multiplicity: int | None
-    direct_count: int | None
-    direct_source: str | None
+    per_statement: tuple[Row, ...]
     verdict: Verdict
-
-
-@dataclass(frozen=True)
-class ExactnessFinding:
-    """Whether method A can be trusted, and the corrected total if not."""
-
-    max_multiplicity: int
-    method_a_exact: bool
-    corrected_total: int
-    overcount: int  # (sum of statement counts - union) - overlap
+    overlap_count: int | None = None
+    method_a_total: int | None = None
+    per_exclusion: tuple[Row, ...] = ()
+    method_b_total: int | None = None
+    union_cardinality: int | None = None
+    max_multiplicity: int | None = None
+    direct_count: int | None = None
+    direct_source: str | None = None
 
 
 def run_strategy(strategy: Strategy, engine: CappedEngine) -> RunReport:
@@ -96,46 +86,19 @@ def run_strategy(strategy: Strategy, engine: CappedEngine) -> RunReport:
     A statement whose count reaches the cap yields a partial report with
     the CapViolation verdict and no totals.
     """
-    n = len(strategy.statements)
-    cap = strategy.cap
-    per_statement: list[StatementResult] = []
-    running: int | None = 0
-    violated = False
     engine.clear_statements()
-    for i, stmt in enumerate(strategy.statements, start=1):
-        result = engine.register(stmt)
-        value = result.value
-        if value is None or value >= cap:
-            violated = True
-        running = None if (running is None or value is None) else running + value
-        per_statement.append(StatementResult(i, value, running))
-    if violated:
-        return RunReport(
-            per_statement=tuple(per_statement),
-            overlap_count=None,
-            method_a_total=None,
-            per_exclusion=(),
-            method_b_total=None,
-            union_cardinality=None,
-            max_multiplicity=None,
-            direct_count=None,
-            direct_source=None,
-            verdict=Verdict.CAP_VIOLATION,
-        )
+    per_statement, statement_sum = _register(engine, strategy.statements)
+    if not all(CountResult(row.count).fits(strategy.cap) for row in per_statement):
+        return RunReport(per_statement, Verdict.CAP_VIOLATION)
 
     overlap_result = engine.register(strategy.overlap_stmt)
 
-    per_exclusion: list[ExclusionResult] = []
-    excl_running = 0
-    for i, stmt in enumerate(strategy.exclusion_stmts, start=1):
-        result = engine.register(stmt)
-        # Exclusions are subsets of sub-cap statements, so never censored.
-        value = result.expect_exact()
-        excl_running += value
-        per_exclusion.append(ExclusionResult(i, value, excl_running))
+    per_exclusion, exclusion_sum = _register(engine, strategy.exclusion_stmts)
+    # Exclusions are subsets of sub-cap statements, so never censored.
+    exclusion_sum = CountResult(exclusion_sum).expect_exact()
 
     # records in at least 1, 2, ... sections; the list ends at the maximum multiplicity
-    coverage = engine.coverage(SetRef(i) for i in range(1, n + 1))
+    coverage = engine.coverage(SetRef(row.number) for row in per_statement)
     union_cardinality, materialized_overlap = (coverage + [0, 0])[:2]
     max_multiplicity = len(coverage)
 
@@ -151,25 +114,34 @@ def run_strategy(strategy: Strategy, engine: CappedEngine) -> RunReport:
         # sections carry the same information.
         overlap_count = materialized_overlap
 
-    method_a_total = running - overlap_count
-    method_b_total = excl_running + overlap_count
+    method_a_total = statement_sum - overlap_count
+    method_b_total = exclusion_sum + overlap_count
     if method_b_total != union_cardinality:
         raise ReconcileError(
             f"method B total {method_b_total} diverged from the materialized "
             f"union of {union_cardinality} records"
         )
     return RunReport(
-        per_statement=tuple(per_statement),
+        per_statement,
+        _verdict(method_a_total, method_b_total, None),
         overlap_count=overlap_count,
         method_a_total=method_a_total,
-        per_exclusion=tuple(per_exclusion),
+        per_exclusion=per_exclusion,
         method_b_total=method_b_total,
         union_cardinality=union_cardinality,
         max_multiplicity=max_multiplicity,
-        direct_count=None,
-        direct_source=None,
-        verdict=_verdict(method_a_total, method_b_total, None),
     )
+
+
+def _register(engine: CappedEngine, stmts: tuple[Query, ...]) -> tuple[tuple[Row, ...], int | None]:
+    """Register ``stmts`` as the next statements: their rows, numbered from 1, and their sum."""
+    rows = []
+    running: int | None = 0
+    for i, query in enumerate(stmts, start=1):
+        count = engine.register(query).value
+        running = None if running is None or count is None else running + count
+        rows.append(Row(i, count, running))
+    return tuple(rows), running
 
 
 def validate_direct(strategy: Strategy, engine: CappedEngine) -> RunReport:
@@ -204,21 +176,3 @@ def _verdict(method_a: int, method_b: int, direct: int | None) -> Verdict:
         return Verdict.METHOD_A_OVERCOUNT
     return Verdict.EXACT
 
-
-def check_exactness(report: RunReport) -> ExactnessFinding:
-    """Judge method A against the materialized union.
-
-    Method A equals the union exactly when no record lies in more than two
-    statements; otherwise each record in m statements is overcounted by
-    m - 2, and the total surplus is (sum of counts - union) - overlap.
-    """
-    if report.method_a_total is None or report.union_cardinality is None:
-        raise ReconcileError("cannot judge exactness of a partial (cap-violated) report")
-    statement_sum = sum(s.count for s in report.per_statement)
-    overcount = (statement_sum - report.union_cardinality) - report.overlap_count
-    return ExactnessFinding(
-        max_multiplicity=report.max_multiplicity,
-        method_a_exact=report.method_a_total == report.union_cardinality,
-        corrected_total=report.union_cardinality,
-        overcount=overcount,
-    )

@@ -52,11 +52,17 @@ def test_gen_profile_file_with_overrides(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "20 records"
 
 
-def test_gen_countries_flag(tmp_path):
+def test_gen_countries_flag(tmp_path, capsys):
     out = tmp_path / "c.tsv"
     assert main(["gen", "--n", "30", "--countries", "CUBA:2,SPAIN", "--out", str(out)]) == 0
     body = out.read_text()
     assert "CUBA" in body or "SPAIN" in body
+    out.unlink()
+    # a weight is ASCII digits with at most one '.'
+    for countries in ("USA:\u0661", "CUBA:1_0", "CUBA:1.2.0", "CUBA:0.\uff15"):
+        assert main(["gen", "--n", "30", "--countries", countries, "--out", str(out)]) == 3
+        assert "country weight" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gen_non_finite_weights_are_data_errors(tmp_path, capsys):
@@ -198,8 +204,10 @@ def test_cap_takes_ascii_digits_only(cap, cuba_file, capsys):
 @pytest.mark.parametrize(
     "flag, value",
     [("--n", "1_0"), ("--n", "\uff11\uff10"), ("--seed", "\u0663"), ("--seed", "-1"),
-     ("--n", "9" * 5000)],
-    ids=["n-underscore", "n-full-width", "seed-arabic-indic", "seed-negative", "n-5000-digits"],
+     ("--n", "9" * 5000), ("--multi-title-prob", "\u0660.\u0665"),
+     ("--multi-title-prob", "0_5"), ("--multi-title-prob", "0.2.1")],
+    ids=["n-underscore", "n-full-width", "seed-arabic-indic", "seed-negative", "n-5000-digits",
+         "prob-arabic-indic", "prob-underscore", "prob-two-points"],
 )
 def test_gen_counts_take_ascii_digits_only(flag, value, tmp_path, capsys):
     out = tmp_path / "c.tsv"

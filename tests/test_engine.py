@@ -103,6 +103,12 @@ def test_count_result_expect_exact():
     assert CountResult.exact(7).expect_exact() == 7
     with pytest.raises(EngineError, match="censored"):
         CountResult.at_least_cap().expect_exact()
+    # the one cap rule: exact and strictly below the cap
+    assert CountResult.exact(99).fits(100)
+    assert not CountResult.exact(100).fits(100)
+    assert not CountResult.at_least_cap().fits(100)
+    assert str(CountResult.exact(99)) == "99"
+    assert str(CountResult.at_least_cap()) == "at least the cap"
 
 
 def test_engine_config_validation():

@@ -18,13 +18,15 @@ BENCHMARK_NAMES = (
     "EngineConfig", "FieldKind", "parse_group_spec",
 )
 
-# what perfbench/workloads.py reads off each export's strategy and report
+# what perfbench/workloads.py reads off each export's strategy, report and report rows
+# (emit_report, which perfbench digests, reads a row's number and running sum too)
 BENCHMARK_FIELDS = {
     capsplit.Strategy: ("base", "cap", "statements", "overlap_stmt", "exclusion_stmts"),
     capsplit.RunReport: (
         "per_statement", "verdict", "max_multiplicity", "method_a_total", "method_b_total",
         "union_cardinality", "direct_count", "direct_source",
     ),
+    capsplit.reconcile.Row: ("number", "count", "running_sum"),
 }
 
 

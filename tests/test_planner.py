@@ -572,11 +572,11 @@ class _LinearPacker(planner._Packer):
         packed = []
         for item in items:
             result = self.probe(current + [item])
-            if not planner._fits(result, self.cap) and current:
+            if not result.fits(self.cap) and current:
                 packed.append((current, current_count))
                 current = []
                 result = self.probe([item])
-            if planner._fits(result, self.cap):
+            if result.fits(self.cap):
                 current.append(item)
                 current_count = result.value
             else:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -168,6 +170,26 @@ def test_print_overlap_statement_has_21_parenthesized_pairs():
     assert text.count("(#") == 21
     assert text.startswith("(#1 AND #2) OR (#1 AND #3)")
     assert text.endswith("(#6 AND #7)")
+
+
+@pytest.mark.parametrize(
+    "n, digest",
+    [(64, "6f07951ab7e697581668f3a8a918b553b4ee29bbcd50c88eeb0f30afb884ac22"),
+     (200, "2726abd95ca718c83677ee71cb712422479a3a7f76cdad9847a8337079d99e37")],
+)
+def test_print_overlap_statement_bytes_are_pinned(n, digest):
+    text = print_normalized(build_overlap_statement(n))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_print_overlap_statement_of_600_sections_is_fast():
+    # 179,700 pairs in one left-deep OR chain; string concatenation took minutes
+    query = build_overlap_statement(600)
+    started = time.perf_counter()
+    text = print_normalized(query)
+    assert time.perf_counter() - started < 10.0
+    assert text.count("(#") == 179_700
+    assert text.endswith("(#599 AND #600)")
 
 
 # A parenthesizes an operator operand iff it is the right operand or

@@ -21,7 +21,6 @@ from capsplit import (
     Verdict,
     build_exclusions,
     build_overlap_statement,
-    check_exactness,
     generate,
     parse,
     parse_group_spec,
@@ -135,10 +134,8 @@ def test_triple_title_record_overcounts_method_a():
     assert report.method_b_total == direct
     assert report.method_a_total == direct + 1  # one m=3 record nets +1
     assert report.verdict is Verdict.METHOD_A_OVERCOUNT
-    finding = check_exactness(report)
-    assert not finding.method_a_exact
-    assert finding.corrected_total == report.union_cardinality == direct
-    assert finding.overcount == 1
+    assert report.union_cardinality == direct
+    assert report.method_a_total - report.union_cardinality == 1
 
 
 def test_method_b_exact_at_any_multiplicity():
@@ -157,9 +154,8 @@ def test_method_b_exact_at_any_multiplicity():
         assert report.method_b_total == len(brute_eval(corpus, parse("PY=2007")))
         surplus = (len(letters) - 2) * wide
         assert report.method_a_total == report.method_b_total + surplus
-        finding = check_exactness(report)
-        assert finding.overcount == surplus
-        assert finding.method_a_exact == (surplus == 0)
+        assert report.method_a_total - report.union_cardinality == surplus
+        assert (report.verdict is Verdict.EXACT) == (surplus == 0)
 
 
 def test_two_ways_equality_at_low_multiplicity():
@@ -193,8 +189,6 @@ def test_cap_violation_yields_partial_report():
     assert report.method_a_total is None
     assert report.method_b_total is None
     assert report.per_exclusion == ()
-    with pytest.raises(ReconcileError, match="partial"):
-        check_exactness(report)
     validated = validate_direct(strategy, engine)
     assert validated.verdict is Verdict.CAP_VIOLATION
     assert validated.direct_count == 200
