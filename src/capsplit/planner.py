@@ -347,26 +347,17 @@ class _Packer:
         return children, [exact] if exact_count.value else [], exact_count.value
 
     def pack(
-        self,
-        items: list[Pattern],
-        current: list[Pattern],
-        current_count: int,
-        whole_first: bool = False,
+        self, items: list[Pattern], current: list[Pattern], current_count: int
     ) -> list[tuple[list[Pattern], int]]:
         """Greedy runs of ``items`` after the opening run ``current``, with their counts.
 
+        All of ``current + items`` as one run is known not to fit: it holds
+        the records of the whole domain or of a bucket that did not fit.
         Each run is the longest that still fits; an item that does not fit
         even alone is deepened (every item is truncated, so it can be).
-        ``whole_first`` first probes all of ``current + items`` as one run.
         """
-        too_wide = None
-        if whole_first:
-            whole = self.probe(current + items)
-            if whole.fits(self.cap):
-                return [(current + items, whole.value)]
-            too_wide = len(items)
         packed: list[tuple[list[Pattern], int]] = []
-        i = 0
+        i, too_wide = 0, len(items)
         while i < len(items):
             width, count = self.longest_fit(items[i:], current, current_count, too_wide)
             run, i = current + items[i : i + width], i + width
@@ -414,7 +405,9 @@ def plan_auto(
     """Greedy alphabetical packing, on visible and censored engines alike."""
     cap = _effective_cap(engine, cap)
     symbols = [Pattern(s, True) for s in SYMBOLS]
-    runs = _Packer(engine, base, field, cap).pack(symbols, [], 0, whole_first=True)
+    packer = _Packer(engine, base, field, cap)
+    whole = packer.probe(symbols)  # a domain below the cap is one statement
+    runs = [(symbols, whole.value)] if whole.fits(cap) else packer.pack(symbols, [], 0)
     # A degenerate base (matches nothing) keeps one full-coverage statement.
     packed = [patterns for patterns, n in runs if n > 0] or [symbols]
     statements = tuple(_bucket(base, field, patterns) for patterns in packed)

@@ -18,11 +18,15 @@ is sugar for ``FIELD=a OR FIELD=b`` and is expanded during parsing.
 Values may span several words (``CU=NORTH IRELAND``) and may end in a
 ``*`` truncation marker that turns equality into prefix matching.
 
-A query tree is walked in one place, ``postorder``, with an explicit stack,
-since an overlap statement over 64 sections nests 2,016 pairs deep. The
-engine, ``Oracle.evaluate`` and ``print_normalized`` are each a ``fold``
-over it, and equality compares two post-order sequences. The printer's
-time grows with the text length times a log factor, not with its square.
+No code here recurses, since an overlap statement over 64 sections nests
+2,016 pairs deep (``tests/test_package.py`` checks this). A query tree is
+walked in one place, ``postorder``, with an explicit stack. The engine,
+``Oracle.evaluate`` and ``print_normalized`` are each a ``fold`` over it,
+and equality compares two post-order sequences. The printer's time grows
+with the text length times a log factor, not with its square. ``parse``
+scans the text with one token pattern, then reads the grammar in one loop
+with an operand stack and an operator stack, so it reads back any tree
+the printer writes.
 
 Field semantics over a corpus: PY matches the decimal publication year,
 CU any affiliation country, SO any source title (a record with two titles
@@ -41,6 +45,7 @@ reconciliation (``tests/test_package.py`` checks this).
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -197,153 +202,130 @@ def or_chain(parts: list[Query]) -> Query:
 # Tokenizer / parser
 # ---------------------------------------------------------------------------
 
-_WORD_BREAK = set(" \t\r\n()=#")
 _FIELDS = {f.value: f for f in FieldKind}
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # ( ) = word kw ref eof
-    text: str
-    pos: int
-    number: int = 0
+# a statement reference, a parenthesis or '=', or a word; the whitespace between is skipped
+_TOKEN = re.compile(r"#[0-9]*|[()=]|[^\s()=#]+")  # [0-9]: str.isdigit also takes ² and ١
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "()=":
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        if ch == "#":
-            j = i + 1
-            while j < n and text[j] in "0123456789":  # str.isdigit also takes ² and ١
-                j += 1
-            number = _ascii_int(text[i + 1 : j])
-            if number is None:
-                raise QueryError("expected a statement number after '#'", i)
-            tokens.append(_Token("ref", text[i:j], i, number=number))
-            i = j
-            continue
-        j = i
-        while j < n and text[j] not in _WORD_BREAK and not text[j].isspace():
-            j += 1
-        word = text[i:j]
-        upper = word.upper()
-        if upper in _KEYWORDS:
-            tokens.append(_Token("kw", upper, i))
+def _scan(text: str) -> list[tuple[str, str, int]]:
+    """The ``(kind, text, offset)`` tokens of ``text``, then an ``end`` token at its length.
+
+    A kind is ``(``, ``)`` or ``=``; ``#`` for a statement reference;
+    an upper-cased keyword, which is then its text too; or ``word``.
+    """
+    tokens = []
+    for match in _TOKEN.finditer(text):
+        token, offset = match.group(), match.start()
+        if token[0] == "#":
+            if _ascii_int(token[1:]) is None:
+                raise QueryError("expected a statement number after '#'", offset)
+            tokens.append(("#", token, offset))
+        elif token in ("(", ")", "="):
+            tokens.append((token, token, offset))
         else:
-            tokens.append(_Token("word", word, i))
-        i = j
-    tokens.append(_Token("eof", "", n))
+            upper = token.upper()
+            tokens.append((upper, upper, offset) if upper in _KEYWORDS else ("word", token, offset))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+def parse(text: str) -> Query:
+    """Parse a query string into its syntax tree, at any nesting depth.
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    One loop reads an operand, the ``)`` after it, then an operator or the
+    end. Operands and pending operators wait on two stacks, with an open
+    parenthesis on the operator stack as a marker (``None``). A pending
+    operator is applied once an operator that binds no tighter, a ``)`` or
+    the end follows it.
+    """
+    tokens = _scan(text)
+    operands: list[Query] = []
+    operators: list[type[_Binary] | None] = []
+    depth = i = 0
 
-    def take(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def apply(op: type[_Binary]) -> None:
+        # the pending operators above the innermost '(' that bind at least as tightly as op
+        while operators and operators[-1] is not None and (op is Or or operators[-1] is not Or):
+            right = operands.pop()
+            operands[-1] = operators.pop()(operands[-1], right)
 
-    def expect(self, kind: str, message: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise QueryError(message, tok.pos)
-        return self.take()
+    while True:
+        while tokens[i][0] == "(":
+            operators.append(None)
+            depth, i = depth + 1, i + 1
+        kind, token, offset = tokens[i]
+        if kind == "#":
+            number = int(token[1:])  # _scan checked the digits
+            if number < 1:
+                raise QueryError("statement number must be positive", offset)
+            operands.append(SetRef(number))
+            i += 1
+        elif kind == "word" and tokens[i + 1][0] == "=":
+            field = _FIELDS.get(token.upper())
+            if field is None:
+                raise QueryError(f"unknown field {token!r}", offset)
+            term, i = _value(field, tokens, i + 2)
+            operands.append(term)
+        elif kind == "word":
+            raise QueryError(f"expected '=' after field name {token!r}", offset)
+        elif kind == "end":
+            raise QueryError("unexpected end of query; expected a term, '(' or '#N'", offset)
+        else:
+            raise QueryError(f"unexpected {token!r}; expected a term, '(' or '#N'", offset)
+        kind, token, offset = tokens[i]
+        while kind == ")" and depth:
+            apply(Or)
+            operators.pop()
+            depth, i = depth - 1, i + 1
+            kind, token, offset = tokens[i]
+        if kind in _KEYWORDS:
+            apply(_KEYWORDS[kind])
+            operators.append(_KEYWORDS[kind])
+            i += 1
+        elif depth:
+            raise QueryError("unbalanced parentheses: expected ')'", offset)
+        elif kind != "end":
+            raise QueryError(f"unexpected trailing input {token!r}", offset)
+        else:
+            apply(Or)
+            return operands[0]
 
-    def parse(self) -> Query:
-        node = self.expr()
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise QueryError(f"unexpected trailing input {tok.text!r}", tok.pos)
-        return node
 
-    def expr(self) -> Query:
-        node = self.and_expr()
-        while self.peek().kind == "kw" and self.peek().text == "OR":
-            self.take()
-            node = Or(node, self.and_expr())
-        return node
+def _value(field: FieldKind, tokens: list[tuple[str, str, int]], i: int) -> tuple[Query, int]:
+    """The term after ``FIELD=`` at ``tokens[i]``, and the index past it.
 
-    def and_expr(self) -> Query:
-        node = self.primary()
-        while self.peek().kind == "kw" and self.peek().text in ("AND", "NOT"):
-            op = self.take()
-            right = self.primary()
-            node = _KEYWORDS[op.text](node, right)
-        return node
-
-    def primary(self) -> Query:
-        tok = self.peek()
-        if tok.kind == "(":
-            self.take()
-            node = self.expr()
-            self.expect(")", "unbalanced parentheses: expected ')'")
-            return node
-        if tok.kind == "ref":
-            self.take()
-            if tok.number < 1:
-                raise QueryError("statement number must be positive", tok.pos)
-            return SetRef(tok.number)
-        if tok.kind == "word":
-            field = _FIELDS.get(tok.text.upper())
-            if self.tokens[self.pos + 1].kind == "=":
-                if field is None:
-                    raise QueryError(f"unknown field {tok.text!r}", tok.pos)
-                self.take()  # field
-                self.take()  # '='
-                return self.field_value(field)
-            raise QueryError(f"expected '=' after field name {tok.text!r}", tok.pos)
-        if tok.kind == "eof":
-            raise QueryError("unexpected end of query; expected a term, '(' or '#N'", tok.pos)
-        raise QueryError(f"unexpected {tok.text!r}; expected a term, '(' or '#N'", tok.pos)
-
-    def field_value(self, field: FieldKind) -> Query:
-        if self.peek().kind == "(":
-            # FIELD=(a OR b OR ...) expands to FIELD=a OR FIELD=b OR ...
-            self.take()
-            terms = [Term(field, self.value())]
-            while self.peek().kind == "kw" and self.peek().text == "OR":
-                self.take()
-                terms.append(Term(field, self.value()))
-            self.expect(")", "unbalanced parentheses in value group: expected ')' or OR")
-            return or_chain(terms)
-        return Term(field, self.value())
-
-    def value(self) -> Pattern:
-        start = self.peek()
-        words: list[str] = []
-        while self.peek().kind == "word":
-            words.append(self.take().text)
-        if not words:
-            raise QueryError("empty value", start.pos)
-        joined = " ".join(words)
+    A value is the words up to the next other token. ``FIELD=(a OR b OR ...)``
+    is a value group, which expands to ``FIELD=a OR FIELD=b OR ...``.
+    """
+    group = tokens[i][0] == "("
+    i += group
+    terms: list[Query] = []
+    while True:
+        start = i
+        while tokens[i][0] == "word":
+            i += 1
+        offset = tokens[start][2]
+        if i == start:
+            raise QueryError("empty value", offset)
+        joined = " ".join(token for _, token, _ in tokens[start:i])
         truncated = joined.endswith("*")
         if truncated:
             joined = joined[:-1]
         if not joined.strip():
-            raise QueryError("lone '*' is not a valid value", start.pos)
+            raise QueryError("lone '*' is not a valid value", offset)
         if "*" in joined:
-            raise QueryError("'*' is only allowed as a trailing truncation marker", start.pos)
-        return Pattern(joined, truncated)
-
-
-def parse(text: str) -> Query:
-    """Parse a query string into its syntax tree."""
-    return _Parser(text).parse()
+            raise QueryError("'*' is only allowed as a trailing truncation marker", offset)
+        terms.append(Term(field, Pattern(joined, truncated)))
+        if not group:
+            return terms[0], i
+        if tokens[i][0] == ")":
+            return or_chain(terms), i + 1
+        if tokens[i][0] != "OR":
+            raise QueryError(
+                "unbalanced parentheses in value group: expected ')' or OR", tokens[i][2]
+            )
+        i += 1
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +334,7 @@ def parse(text: str) -> Query:
 
 
 def print_normalized(query: Query) -> str:
-    """Render the canonical text form; reparsing yields an identical tree.
+    """Render the canonical text form; reparsing yields an identical tree at any depth.
 
     An operator operand is parenthesized when it is the right operand, or
     when exactly one of it and its parent is an OR. So AND/NOT chains

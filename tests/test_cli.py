@@ -162,6 +162,12 @@ def test_count_bad_query_is_usage_error(cuba_file, capsys):
     assert "statement number after '#' (offset 0)" in capsys.readouterr().err
 
 
+def test_count_takes_a_query_nested_5000_deep(cuba_file, capsys):
+    query = "(" * 5000 + "PY=2007 AND CU=CUBA" + ")" * 5000
+    assert main(["count", "--corpus", cuba_file, query]) == 0
+    assert capsys.readouterr().out.strip() == "910"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from collections import Counter
 from itertools import chain
 
@@ -19,6 +20,7 @@ from capsplit import (
     EngineConfig,
     EngineError,
     FieldKind,
+    Oracle,
     Pattern,
     SetRef,
     Term,
@@ -276,6 +278,19 @@ def test_overlap_statement_over_64_sections(corpus, engine):
     expected = evaluate(overlap, corpus, registry)
     assert expected  # the sections do overlap
     assert engine.count(overlap) == CountResult.exact(len(expected))
+
+
+def test_count_of_a_query_nested_past_the_recursion_limit(corpus, engine):
+    # SO=A* NOT (SO=B* OR (SO=C* AND (SO=D* NOT (...)))), read back from its text
+    letters = sorted(engine.prefix_children(FieldKind.SO, ""))
+    ops = (Diff, Or, And)
+    query = Term(FieldKind.SO, Pattern(letters[0], True))
+    for k in reversed(range(5 * sys.getrecursionlimit())):
+        query = ops[k % 3](Term(FieldKind.SO, Pattern(letters[k % len(letters)], True)), query)
+    query = parse(print_normalized(query))
+    expected = Oracle(corpus).evaluate(query)
+    assert expected
+    assert engine.count(query) == CountResult.exact(len(expected))
 
 
 # -- prefix introspection ----------------------------------------------------

@@ -1,4 +1,5 @@
-"""The package stays pure standard library and keeps the names the benchmark uses."""
+"""The package stays pure standard library, keeps the names the benchmark uses, and
+``query.py`` walks and parses trees of any depth without recursion."""
 
 from __future__ import annotations
 
@@ -89,3 +90,34 @@ def test_query_oracle_stays_independent_of_the_engine():
             imported += [module, *(f"{module}.{alias.name}" for alias in node.names)]
     parts = {part for name in imported for part in name.split(".")}
     assert parts.isdisjoint({"engine", "planner", "reconcile"})
+
+
+def test_query_module_has_no_recursion():
+    # trees of any depth: no function in query.py calls itself, directly or through
+    # others (a method's calls through self count; other attribute calls do not)
+    path = PACKAGE / "query.py"
+    calls: dict[str, set[str]] = {}
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        callees = calls.setdefault(node.name, set())
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            if isinstance(func, ast.Name):
+                callees.add(func.id)
+            elif isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "self":
+                callees.add(func.attr)
+    recursive = []
+    for name in calls:
+        seen: set[str] = set()
+        todo = list(calls[name])
+        while todo:
+            callee = todo.pop()
+            if callee in calls and callee not in seen:
+                seen.add(callee)
+                todo += calls[callee]
+        if name in seen:
+            recursive.append(name)
+    assert recursive == []

@@ -42,7 +42,7 @@ from capsplit import (
 )
 from capsplit import planner
 
-from conftest import CUBA_BASE, REFERENCE_GROUPS_CUBA
+from conftest import CUBA_BASE, REFERENCE_GROUPS_CUBA, USA_BASE
 from helpers import make_record
 
 SO = FieldKind.SO
@@ -568,7 +568,7 @@ def test_greedy_plans_alike_in_both_modes_and_reconcile(records, cap):
 class _LinearPacker(planner._Packer):
     """The reference greedy packing: one probe of ``current + [item]`` per item."""
 
-    def pack(self, items, current, current_count, whole_first=False):
+    def pack(self, items, current, current_count):
         packed = []
         for item in items:
             result = self.probe(current + [item])
@@ -584,6 +584,18 @@ class _LinearPacker(planner._Packer):
         if current:
             packed.append((current, current_count))
         return packed
+
+
+def test_auto_planning_probe_counts_on_the_usa_fixture(usa_engine):
+    # the whole domain is probed once, and a bucket that did not fit is not probed
+    # whole again as the run of its exact residue and its children
+    probes = []
+    with mock.patch.object(usa_engine, "count", wraps=usa_engine.count) as count:
+        for cap in (100_000, 50_000, 20_000, 10_000):
+            plan_auto(usa_engine, parse(USA_BASE), SO, cap=cap)
+            probes.append(count.call_count)
+            count.reset_mock()
+    assert probes == [40, 62, 131, 370]
 
 
 def _plan_or_refusal(engine: CappedEngine, base) -> Strategy | str:
@@ -604,6 +616,6 @@ def test_galloping_packs_like_linear_packing_in_fewer_probes(records, cap, count
     strategy = _plan_or_refusal(galloping, base)
     assert strategy == reference
     statements = len(strategy.statements) if isinstance(strategy, Strategy) else 0
-    # at most two probes per run beyond linear packing, and the whole-domain probe
-    assert galloping.probes <= linear.probes + 2 * statements + 1
+    # at most two probes per run beyond linear packing (plan_auto probes the whole domain for both)
+    assert galloping.probes <= linear.probes + 2 * statements
     assert galloping.repeated_probes() == []

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
 import time
 
 import pytest
@@ -110,6 +111,18 @@ def test_parse_multi_word_bare_value():
         pytest.param("#" + "1" * 5000, "statement number after '#'", 0, id="5000-digits"),
         ("SO=(A* AND B*)", "expected ')' or OR", 7),
         ("AND CU=X", "unexpected 'AND'", 0),
+        # which error a text with several faults reports, and where
+        ("(CU=X #1)", "unbalanced parentheses", 6),
+        ("#1 FOO", "unexpected trailing input 'FOO'", 3),
+        ("XX FOO", "expected '=' after field name 'XX'", 0),
+        ("SO=(A OR )", "empty value", 9),
+        ("CU=X OR #0", "must be positive", 8),
+        ("(#1 AND #²)", "statement number after '#'", 8),  # the scan runs first
+        ("((SO=A*)", "unbalanced parentheses", 8),
+        ("SO=A*))", "unexpected trailing input ')'", 5),
+        ("SO=(A* OR B*", "unbalanced parentheses in value group", 12),
+        ("#1 = #2", "unexpected trailing input '='", 3),
+        ("(#1 AND #2) OR (", "unexpected end of query", 16),
     ],
 )
 def test_parse_errors_carry_offsets(text, fragment, offset):
@@ -117,6 +130,47 @@ def test_parse_errors_carry_offsets(text, fragment, offset):
         parse(text)
     assert fragment in str(err.value)
     assert err.value.position == offset
+
+
+_SOUP_TOKENS = st.sampled_from([
+    "(", ")", "=", "#", "#0", "#1", "#12", "#²", "#1²", "AND", "and", "OR", "or", "Not",
+    "PY", "py", "CU", "SO", "AD", "XX", "A", "B*", "*", "A*B", "2007", "NORTH", "ß", "AND*",
+    "SO=A*", "CU=USA",
+])
+
+
+@given(st.lists(st.tuples(_SOUP_TOKENS, st.sampled_from(["", " ", "  ", "\t"])), max_size=16))
+def test_parse_returns_a_tree_or_a_located_error_on_any_token_soup(pieces):
+    text = "".join(token + gap for token, gap in pieces)
+    try:
+        query = parse(text)
+    except QueryError as exc:
+        assert exc.position is not None and 0 <= exc.position <= len(text)
+    else:
+        assert parse(print_normalized(query)) == query
+
+
+_DEEP = 5 * sys.getrecursionlimit()
+
+
+def _right_nested(op, depth: int):
+    """``C0 op (C1 op (... op SO=A))``: ``depth`` operators, each the right operand of the last."""
+    node = Term(SO, Pattern("A"))
+    for k in reversed(range(depth)):
+        node = op(Term(CU, Pattern(f"C{k}")), node)
+    return node
+
+
+@pytest.mark.parametrize("op", [Or, And, Diff])
+def test_right_nested_chain_round_trips_past_the_recursion_limit(op):
+    query = _right_nested(op, _DEEP)
+    text = print_normalized(query)
+    assert text.count("(") == _DEEP - 1
+    assert parse(text) == query
+
+
+def test_term_inside_parentheses_past_the_recursion_limit():
+    assert parse("(" * _DEEP + "CU=X" + ")" * _DEEP) == Term(CU, Pattern("X"))
 
 
 def test_pattern_rejects_internal_star_and_reserved_chars():
