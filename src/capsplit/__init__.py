@@ -7,6 +7,8 @@ source titles, and proves the reconciled total against an independent
 direct count.
 """
 
+from importlib import import_module as _import_module
+
 from .corpus import (
     Corpus,
     CorpusError,
@@ -57,6 +59,21 @@ from .query import (
     print_normalized,
 )
 from .reconcile import RunReport, Verdict, run_strategy, validate_direct
-from .cli import emit_report, emit_strategy_script, parse_strategy_script
 
 __version__ = "0.1.0"
+
+# The CLI module is imported on first use (PEP 562), so that
+# ``python -m capsplit.cli`` runs it as ``__main__`` without a second copy of
+# it already in ``sys.modules``.
+_FROM_CLI = ("emit_report", "emit_strategy_script", "parse_strategy_script")
+
+
+def __getattr__(name: str):
+    if name == "cli" or name in _FROM_CLI:
+        cli = _import_module(f"{__name__}.cli")
+        return cli if name == "cli" else getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), "cli", *_FROM_CLI})

@@ -46,10 +46,11 @@ import io
 import math
 import random
 import sys
+from bisect import bisect
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import chain, islice
-from typing import Iterable, Iterator
+from itertools import accumulate, chain, islice
+from typing import Iterable, Iterator, Sequence
 
 # Canonical symbol order for title initials: letters first, then digits.
 SYMBOLS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
@@ -291,7 +292,7 @@ def _numbered(years: Column, titles: Column, countries: Column,
     """Number generated columns R0000001, R0000002, ...; unique by construction."""
     n = len(years.codes)
     width = max(7, len(str(n)))
-    ids = tuple(f"R{pos:0{width}d}" for pos in range(1, n + 1))
+    ids = tuple(map(f"R%0{width}d".__mod__, range(1, n + 1)))
     return Corpus._of(ids, years, titles, countries, addresses)
 
 
@@ -571,7 +572,8 @@ _PROFILE_TYPES = {
 def _check_weights(weights: dict[str, float], what: str) -> None:
     if not weights:
         raise CorpusError(f"profile {what} is empty")
-    # random.choices needs a finite total; a NaN weight would pass every check below.
+    # A weighted draw bisects the running sums of the weights, which needs a
+    # finite total; a NaN weight would pass every check below.
     if not math.isfinite(sum(weights.values())):
         raise CorpusError(f"profile {what} has a weight or a total that is not finite")
     if any(w < 0 for w in weights.values()):
@@ -586,15 +588,82 @@ def _weighted_items(weights: dict[str, float]) -> tuple[list[str], list[float]]:
     return [k for k, _ in items], [w for _, w in items]
 
 
-def _random_title(rng: random.Random, initial: str) -> str:
-    body = "".join(rng.choice(SYMBOLS[:26]) for _ in range(rng.randint(3, 7)))
-    return f"{initial}{body} {rng.choice(_TITLE_WORDS)}"
+# ---------------------------------------------------------------------------
+# Drawing
+#
+# The generator and the fixtures draw from a seeded ``random.Random`` through
+# its public ``getrandbits`` and ``random`` only. They consume its Mersenne
+# Twister outputs exactly as CPython's ``random.py`` (3.10 to 3.12) does for
+# ``choice``, ``choices``, ``randint`` and ``shuffle``, so each corpus is the
+# one those methods would give, at one Python frame per draw or none:
+#
+# - ``choice(seq)`` is ``seq[below(len(seq))]``, where ``below(n)`` draws
+#   ``getrandbits(n.bit_length())`` until the draw is below ``n``; a draw
+#   below 1 still consumes an output, and one of more than 32 bits several;
+# - ``randint(a, b)`` is ``a + below(b - a + 1)``;
+# - ``choices(items, weights)[0]`` is ``items[bisect(cum, random() * total,
+#   0, len(cum) - 1)]``, with ``cum`` the running sums of the weights and
+#   ``total = cum[-1] + 0.0``;
+# - ``shuffle(x)`` swaps ``x[i]`` with ``x[below(i + 1)]`` for ``i`` from
+#   ``len(x) - 1`` down to 1.
+# ---------------------------------------------------------------------------
+
+
+def _below(bits, n: int) -> int:
+    """``below(n)`` above, drawn through ``bits``, a ``Random.getrandbits``."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+def _weighted(rng: random.Random, items: Sequence, weights: Iterable[float]):
+    """A function drawing ``rng.choices(items, weights)[0]``, the running sums summed once."""
+    cum = list(accumulate(weights))
+    total, hi, uniform = cum[-1] + 0.0, len(cum) - 1, rng.random
+    return lambda: items[bisect(cum, uniform() * total, 0, hi)]
+
+
+def _shuffle(bits, x: list) -> None:
+    """``random.shuffle(x)``, drawn through ``bits``, a ``Random.getrandbits``."""
+    for i in reversed(range(1, len(x))):
+        n = i + 1
+        k = n.bit_length()
+        j = bits(k)
+        while j >= n:
+            j = bits(k)
+        x[i], x[j] = x[j], x[i]
+
+
+def _random_title(bits, initial: str) -> str:
+    """A title: ``initial``, a body and a word, drawn through ``bits``, a ``Random.getrandbits``.
+
+    The body is ``randint(3, 7)`` draws of ``choice(SYMBOLS[:26])`` and the
+    word is ``choice(_TITLE_WORDS)``, after a space. The three draws are
+    inlined: ``below(5)``, ``below(26)`` and ``below(10)``, bit widths
+    written out.
+    """
+    n = bits(3)
+    while n >= 5:
+        n = bits(3)
+    title = initial
+    for _ in range(n + 3):
+        r = bits(5)
+        while r >= 26:
+            r = bits(5)
+        title += SYMBOLS[r]
+    word = bits(4)
+    while word >= 10:
+        word = bits(4)
+    return f"{title} {_TITLE_WORDS[word]}"
 
 
 def generate(profile: CorpusProfile) -> Corpus:
     """Generate a corpus fully determined by the profile."""
     profile.validate()
     rng = random.Random(profile.seed)
+    bits, uniform = rng.getrandbits, rng.random
     names, country_w = _weighted_items(profile.country_weights)
     # Caller-supplied names and pools are read here, once, in the order fixed
     # above, so no generated record is checked again. Pools are keyed by the
@@ -607,24 +676,29 @@ def generate(profile: CorpusProfile) -> Corpus:
             countries.append((country, pool))
         except CorpusError as exc:
             raise CorpusError(f"profile country {c!r}: {exc}") from None
-    letters, letter_w = _weighted_items(profile.initial_letter_weights)
+    country_at = _weighted(rng, countries, country_w)
+    letter = _weighted(rng, *_weighted_items(profile.initial_letter_weights))
+    multi = profile.multi_title_prob
     lo, hi = profile.year_range
+    n_years = hi - lo + 1
 
     years, titles, cu, ad = _Encoder(), _Encoder(), _Encoder(), _Encoder()
+    put_year, put_titles = years.codes.append, titles.codes.append
+    put_country, put_address = cu.codes.append, ad.codes.append
     no_address = frozenset()
     for _ in range(profile.n_records):
-        country, pool = rng.choices(countries, country_w)[0]
-        first = _random_title(rng, rng.choices(letters, letter_w)[0])
-        if rng.random() < profile.multi_title_prob:
-            second = _random_title(rng, rng.choices(letters, letter_w)[0])
+        country, pool = country_at()
+        first = _random_title(bits, letter())
+        if uniform() < multi:
+            second = _random_title(bits, letter())
             while second == first:
-                second = _random_title(rng, rng.choices(letters, letter_w)[0])
-            titles.add((first, second))
+                second = _random_title(bits, letter())
+            put_titles(titles[(first, second)])
         else:
-            titles.add((first,))
-        cu.add(country)
-        ad.add(rng.choice(pool) if pool else no_address)
-        years.add(rng.randint(lo, hi))
+            put_titles(titles[(first,)])
+        put_country(cu[country])
+        put_address(ad[pool[_below(bits, len(pool))] if pool else no_address])
+        put_year(years[lo + _below(bits, n_years)])
     return _numbered(years.column(), titles.column(), cu.column(), ad.column())
 
 
@@ -795,13 +869,13 @@ def pair_overlap_degrees(
     return pairs
 
 
-def _title_pools(rng: random.Random, symbols: Iterable[str], per_symbol: int) -> dict[str, list[str]]:
+def _title_pools(bits, symbols: Iterable[str], per_symbol: int) -> dict[str, list[str]]:
     pools: dict[str, list[str]] = {}
     for sym in symbols:
         seen: set[str] = set()
         pool: list[str] = []
         while len(pool) < per_symbol:
-            title = _random_title(rng, sym)
+            title = _random_title(bits, sym)
             if title not in seen:
                 seen.add(title)
                 pool.append(title)
@@ -811,91 +885,115 @@ def _title_pools(rng: random.Random, symbols: Iterable[str], per_symbol: int) ->
 
 def _build_split_fixture(spec: _SplitFixtureSpec) -> Corpus:
     rng = random.Random(spec.seed)
+    bits, uniform = rng.getrandbits, rng.random
     symbols = [s for group in FIXTURE_LETTER_GROUPS for s in group] + [FIXTURE_SPLIT_PREFIX]
-    pools = _title_pools(rng, symbols, spec.titles_per_symbol)
-    any_pool = spec.with_pivot_pool + spec.without_pivot_pool
+    pools = _title_pools(bits, symbols, spec.titles_per_symbol)
+    letter_pools = [[pools[s] for s in group] for group in FIXTURE_LETTER_GROUPS]
+    split_pool = pools[FIXTURE_SPLIT_PREFIX]
+    with_pivot, without_pivot = spec.with_pivot_pool, spec.without_pivot_pool
+    any_pool = with_pivot + without_pivot
 
     def pick_title(stmt: int) -> str:
-        if stmt >= 5:  # both pivot-split statements draw from the J bucket
-            return rng.choice(pools[FIXTURE_SPLIT_PREFIX])
-        return rng.choice(pools[rng.choice(FIXTURE_LETTER_GROUPS[stmt])])
+        if stmt >= 5:  # both pivot-split statements draw from the J pool
+            pool = split_pool
+        else:
+            group = letter_pools[stmt]
+            pool = group[_below(bits, len(group))]
+        return pool[_below(bits, len(pool))]
 
     def addresses_for(*stmts: int) -> tuple[str, ...]:
         if 5 in stmts:
-            addrs = [rng.choice(spec.with_pivot_pool)]
-            if rng.random() < 0.15:
-                addrs.append(rng.choice(spec.without_pivot_pool))
-            return tuple(addrs)
+            first = with_pivot[_below(bits, len(with_pivot))]
+            if uniform() < 0.15:
+                return (first, without_pivot[_below(bits, len(without_pivot))])
+            return (first,)
         if 6 in stmts:
             # complement side: no address may carry the pivot token
-            return (rng.choice(spec.without_pivot_pool),) if rng.random() > 0.05 else ()
-        roll = rng.random()
+            if uniform() > 0.05:
+                return (without_pivot[_below(bits, len(without_pivot))],)
+            return ()
+        roll = uniform()
         if roll < 0.08:
             return ()
+        first = any_pool[_below(bits, len(any_pool))]
         if roll < 0.16:
-            return (rng.choice(any_pool), rng.choice(any_pool))
-        return (rng.choice(any_pool),)
+            return (first, any_pool[_below(bits, len(any_pool))])
+        return (first,)
 
-    home = frozenset((spec.country,))
+    home, collaborators = frozenset((spec.country,)), _COLLABORATOR_COUNTRIES
 
     def countries_for() -> frozenset[str]:
-        if rng.random() < 0.08:
-            return frozenset((spec.country, rng.choice(_COLLABORATOR_COUNTRIES)))
+        if uniform() < 0.08:
+            return frozenset((spec.country, collaborators[_below(bits, len(collaborators))]))
         return home
 
-    # the columns are filled in drawing order, then shuffled
-    titles, countries, addresses = _Encoder(), _Encoder(), _Encoder()
+    # the columns are filled in drawing order, then shuffled; an address
+    # tuple is read as the set of its addresses
+    titles, countries, addresses = _Encoder(), _Encoder(), _Encoder(frozenset)
+    put_titles, put_countries = titles.codes.append, countries.codes.append
+    put_addresses = addresses.codes.append
     for stmt, count in enumerate(spec.exclusive):
         for _ in range(count):
-            titles.add((pick_title(stmt),))
-            countries.add(countries_for())
-            addresses.add(frozenset(addresses_for(stmt)))
+            put_titles(titles[(pick_title(stmt),)])
+            put_countries(countries[countries_for()])
+            put_addresses(addresses[addresses_for(stmt)])
     pairs = pair_overlap_degrees(spec.overlap_degree, forbidden=frozenset({(5, 6)}))
     for i, j in pairs:
-        titles.add((pick_title(i), pick_title(j)))
-        countries.add(countries_for())
-        addresses.add(frozenset(addresses_for(i, j)))
-    return _shuffled(rng, titles, countries, addresses)
+        put_titles(titles[(pick_title(i), pick_title(j))])
+        put_countries(countries[countries_for()])
+        put_addresses(addresses[addresses_for(i, j)])
+    return _shuffled(bits, titles, countries, addresses)
 
 
-def _shuffled(rng: random.Random, titles: _Encoder, countries: _Encoder,
-              addresses: _Encoder) -> Corpus:
+def _shuffled(bits, titles: _Encoder, countries: _Encoder, addresses: _Encoder) -> Corpus:
     """Number a fixture's rows in a shuffled order; shuffling depends only on the row count."""
     order = list(range(len(titles.codes)))
-    rng.shuffle(order)
+    _shuffle(bits, order)
     columns = (encoder.column(order) for encoder in (titles, countries, addresses))
     return _numbered(Column((_FIXTURE_YEAR,), (0,) * len(order)), *columns)
 
 
 def _build_uk_fixture() -> Corpus:
     rng = random.Random(1002)
-    pools = _title_pools(rng, SYMBOLS, 60)
+    bits, uniform = rng.getrandbits, rng.random
+    pools = _title_pools(bits, SYMBOLS, 60)
+    letter_pools = [pools[s] for s in SYMBOLS[:26]]
+    nation_at = _weighted(rng, _UK_NATIONS, _UK_NATION_WEIGHTS)
+    collaborators = _COLLABORATOR_COUNTRIES
 
     def titles_for() -> tuple[str, ...]:
-        first = rng.choice(pools[rng.choice(SYMBOLS[:26])])
-        if rng.random() < 0.1:
-            second = rng.choice(pools[rng.choice(SYMBOLS[:26])])
+        pool = letter_pools[_below(bits, len(letter_pools))]
+        first = pool[_below(bits, len(pool))]
+        if uniform() < 0.1:
+            pool = letter_pools[_below(bits, len(letter_pools))]
+            second = pool[_below(bits, len(pool))]
             if second != first:
                 return (first, second)
         return (first,)
 
     def nation() -> frozenset[str]:
-        base = rng.choices(_UK_NATIONS, _UK_NATION_WEIGHTS)[0]
-        if rng.random() < 0.06:
-            return frozenset((base, rng.choice(_COLLABORATOR_COUNTRIES)))
+        base = nation_at()
+        if uniform() < 0.06:
+            return frozenset((base, collaborators[_below(bits, len(collaborators))]))
         return frozenset((base,))
 
-    titles, countries, addresses = _Encoder(), _Encoder(), _Encoder()
+    titles, countries, addresses = _Encoder(), _Encoder(), _Encoder(frozenset)
+    put_titles, put_countries = titles.codes.append, countries.codes.append
+    put_addresses = addresses.codes.append
+    london, other = _UK_LONDON_POOL, _UK_OTHER_POOL
     for _ in range(_UK_WITH_LONDON):
-        addrs = [rng.choice(_UK_LONDON_POOL)]
-        if rng.random() < 0.2:
-            addrs.append(rng.choice(_UK_OTHER_POOL))
-        addresses.add(frozenset(addrs))
-        titles.add(titles_for())
-        countries.add(nation())
+        first = london[_below(bits, len(london))]
+        if uniform() < 0.2:
+            put_addresses(addresses[(first, other[_below(bits, len(other))])])
+        else:
+            put_addresses(addresses[(first,)])
+        put_titles(titles[titles_for()])
+        put_countries(countries[nation()])
     for _ in range(_UK_WITHOUT_LONDON):
-        addresses.add(frozenset((rng.choice(_UK_OTHER_POOL),)) if rng.random() > 0.05
-                      else frozenset())
-        titles.add(titles_for())
-        countries.add(nation())
-    return _shuffled(rng, titles, countries, addresses)
+        if uniform() > 0.05:
+            put_addresses(addresses[(other[_below(bits, len(other))],)])
+        else:
+            put_addresses(addresses[()])
+        put_titles(titles[titles_for()])
+        put_countries(countries[nation()])
+    return _shuffled(bits, titles, countries, addresses)

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -476,3 +479,16 @@ def test_validate_split_pivot_flags(tmp_path, capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("module", ["capsplit", "capsplit.cli"])
+def test_python_m_runs_the_command_without_warnings(module):
+    # importing the package must not import the CLI module, or runpy warns
+    # that capsplit.cli was in sys.modules before it ran as __main__
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-m", module, "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "usage: capsplit" in done.stdout

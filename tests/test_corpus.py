@@ -3,10 +3,11 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import sys
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from capsplit import (
@@ -23,8 +24,14 @@ from capsplit import (
 import capsplit.corpus
 from capsplit.cli import main
 from capsplit.corpus import (
+    _TITLE_WORDS,
     FILE_HEADER,
     FIXTURE_LETTER_GROUPS,
+    SYMBOLS,
+    _below,
+    _random_title,
+    _shuffle,
+    _weighted,
     build_fixture,
     pair_overlap_degrees,
 )
@@ -611,11 +618,81 @@ def test_uk_fixture_structure(uk_corpus):
     assert all(r.pub_year == 2007 for r in uk_corpus)
 
 
+# -- drawing -----------------------------------------------------------------
+#
+# Each draw helper stands for a random.Random method: from equal states it
+# must return what the method returns and leave the state the method leaves.
+
+_seeds = st.integers(0, 2**64)
+
+
+@given(_seeds, st.integers(1, 2**70))
+@example(0, 1)  # a draw below 1 still consumes an output
+@example(0, 2**32)  # 33 bits: two outputs
+@example(0, 2**70)
+def test_below_draws_what_choice_and_randrange_draw(seed, n):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    assert _below(ours.getrandbits, n) == theirs.randrange(n)
+    assert ours.getstate() == theirs.getstate()
+    # choice takes len(seq), which a range longer than sys.maxsize cannot give
+    if n <= sys.maxsize:
+        seq = range(n)
+        assert seq[_below(ours.getrandbits, n)] == theirs.choice(seq)
+        assert ours.getstate() == theirs.getstate()
+
+
+@given(_seeds, st.integers(-(2**40), 2**40), st.integers(0, 2**40))
+@example(0, 2005, 4)
+def test_below_draws_what_randint_draws(seed, lo, width):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    assert lo + _below(ours.getrandbits, width + 1) == theirs.randint(lo, lo + width)
+    assert ours.getstate() == theirs.getstate()
+
+
+@given(
+    _seeds,
+    st.one_of(
+        st.lists(st.integers(0, 10**6), min_size=1, max_size=40),
+        st.lists(st.floats(0, 1e6), min_size=1, max_size=40),
+    ).filter(lambda weights: sum(weights) > 0),
+)
+def test_weighted_draws_what_choices_draws(seed, weights):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    items = [f"item{i}" for i in range(len(weights))]
+    draw = _weighted(ours, items, weights)
+    for _ in range(5):
+        assert draw() == theirs.choices(items, weights)[0]
+    assert ours.getstate() == theirs.getstate()
+
+
+@given(_seeds, st.integers(0, 60))
+def test_shuffle_draws_what_random_shuffle_draws(seed, length):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    x, y = list(range(length)), list(range(length))
+    _shuffle(ours.getrandbits, x)
+    theirs.shuffle(y)
+    assert x == y
+    assert ours.getstate() == theirs.getstate()
+
+
+@given(_seeds, st.sampled_from(SYMBOLS))
+def test_random_title_draws_what_choice_and_randint_draw(seed, initial):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for _ in range(20):
+        body = "".join(theirs.choice(SYMBOLS[:26]) for _ in range(theirs.randint(3, 7)))
+        expected = f"{initial}{body} {theirs.choice(_TITLE_WORDS)}"
+        assert _random_title(ours.getrandbits, initial) == expected
+    assert ours.getstate() == theirs.getstate()
+
+
 # -- pinned corpus bytes ----------------------------------------------------
 #
-# sha256 of serialize(...), recorded before record assembly was shared
-# between the generator and the fixtures; any drift in the order of RNG
-# calls, in numbering or in normalization changes these.
+# sha256 of serialize(...). The fixture rows and the first two generator
+# rows were recorded before record assembly was shared between the
+# generator and the fixtures; the other generator rows were recorded while
+# the generator still drew through random's choice, choices and randint.
+# Any drift in which Mersenne Twister outputs are consumed, and in what
+# order, in numbering or in normalization changes these.
 
 _FIXTURE_SHA256 = {
     "cuba_t3": "2c3474076458bb9611728bdcea5f66ccf3f173a1d084ef83a7af51e2e2a80c9f",
@@ -650,8 +727,41 @@ def test_fixture_bytes_are_pinned(name, request):
             ),
             "61ba1d35c8baa77f42b75df01f5145b2eec232ef93e7f9b96e1cde678dd557ba",
         ),
+        # a year draw of 41 bits, which takes two 32-bit outputs
+        (
+            CorpusProfile(seed=11, n_records=300, year_range=(0, 2**40)),
+            "c8a4e6563e5d89ffef43e14357cf0fdeeac44571205055a0225a1cc02bcba2bc",
+        ),
+        # record 25 of this seed draws a second title equal to its first, then redraws it
+        (
+            CorpusProfile(seed=76523, n_records=30, multi_title_prob=1.0,
+                          initial_letter_weights={"Q": 1.0}),
+            "5d488bcd3f597fa4dfa751b8792f90a7b574b9ab26887bc8aa5be6223a90b11d",
+        ),
+        # choosing from a pool of one still consumes an output
+        (
+            CorpusProfile(seed=13, n_records=300, country_weights={"USA": 1.0},
+                          address_pools={"USA": ("MIT CAMBRIDGE MA",)}),
+            "958c7a3b7bf3b735badd036e8fc2c24afb19c46f6a4de68b80fe0ce1f1428c85",
+        ),
+        # a country without a pool draws no address
+        (
+            CorpusProfile(seed=14, n_records=300, country_weights={"USA": 1.0, "CUBA": 1.0},
+                          address_pools={"USA": ("MIT CAMBRIDGE MA", "HARVARD UNIV BOSTON MA")}),
+            "e9521f6f8b737b934e461e28044e9d1135b595998ae58f02a8c660eb6e21ed5d",
+        ),
+        (
+            CorpusProfile(seed=15, n_records=300, address_pools={}),
+            "bc7d7a3901fafbcdfa5e5c7c03b329a153091683d5682c1a57c6ea1722ccf201",
+        ),
+        (
+            CorpusProfile(seed=16, n_records=300, country_weights={"USA": 3, "CUBA": 1},
+                          initial_letter_weights={"A": 2, "J": 5, "7": 1}),
+            "c9100a6d1164e5aa4030ff40646ea265c3107106a06ae40d8c0be3637eb58b6b",
+        ),
     ],
-    ids=["default-seed7", "unnormalized-names"],
+    ids=["default-seed7", "unnormalized-names", "year-over-32-bits", "second-title-redrawn",
+         "one-address-pool", "country-without-pool", "no-address-pools", "integer-weights"],
 )
 def test_generate_bytes_are_pinned(profile, digest):
     corpus = generate(profile)

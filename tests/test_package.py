@@ -1,10 +1,12 @@
-"""The package stays pure standard library, keeps the names the benchmark uses, and
-``query.py`` walks and parses trees of any depth without recursion."""
+"""The package stays pure standard library, keeps the names the benchmark uses,
+``query.py`` walks and parses trees of any depth without recursion, and
+``corpus.py`` draws through ``random``'s public primitives only."""
 
 from __future__ import annotations
 
 import ast
 import dataclasses
+import subprocess
 import sys
 from pathlib import Path
 
@@ -68,6 +70,18 @@ def test_package_keeps_every_name_the_benchmark_calls():
     assert missing == []
 
 
+def test_every_public_name_imports_from_the_package_and_the_cli_loads_on_use():
+    names = [name for name in dir(capsplit) if not name.startswith("_")]
+    assert {"cli", "emit_report", "emit_strategy_script", "parse_strategy_script"} <= set(names)
+    assert capsplit.emit_report is capsplit.cli.emit_report
+    # a fresh interpreter: importing the package leaves the CLI module unloaded
+    code = ("import sys, capsplit; loaded = 'capsplit.cli' in sys.modules; "
+            f"from capsplit import {', '.join(names)}; print(loaded)")
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT / "src",
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "False\n")
+
+
 def test_strategy_and_report_keep_every_field_the_benchmark_reads():
     missing = [
         f"{cls.__name__}.{name}"
@@ -121,3 +135,28 @@ def test_query_module_has_no_recursion():
         if name in seen:
             recursive.append(name)
     assert recursive == []
+
+
+def test_corpus_draws_through_public_primitives_only():
+    # the generator and fixtures draw through getrandbits and random: no draw pays for the
+    # frames of random's own choice/choices/randint/randrange/shuffle, and nothing leans
+    # on its private helpers (_randbelow and the like)
+    path = PACKAGE / "corpus.py"
+    banned = {"choice", "choices", "randint", "randrange", "shuffle"}
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        # an attribute or an imported name may be random's; a bare name is the module's own
+        if isinstance(node, ast.Attribute):
+            names, theirs = [node.attr], True
+        elif isinstance(node, ast.ImportFrom):
+            names, theirs = [alias.name for alias in node.names], True
+        elif isinstance(node, ast.Name):
+            names, theirs = [node.id], False
+        else:
+            continue
+        found += [
+            f"line {node.lineno}: {name}"
+            for name in names
+            if name in banned or (theirs and name.startswith("_rand"))
+        ]
+    assert found == []
