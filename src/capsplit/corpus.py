@@ -26,7 +26,10 @@ has half a million records but one year, tens of thousands of distinct
 titles and a few dozen distinct country and address sets. One encoder
 fills every column, parsing each distinct raw value once. ``Record``
 stays the value type of one record: ``Corpus(records)`` encodes records,
-and iterating a corpus builds them back on demand.
+and iterating a corpus builds them back on demand. ``ingest`` reads text a
+bounded batch of lines at a time and fills the columns a column at a
+time, with no Python step per line; only a batch that holds an error is
+walked line by line, to name its first bad line.
 
 Each kind of input has one reader, whatever door it enters by.
 ``_parse_field`` reads SO, CU and AD values: ``ingest`` text once per
@@ -46,10 +49,11 @@ import io
 import math
 import random
 import sys
-from bisect import bisect
+from bisect import bisect, insort
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import not_
 from typing import Iterable, Iterator, Sequence
 
 # Canonical symbol order for title initials: letters first, then digits.
@@ -308,6 +312,12 @@ def _numbered(years: Column, titles: Column, countries: Column,
 # ---------------------------------------------------------------------------
 
 
+# Lines are read this many at a time: enough to make each batch's column
+# work cheap per line, few enough that the batch's cells, held while its
+# columns fill, add little to the peak memory of reading a large file.
+_BATCH_LINES = 4096
+
+
 def ingest(source: str | Iterable[str]) -> Corpus:
     """Parse line-oriented corpus text into a Corpus.
 
@@ -317,6 +327,13 @@ def ingest(source: str | Iterable[str]) -> Corpus:
     checked once per call, and each record stores only the number of its
     parsed value in that field's table, so texts that normalize alike
     (``usa``, ``USA``) share one value.
+
+    Lines are read in bounded batches, and each batch is checked and split
+    a column at a time, with no Python step per line: the tab counts, one
+    split into cells, the ids upper-cased in one string, the duplicate ids
+    in one set update, and each field column numbered through its encoder.
+    A batch that fails any of these is walked line by line with the same
+    readers, which raises the error of its first bad line.
     """
     # A string is read as a text file is, breaking lines only on \n, \r and \r\n.
     lines = iter(io.StringIO(source, newline=None) if isinstance(source, str) else source)
@@ -324,44 +341,117 @@ def ingest(source: str | Iterable[str]) -> Corpus:
     if first and first[0].startswith("\ufeff"):
         raise CorpusError("line 1: text starts with a byte-order mark (U+FEFF); "
                           "corpus text is UTF-8 without one")
-    ids: list[str] = []
-    seen: set[str] = set()
-    comments: list[int] = []  # the line numbers of comment lines, ascending
-    years = _Encoder(_parse_year)
-    titles, countries, addresses = (_Encoder(partial(_parse_field, t)) for t in ("SO", "CU", "AD"))
-    for lineno, raw in enumerate(chain(first, lines), start=1):
-        line = raw.rstrip("\n")
-        if line.startswith("#"):
-            comments.append(lineno)
-            continue
-        if not line.strip():
-            raise CorpusError(f"line {lineno}: blank line is not valid corpus data")
-        fields = line.split("\t")
-        if len(fields) != 5:
-            raise CorpusError(
-                f"line {lineno}: expected 5 tab-separated fields, got {len(fields)}"
-            )
-        id_text, year_text, so_text, cu_text, ad_text = fields
-        try:
-            year = years[year_text]
-            rid = _check_id(id_text)
-            so, cu, ad = titles[so_text], countries[cu_text], addresses[ad_text]
-        except CorpusError as exc:
-            raise CorpusError(f"line {lineno}: {exc}") from None
-        if rid in seen:
-            raise CorpusError(
-                f"line {lineno}: duplicate id {rid!r} "
-                f"(first defined on line {_line_of(ids.index(rid), comments)})"
-            )
-        seen.add(rid)
-        ids.append(rid)
-        # appended here rather than by add, which would cost four Python calls a line
-        years.codes.append(year)
-        titles.codes.append(so)
-        countries.codes.append(cu)
-        addresses.codes.append(ad)
-    return Corpus._of(tuple(ids), years.column(), titles.column(), countries.column(),
-                      addresses.column())
+    lines = chain(first, lines)
+    reader = _Reader()
+    start = 1
+    while batch := list(islice(lines, _BATCH_LINES)):
+        if not reader.read(batch, start):
+            reader.raise_first_error(batch, start)
+        start += len(batch)
+    return reader.corpus()
+
+
+class _Reader:
+    """The columns ``ingest`` fills, one batch of lines at a time."""
+
+    def __init__(self) -> None:
+        self.ids: list[str] = []
+        self.seen: set[str] = set()
+        self.comments: list[int] = []  # the line numbers of comment lines, ascending
+        self.years = _Encoder(_parse_year)
+        self.titles, self.countries, self.addresses = (
+            _Encoder(partial(_parse_field, tag)) for tag in ("SO", "CU", "AD")
+        )
+
+    def read(self, batch: list[str], start: int) -> bool:
+        """Add the records of lines ``start``, ``start + 1``, ...; False if a line is bad.
+
+        A refused batch adds no id and no comment line, so that
+        ``raise_first_error`` can walk it from the state before it; the
+        encoders may have numbered some of its texts, which is harmless,
+        since a refused batch always holds an error.
+        """
+        comment = list(map(str.startswith, batch, repeat("#")))
+        comments = list(compress(range(start, start + len(batch)), comment))
+        data = list(compress(batch, map(not_, comment))) if comments else batch
+        if data:
+            # a blank line has no tab, so every line of 5 fields has exactly 4
+            if set(map(str.count, data, repeat("\t"))) != {4}:
+                return False
+            cells = "\t".join(data).split("\t")
+            ids = _batch_ids(cells[0::5])
+            if ids is None:
+                return False
+            size = len(self.seen)
+            self.seen.update(ids)
+            if len(self.seen) - size != len(ids):
+                return False
+            # the last cell of a line still holds its line break
+            addresses = map(str.rstrip, cells[4::5], repeat("\n"))
+            try:
+                for encoder, texts in ((self.years, cells[1::5]), (self.titles, cells[2::5]),
+                                       (self.countries, cells[3::5]), (self.addresses, addresses)):
+                    encoder.codes += map(encoder.__getitem__, texts)
+            except CorpusError:
+                return False
+            self.ids += ids
+        self.comments += comments
+        return True
+
+    def raise_first_error(self, batch: list[str], start: int) -> None:
+        """Read a batch that ``read`` refused line by line, raising the error of its first bad line."""
+        ids, comments, seen = self.ids, self.comments, set(self.ids)
+        for lineno, raw in enumerate(batch, start):
+            line = raw.rstrip("\n")
+            if line.startswith("#"):
+                comments.append(lineno)
+                continue
+            if not line.strip():
+                raise CorpusError(f"line {lineno}: blank line is not valid corpus data")
+            fields = line.split("\t")
+            if len(fields) != 5:
+                raise CorpusError(
+                    f"line {lineno}: expected 5 tab-separated fields, got {len(fields)}"
+                )
+            id_text, year_text, so_text, cu_text, ad_text = fields
+            try:
+                self.years[year_text]
+                rid = _check_id(id_text)
+                self.titles[so_text], self.countries[cu_text], self.addresses[ad_text]
+            except CorpusError as exc:
+                raise CorpusError(f"line {lineno}: {exc}") from None
+            if rid in seen:
+                raise CorpusError(
+                    f"line {lineno}: duplicate id {rid!r} "
+                    f"(first defined on line {_line_of(ids.index(rid), comments)})"
+                )
+            seen.add(rid)
+            ids.append(rid)
+        raise AssertionError(f"lines {start}-{start + len(batch) - 1} were refused, "
+                             "but each one reads")
+
+    def corpus(self) -> Corpus:
+        return Corpus._of(tuple(self.ids), self.years.column(), self.titles.column(),
+                          self.countries.column(), self.addresses.column())
+
+
+def _batch_ids(texts: list[str]) -> list[str] | None:
+    """``_check_id`` of every id text, or None if one is not a valid id.
+
+    The texts are upper-cased as one string. Texts that are already one
+    token each need nothing more; otherwise each is normalized, and the ids
+    must then be one token each, with no ``|`` and none led by ``#``.
+    """
+    text = "\t".join(texts).upper()
+    ids = text.split("\t")
+    if text.split() != ids:  # an id is empty, padded or more than one word
+        text = "\t".join(map(normalize_text, texts))
+        ids = text.split("\t")
+        if text.split() != ids:
+            return None
+    if "|" in text or text.startswith("#") or "\t#" in text:
+        return None
+    return ids
 
 
 def _line_of(index: int, comments: list[int]) -> int:
@@ -845,27 +935,45 @@ def pair_overlap_degrees(
     )
     pairs: list[tuple[int, int]] = []
 
-    def take_edge(i: int) -> None:
-        candidates = [
-            k
-            for k in range(len(remaining))
-            if k != i and remaining[k] > 0 and tuple(sorted((i, k))) not in blocked
-        ]
-        if not candidates:
-            raise CorpusError("overlap degree sequence infeasible under pair constraints")
-        j = max(candidates, key=lambda k: (remaining[k], -k))
-        remaining[i] -= 1
-        remaining[j] -= 1
-        pairs.append((min(i, j), max(i, j)))
+    def take(i: int, j: int, run: int) -> None:
+        remaining[i] -= run
+        remaining[j] -= run
+        pairs.extend([(min(i, j), max(i, j))] * run)
 
+    def steps(j: int, rival: int | None) -> int:
+        """How many steps in a row ``j``, losing one a step, still outranks ``rival``."""
+        if rival is None:
+            return remaining[j]
+        return min(remaining[j], remaining[j] - remaining[rival] + (j < rival))
+
+    # A step pairs a statement with its highest-ranked compatible partner
+    # (most remaining, lowest index), and repeats as a run for as long as
+    # that partner stays the highest-ranked.
     for i in constrained:
         while remaining[i] > 0:
-            take_edge(i)
-    while True:
-        i = max(range(len(remaining)), key=lambda k: (remaining[k], -k))
-        if remaining[i] == 0:
-            break
-        take_edge(i)
+            partners = sorted(
+                (-remaining[k], k)
+                for k in range(len(remaining))
+                if k != i and remaining[k] > 0 and tuple(sorted((i, k))) not in blocked
+            )
+            if not partners:
+                raise CorpusError("overlap degree sequence infeasible under pair constraints")
+            j = partners[0][1]
+            rival = partners[1][1] if len(partners) > 1 else None
+            take(i, j, min(remaining[i], steps(j, rival)))
+    # Every statement with a forbidden partner is paired off now, so each
+    # step pairs the two highest-ranked statements; the first stays first
+    # for as long as the second stays second.
+    ranked = sorted((-d, k) for k, d in enumerate(remaining) if d > 0)
+    while ranked:
+        if len(ranked) == 1:
+            raise CorpusError("overlap degree sequence infeasible under pair constraints")
+        (_, i), (_, j) = ranked[0], ranked[1]
+        take(i, j, steps(j, ranked[2][1] if len(ranked) > 2 else None))
+        del ranked[:2]
+        for k in (i, j):
+            if remaining[k] > 0:
+                insort(ranked, (-remaining[k], k))
     return pairs
 
 

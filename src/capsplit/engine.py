@@ -25,24 +25,28 @@ may have to probe.
 the cap) that the engine, planner and runner ask; ``str`` of a count
 gives the digits or "at least the cap" for every refusal message.
 
-Indexing is a per-field sorted term dictionary whose postings are
-lists of record positions, so term lookups, prefix ranges and
-next-symbol introspection are all cheap. The index is built from the
-four corpus columns alike: positions are grouped by value once per
-field, and a term's postings join the groups of the distinct values that
-hold it, so a year is written as digits and an address set is split into
-tokens once, however many records share it. Postings are not sorted; a
-leaf only sets their bits.
+Indexing is per field and built over the column's distinct values only:
+a sorted term dictionary maps each term to the codes of the distinct
+values that hold it, so term lookups, prefix ranges and next-symbol
+introspection are all cheap, a year is written as digits and an address
+set is split into tokens once, however many records share it. How a
+leaf's bitset is made from those value codes follows from what ``bytes``
+can hold. A column of at most 256 distinct values (a paper-scale
+corpus's years, country sets and address sets) keeps its codes as
+``bytes``; a leaf is one ``translate`` of them to ``0``/``1`` digits,
+read by ``int(..., 2)``, which is linear and has no digit limit. A wider
+column (source titles) keeps the record positions of each value code,
+and a leaf sets their bits in a little-endian byte buffer of one bit per
+record, which ``int.from_bytes`` reads as the int.
 
 A query is evaluated by ``query.fold``, the one walk of a query tree.
 Every result is a Python ``int`` used as a bitset over record positions:
 AND, OR and NOT are ``&``, ``|`` and ``& ~``, and a count is
 ``int.bit_count()``. Each distinct ``Term`` leaf is turned into a bitset
-once and kept: its postings set bits in a little-endian byte buffer of
-one bit per record, which ``int.from_bytes`` reads as the int. A leaf
-cannot go stale, so that cache is bounded by the distinct leaves ever
-queried. Nothing else is cached: operator results are recomputed on
-every query, and the session list holds each statement's immutable int.
+once and kept. A leaf cannot go stale, so that cache is bounded by the
+distinct leaves ever queried. Nothing else is cached: operator results
+are recomputed on every query, and the session list holds each
+statement's immutable int.
 Next-symbol introspection hops from one child symbol to the next by
 bisection, so it reads one stored term per child, not every term under
 the prefix. ``retrieve`` reads a result's bytes and visits only those
@@ -131,16 +135,11 @@ class CappedEngine:
         self.corpus = corpus
         self.config = config or EngineConfig()
         self._ids = corpus.ids
-        # one int object per position, shared by the postings of every field
-        positions = list(range(len(corpus)))
-        self._postings: dict[FieldKind, dict[str, list[int]]] = {
-            FieldKind.PY: _postings(positions, corpus.years, lambda year: (str(year),)),
-            FieldKind.CU: _postings(positions, corpus.countries, iter),
-            FieldKind.SO: _postings(positions, corpus.source_titles, iter),
-            FieldKind.AD: _postings(positions, corpus.addresses, _address_tokens),
-        }
-        self._terms: dict[FieldKind, list[str]] = {
-            field: sorted(terms) for field, terms in self._postings.items()
+        self._index: dict[FieldKind, _FieldIndex] = {
+            FieldKind.PY: _FieldIndex(corpus.years, lambda year: (str(year),)),
+            FieldKind.CU: _FieldIndex(corpus.countries, iter),
+            FieldKind.SO: _FieldIndex(corpus.source_titles, iter),
+            FieldKind.AD: _FieldIndex(corpus.addresses, _address_tokens),
         }
         self._leaves: dict[Term, int] = {}
         self._statements: list[int] = []  # #k is self._statements[k - 1]
@@ -209,7 +208,7 @@ class CappedEngine:
             raise EngineError("prefix introspection is not supported for PY")
         prefix = prefix.upper()
         cut = len(prefix)
-        terms = self._terms[field]
+        terms = self._index[field].terms
         children: set[str] = set()
         i = bisect_left(terms, prefix)
         if i < len(terms) and terms[i] == prefix:
@@ -240,7 +239,7 @@ class CappedEngine:
 
     def _terms_with_prefix(self, field: FieldKind, prefix: str) -> Iterator[str]:
         """The stored terms of ``field`` that start with ``prefix``, in sorted order."""
-        terms = self._terms[field]
+        terms = self._index[field].terms
         i = bisect_left(terms, prefix)
         while i < len(terms) and terms[i].startswith(prefix):
             yield terms[i]
@@ -259,17 +258,14 @@ class CappedEngine:
         bits = self._leaves.get(node)
         if bits is not None:
             return bits
-        postings = self._postings[node.field]
+        index = self._index[node.field]
         text = node.pattern.text
         if node.pattern.truncated:
-            matched = [postings[t] for t in self._terms_with_prefix(node.field, text)]
+            terms = self._terms_with_prefix(node.field, text)
+            codes = set(chain.from_iterable(map(index.codes.__getitem__, terms)))
         else:
-            matched = [postings.get(text, ())]
-        # little-endian bytes: position p is bit p & 7 of byte p >> 3
-        buf = bytearray((len(self._ids) + 7) >> 3)
-        for pos in chain.from_iterable(matched):
-            buf[pos >> 3] |= 1 << (pos & 7)
-        bits = self._leaves[node] = int.from_bytes(buf, "little")
+            codes = index.codes.get(text, ())
+        bits = self._leaves[node] = index.bits(codes)
         return bits
 
 
@@ -281,26 +277,47 @@ def _combine(node: And | Or | Diff, left: int, right: int) -> int:
     return left & ~right
 
 
-def _group(positions: list[int], keys: Iterable) -> dict:
-    """The positions of each distinct key, where ``keys`` has one key per position."""
-    groups: dict = defaultdict(list)
-    for pos, key in zip(positions, keys):
-        groups[key].append(pos)
-    return groups
+class _FieldIndex:
+    """One field's index: each term's value codes, and the bitset of a set of value codes.
 
-
-def _postings(positions: list[int], column: Column, terms_of) -> dict[str, list[int]]:
-    """Each term's record positions, built once per distinct value of the column.
-
-    ``terms_of`` names the terms of one value; a term's postings join the
-    positions of every value that has it, so they are not sorted.
+    ``codes`` maps every term to the codes of the distinct values that hold
+    it, and ``terms`` lists the terms sorted. A column of at most 256
+    distinct values keeps its codes as ``bytes``, last record first, so
+    that ``translate`` with a table that maps each matching code to ``1``
+    and every other to ``0`` writes the bitset in base 2. A wider column
+    keeps the record positions of each value code, whose bits are set one
+    by one in a little-endian byte buffer that ``int.from_bytes`` reads.
     """
-    values = column.values
-    postings: dict[str, list[int]] = defaultdict(list)
-    for code, group in _group(positions, column.codes).items():
-        for term in terms_of(values[code]):
-            postings[term].extend(group)
-    return dict(postings)
+
+    def __init__(self, column: Column, terms_of) -> None:
+        codes: dict[str, list[int]] = defaultdict(list)
+        for code, value in enumerate(column.values):
+            for term in terms_of(value):
+                codes[term].append(code)
+        self.codes = dict(codes)
+        self.terms = sorted(codes)
+        self._size = len(column.codes)
+        if len(column.values) <= 256:
+            self._reversed_codes = bytes(reversed(column.codes))
+        else:
+            self._reversed_codes = None
+            self._positions: list[list[int]] = [[] for _ in column.values]
+            for pos, code in enumerate(column.codes):
+                self._positions[code].append(pos)
+
+    def bits(self, codes: Iterable[int]) -> int:
+        """The bitset of the records whose value code is one of ``codes``."""
+        if self._reversed_codes is not None:
+            table = bytearray(b"0" * 256)
+            for code in codes:
+                table[code] = 49  # ord("1")
+            # base 2 has no digit limit; an empty corpus reads as "0"
+            return int(self._reversed_codes.translate(table) or b"0", 2)
+        # little-endian bytes: position p is bit p & 7 of byte p >> 3
+        buf = bytearray((self._size + 7) >> 3)
+        for pos in chain.from_iterable(map(self._positions.__getitem__, codes)):
+            buf[pos >> 3] |= 1 << (pos & 7)
+        return int.from_bytes(buf, "little")
 
 
 def _address_tokens(addresses: frozenset[str]) -> set[str]:

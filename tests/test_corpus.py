@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import math
 import random
 import sys
 from collections import Counter
+from functools import partial
+from itertools import chain, islice
 
 import pytest
 from hypothesis import example, given
@@ -29,6 +32,11 @@ from capsplit.corpus import (
     FIXTURE_LETTER_GROUPS,
     SYMBOLS,
     _below,
+    _check_id,
+    _Encoder,
+    _line_of,
+    _parse_field,
+    _parse_year,
     _random_title,
     _shuffle,
     _weighted,
@@ -208,6 +216,134 @@ def test_ingest_parses_each_distinct_raw_text_once_per_field(monkeypatch, cuba_c
     assert corpus.countries.codes == (0, 0, 1, 0, 0)
     # a fixture has one year
     assert cuba_corpus.years.values == (2007,)
+
+
+def _per_line_ingest(source):
+    """The reference reader: ``ingest`` as it was written, one Python step per line."""
+    lines = iter(io.StringIO(source, newline=None) if isinstance(source, str) else source)
+    first = list(islice(lines, 1))
+    if first and first[0].startswith("\ufeff"):
+        raise CorpusError("line 1: text starts with a byte-order mark (U+FEFF); "
+                          "corpus text is UTF-8 without one")
+    ids: list[str] = []
+    seen: set[str] = set()
+    comments: list[int] = []
+    years = _Encoder(_parse_year)
+    titles, countries, addresses = (_Encoder(partial(_parse_field, t)) for t in ("SO", "CU", "AD"))
+    for lineno, raw in enumerate(chain(first, lines), start=1):
+        line = raw.rstrip("\n")
+        if line.startswith("#"):
+            comments.append(lineno)
+            continue
+        if not line.strip():
+            raise CorpusError(f"line {lineno}: blank line is not valid corpus data")
+        fields = line.split("\t")
+        if len(fields) != 5:
+            raise CorpusError(
+                f"line {lineno}: expected 5 tab-separated fields, got {len(fields)}"
+            )
+        id_text, year_text, so_text, cu_text, ad_text = fields
+        try:
+            year = years[year_text]
+            rid = _check_id(id_text)
+            so, cu, ad = titles[so_text], countries[cu_text], addresses[ad_text]
+        except CorpusError as exc:
+            raise CorpusError(f"line {lineno}: {exc}") from None
+        if rid in seen:
+            raise CorpusError(
+                f"line {lineno}: duplicate id {rid!r} "
+                f"(first defined on line {_line_of(ids.index(rid), comments)})"
+            )
+        seen.add(rid)
+        ids.append(rid)
+        years.codes.append(year)
+        titles.codes.append(so)
+        countries.codes.append(cu)
+        addresses.codes.append(ad)
+    return Corpus._of(tuple(ids), years.column(), titles.column(), countries.column(),
+                      addresses.column())
+
+
+def _read_with(reader, source):
+    """What a reader makes of ``source``: its columns and bytes, or its error message."""
+    try:
+        corpus = reader(source)
+    except CorpusError as exc:
+        return str(exc)
+    columns = [(column.values, column.codes) for column in (
+        corpus.years, corpus.source_titles, corpus.countries, corpus.addresses)]
+    return corpus.ids, columns, serialize(corpus)
+
+
+# Cell texts for each field: (texts the readers accept, texts they refuse).
+_CELLS = (
+    (("R{}", "r{}", " r{} ", "R{}\x0b", "ß{}"), (" #R{}", "R{} X", "R|{}", "", " ")),
+    (("2007", "0", "10000", "2008"), ("02007", "20O7", "", " 2007")),
+    (("A REV", "a  rev", "B REV|A REV", "É X"), ("J(X", "A||B", "", " ")),
+    (("USA", "usa", "CUBA|USA", " cuba "), ("US=A", "|", "")),
+    (("", "UCL LONDON", "mit  cambridge|UCL LONDON", "A\rB"), (" ", "#X", "A|")),
+)
+
+
+@st.composite
+def _corpus_sources(draw):
+    """Corpus text as a string or as a list of lines, mostly valid, sometimes not.
+
+    A line is a record, a comment, a blank line, a line of 4 or 6 fields, a
+    record with one refused cell, a record that repeats an earlier id, or a
+    record with a line break inside its last field: a list element takes
+    that as one line, while a string breaks it in two.
+    """
+    kinds = ["record"] * 12 + ["comment", "blank", "tabs", "bad cell", "dup", "inner break"]
+    lines = [FILE_HEADER + "\n"] if draw(st.booleans()) else []
+    for n in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "comment":
+            lines.append(draw(st.sampled_from(["# c\n", "#\tx\ty\n", "#\n"])))
+            continue
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["\n", "  \n", "\t\t\t\t\n"])))
+            continue
+        cells = [draw(st.sampled_from(good)) for good, _ in _CELLS]
+        if kind == "bad cell":
+            field = draw(st.integers(0, 4))
+            cells[field] = draw(st.sampled_from(_CELLS[field][1]))
+        cells[0] = cells[0].format(draw(st.integers(0, n - 1)) if kind == "dup" and n else n)
+        if kind == "tabs":
+            cells = cells[:-1] if draw(st.booleans()) else cells + ["X"]
+        if kind == "inner break":
+            cells[-1] += draw(st.sampled_from(["\nY", "\rY", "\r"]))
+        lines.append("\t".join(cells) + "\n")
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\n")  # no final newline
+    if lines and draw(st.integers(0, 9)) == 0:
+        lines[0] = "\ufeff" + lines[0]
+    return lines if draw(st.booleans()) else "".join(lines)
+
+
+@given(source=_corpus_sources(), batch=st.sampled_from([1, 2, 3, 5, 4096]))
+@example(  # a duplicate whose first definition lies two batches back
+    source=[f"{FILE_HEADER}\n", "R1\t2007\tA\tUSA\t\n", "# c\n", "R2\t2007\tA\tUSA\t\n",
+            "R3\t2007\tA\tUSA\t\n", "r1 \t2007\tB\tUSA\t\n"],
+    batch=2,
+)
+def test_ingest_reads_as_the_per_line_reader_reads(source, batch):
+    saved = capsplit.corpus._BATCH_LINES
+    capsplit.corpus._BATCH_LINES = batch
+    try:
+        got = _read_with(ingest, list(source) if isinstance(source, list) else source)
+    finally:
+        capsplit.corpus._BATCH_LINES = saved
+    assert got == _read_with(_per_line_ingest, source)
+
+
+def test_ingest_names_a_duplicate_defined_batches_earlier(monkeypatch):
+    monkeypatch.setattr(capsplit.corpus, "_BATCH_LINES", 2)
+    text = (f"{FILE_HEADER}\nR1\t2007\tA\tUSA\t\n# c\nR2\t2007\tA\tUSA\t\n"
+            "R3\t2007\tA\tUSA\t\nr1 \t2008\tB\tUSA\t\n")
+    with pytest.raises(CorpusError) as err:
+        ingest(text)
+    assert str(err.value) == "line 6: duplicate id 'R1' (first defined on line 2)"
 
 
 # -- serialize --------------------------------------------------------------
@@ -562,6 +698,64 @@ def test_pair_degrees_satisfies_degrees_and_constraints():
             got[i] += 1
             got[j] += 1
         assert got == degrees
+
+
+def _reference_pair_overlap_degrees(degrees, forbidden=frozenset()):
+    """The reference pairing: one edge per step, every statement rescanned with ``max``."""
+    remaining = list(degrees)
+    if any(d < 0 for d in remaining):
+        raise CorpusError("overlap degrees must be non-negative")
+    if sum(remaining) % 2 != 0:
+        raise CorpusError("overlap degree sequence has odd sum; cannot pair")
+    blocked = {tuple(sorted(p)) for p in forbidden}
+    constrained = sorted({k for pair in blocked for k in pair}, key=lambda k: (-remaining[k], k))
+    pairs = []
+
+    def take_edge(i):
+        candidates = [
+            k
+            for k in range(len(remaining))
+            if k != i and remaining[k] > 0 and tuple(sorted((i, k))) not in blocked
+        ]
+        if not candidates:
+            raise CorpusError("overlap degree sequence infeasible under pair constraints")
+        j = max(candidates, key=lambda k: (remaining[k], -k))
+        remaining[i] -= 1
+        remaining[j] -= 1
+        pairs.append((min(i, j), max(i, j)))
+
+    for i in constrained:
+        while remaining[i] > 0:
+            take_edge(i)
+    while True:
+        i = max(range(len(remaining)), key=lambda k: (remaining[k], -k))
+        if remaining[i] == 0:
+            break
+        take_edge(i)
+    return pairs
+
+
+def _pairing(pair, degrees, forbidden):
+    try:
+        return pair(degrees, forbidden)
+    except CorpusError as exc:
+        return str(exc)
+
+
+@given(
+    degrees=st.lists(st.integers(0, 40), min_size=1, max_size=8),
+    picks=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=4),
+)
+@example(degrees=[5536, 4385, 13440, 9267, 13200, 56, 168], picks=[(5, 6)])  # usa_t1
+def test_pair_degrees_equal_the_reference_pairing(degrees, picks):
+    forbidden = frozenset((i % len(degrees), j % len(degrees)) for i, j in picks)
+    assert _pairing(pair_overlap_degrees, degrees, forbidden) == _pairing(
+        _reference_pair_overlap_degrees, degrees, forbidden
+    )
+
+
+def test_pair_degrees_of_no_statements_is_no_pairs():
+    assert pair_overlap_degrees(()) == []
 
 
 # -- fixtures ----------------------------------------------------------------

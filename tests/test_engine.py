@@ -178,24 +178,39 @@ def test_cap_exceeded_error_payload(corpus):
 _SECTION_TREES = st.recursive(
     st.sampled_from(
         ["PY=2005", "PY=2007", "PY=200*", "CU=USA", "CU=CUBA", "SO=A*", "SO=J*", "SO=Q*",
-         "AD=UNIV", "AD=MA", "AD=X*", "PY=1999"]
+         "AD=UNIV", "AD=MA", "AD=X*", "PY=1999", "PY=1*", "PY=7*", "CU=C1*", "CU=C42"]
     ).map(parse),
     lambda sub: st.one_of(st.builds(kind, sub, sub) for kind in (And, Or, Diff)),
     max_leaves=5,
 )
 
+# profiles whose PY or CU column has more than 256 distinct values once a
+# corpus holds a few hundred records, so its leaves are built from positions
+_WIDE = {
+    None: {},
+    "PY": {"year_range": (0, 10**6)},
+    "CU": {"country_weights": {f"C{k}": 1.0 for k in range(2000)}},
+}
+
 
 @given(
     seed=st.integers(0, 10_000),
     n_records=st.integers(0, 60),
+    wide=st.sampled_from(list(_WIDE)),
     sections=st.lists(_SECTION_TREES, max_size=6),
     cap=st.integers(1, 80),
     count_mode=st.sampled_from([VISIBLE, CENSORED]),
 )
 def test_coverage_is_the_at_least_k_histogram_of_the_sections(
-    seed, n_records, sections, cap, count_mode
+    seed, n_records, wide, sections, cap, count_mode
 ):
-    data = generate(CorpusProfile(seed=seed, n_records=n_records, multi_title_prob=0.3))
+    if wide:
+        n_records += 400
+    data = generate(CorpusProfile(seed=seed, n_records=n_records, multi_title_prob=0.3,
+                                  **_WIDE[wide]))
+    if wide:
+        column = data.years if wide == "PY" else data.countries
+        assert len(column.values) > 256
     uncapped = CappedEngine(data, EngineConfig(cap=n_records + 1))
     materialized = [uncapped.retrieve(s) for s in sections]
     engine = CappedEngine(data, EngineConfig(cap=cap, count_mode=count_mode))
@@ -374,6 +389,59 @@ def test_leaf_bitset_has_one_bit_per_posting(n):
         assert bits == sum(1 << p for p in postings)
     assert engine._leaf(Term(FieldKind.SO, Pattern("A REV"))) == sum(1 << p for p in marked)
     assert engine._leaf(Term(FieldKind.SO, Pattern("Q", truncated=True))) == 0
+
+
+def _values_corpus(n_values: int, field: str, n_records: int) -> Corpus:
+    """Records whose PY or CU column cycles through ``n_values`` distinct values.
+
+    A record's countries are ``C{v}`` and ``C{v+1}``, so its country set is
+    one of ``n_values`` sets.
+    """
+    def record(p: int):
+        v = p % n_values
+        if field == "PY":
+            return make_record(f"R{p}", (f"T{p % 7} REV",), year=1000 + v,
+                               addresses=(f"UNIV {v % 5}",))
+        return make_record(f"R{p}", (f"T{p % 7} REV",), countries=(f"C{v}", f"C{v + 1}"))
+    return Corpus(tuple(map(record, range(n_records))))
+
+
+def _stored_strings(corpus: Corpus) -> dict[FieldKind, set[str]]:
+    """Every string a record can be found through, by field, read off the records."""
+    strings: dict[FieldKind, set[str]] = {field: set() for field in FieldKind}
+    for rec in corpus:
+        strings[FieldKind.PY].add(str(rec.pub_year))
+        strings[FieldKind.CU].update(rec.countries)
+        strings[FieldKind.SO].update(rec.source_titles)
+        strings[FieldKind.AD].update(tok for addr in rec.addresses for tok in addr.split())
+    return strings
+
+
+@pytest.mark.parametrize(
+    "field, n_values, n_records",
+    [
+        ("PY", 256, 600), ("PY", 257, 600), ("CU", 256, 600), ("CU", 257, 600),
+        ("PY", 3, 0),
+        ("PY", 3, 4400), ("CU", 300, 4400),  # leaves of more bits than int() reads in base 10
+    ],
+)
+def test_leaves_agree_with_the_oracle_on_both_sides_of_the_bytes_rule(field, n_values, n_records):
+    corpus = _values_corpus(n_values, field, n_records)
+    engine, oracle = CappedEngine(corpus), Oracle(corpus)
+    column = corpus.years if field == "PY" else corpus.countries
+    assert len(column.values) == min(n_values, n_records)
+    narrow = engine._index[FieldKind[field]]._reversed_codes is not None
+    assert narrow == (len(column.values) <= 256)
+    for kind, strings in _stored_strings(corpus).items():
+        terms = [Term(kind, Pattern(text)) for text in strings]
+        terms += [Term(kind, Pattern(text[0], truncated=True)) for text in strings]
+        for term in terms:
+            expected = oracle.evaluate(term)
+            assert engine.count(term) == CountResult.exact(len(expected)), term
+            assert engine.retrieve(term) == expected, term
+    for text in ("PY=1000", "CU=C0", "SO=T*", "AD=UNIV", "PY=2*"):
+        query = parse(text)
+        assert engine.retrieve(query) == oracle.evaluate(query), text
 
 
 # -- shared-result hygiene ----------------------------------------------------
