@@ -241,13 +241,17 @@ def _write_out(text: str, out: str | None) -> None:
 def _parse_countries(text: str) -> dict[str, float]:
     weights: dict[str, float] = {}
     for part in text.split(","):
-        name, _, weight = part.partition(":")
+        name, colon, weight = part.partition(":")
         name = name.strip().upper()
         if not name:
             raise CorpusError(f"bad --countries entry in {text!r}")
-        value = _ascii_float(weight) if weight else 1.0
+        if name in weights:
+            raise CorpusError(f"country {name!r} is named twice in --countries")
+        # a bare name weighs 1; a colon needs a weight after it
+        value = _ascii_float(weight) if colon else 1.0
         if value is None:
-            raise CorpusError(f"country weight {weight!r} is not finite, or not ASCII digits")
+            raise CorpusError(f"country weight {weight!r} of {name!r} is not finite, "
+                              "or not ASCII digits")
         weights[name] = value
     return weights
 

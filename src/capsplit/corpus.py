@@ -180,21 +180,26 @@ class Column:
 class _Encoder(dict):
     """Maps a raw value to the number of its parsed value, recording one code per record.
 
-    A raw value seen for the first time is parsed once, by ``parse`` (none:
-    the raw value is the value); parsed values are numbered in first-seen
-    order, so raw values that parse alike share one number. ``add`` records
-    the number of one record's raw value.
+    A raw value seen for the first time is parsed once, by ``parse``; parsed
+    values are numbered in first-seen order in ``numbers``, so raw values that
+    parse alike share one number. Without ``parse`` a raw value is its own value,
+    and ``numbers`` is the encoder itself. ``add`` records one record's number.
     """
 
     def __init__(self, parse=None) -> None:
         super().__init__()
         self.parse = parse
-        self.numbers: dict = {}  # parsed value -> its number, in first-seen order
+        self._parsed: dict | None = None if parse is None else {}
         self.codes: list[int] = []
 
+    # not an attribute: an encoder holding itself is a cycle, which outlives its builder
+    numbers = property(lambda self: self if self.parse is None else self._parsed)
+
     def __missing__(self, raw) -> int:
-        value = raw if self.parse is None else self.parse(raw)
-        number = self[raw] = self.numbers.setdefault(value, len(self.numbers))
+        if self.parse is None:
+            number = self[raw] = len(self)
+        else:
+            number = self[raw] = self._parsed.setdefault(self.parse(raw), len(self._parsed))
         return number
 
     def add(self, raw) -> None:
@@ -754,18 +759,25 @@ def generate(profile: CorpusProfile) -> Corpus:
     profile.validate()
     rng = random.Random(profile.seed)
     bits, uniform = rng.getrandbits, rng.random
-    names, country_w = _weighted_items(profile.country_weights)
-    # Caller-supplied names and pools are read here, once, in the order fixed
-    # above, so no generated record is checked again. Pools are keyed by the
-    # raw country name, and each address is drawn as a set of one.
-    pools, countries = profile.address_pools, []
-    for c in names:
+    weights = profile.country_weights
+    # Caller-supplied names and pools are read here, once, in sorted order,
+    # so no generated record is checked again; a name of weight 0 is read
+    # too, though never drawn. Pools are keyed by the raw country name, and
+    # each address is drawn as a set of one. Two names of one country
+    # ("usa", "USA") are refused, not drawn as one.
+    pools, countries, country_w, named = profile.address_pools, [], [], {}
+    for c in sorted(weights):
         try:
             country = _parse_field("CU", (c,), text=False)
             pool = tuple(_parse_field("AD", (a,), text=False) for a in pools.get(c, ()))
-            countries.append((country, pool))
         except CorpusError as exc:
             raise CorpusError(f"profile country {c!r}: {exc}") from None
+        if country in named:
+            raise CorpusError(f"profile countries {named[country]!r} and {c!r} name one country")
+        named[country] = c
+        if weights[c] > 0:
+            countries.append((country, pool))
+            country_w.append(weights[c])
     country_at = _weighted(rng, countries, country_w)
     letter = _weighted(rng, *_weighted_items(profile.initial_letter_weights))
     multi = profile.multi_title_prob
@@ -814,8 +826,6 @@ FIXTURE_LETTER_GROUPS: tuple[tuple[str, ...], ...] = (
 )
 
 FIXTURE_SPLIT_PREFIX = "J"
-
-FIXTURE_NAMES = ("cuba_t3", "usa_t1", "uk_s1")
 
 
 @dataclass(frozen=True)
@@ -899,21 +909,10 @@ _UK_OTHER_POOL = (
 _FIXTURE_YEAR = 2007
 
 
-def build_fixture(name: str) -> Corpus:
-    """Build one of the shipped reference corpora: cuba_t3, usa_t1 or uk_s1."""
-    if name == "cuba_t3":
-        return _build_split_fixture(_CUBA_SPEC)
-    if name == "usa_t1":
-        return _build_split_fixture(_USA_SPEC)
-    if name == "uk_s1":
-        return _build_uk_fixture()
-    raise CorpusError(f"unknown fixture {name!r}; expected one of {', '.join(FIXTURE_NAMES)}")
-
-
 def pair_overlap_degrees(
     degrees: list[int] | tuple[int, ...], forbidden: frozenset[tuple[int, int]] = frozenset()
 ) -> list[tuple[int, int]]:
-    """Realize a symmetric degree sequence as a list of index pairs.
+    """Realize a symmetric degree sequence as a list of index pairs, one edge per step.
 
     Greedy largest-degree-first, with one refinement: statements that have
     forbidden partners are matched first (largest such degree first, each
@@ -934,46 +933,34 @@ def pair_overlap_degrees(
         key=lambda k: (-remaining[k], k),
     )
     pairs: list[tuple[int, int]] = []
-
-    def take(i: int, j: int, run: int) -> None:
-        remaining[i] -= run
-        remaining[j] -= run
-        pairs.extend([(min(i, j), max(i, j))] * run)
-
-    def steps(j: int, rival: int | None) -> int:
-        """How many steps in a row ``j``, losing one a step, still outranks ``rival``."""
-        if rival is None:
-            return remaining[j]
-        return min(remaining[j], remaining[j] - remaining[rival] + (j < rival))
-
-    # A step pairs a statement with its highest-ranked compatible partner
-    # (most remaining, lowest index), and repeats as a run for as long as
-    # that partner stays the highest-ranked.
+    # Each step pairs a statement with its highest-ranked compatible partner
+    # (most remaining, lowest index).
     for i in constrained:
         while remaining[i] > 0:
-            partners = sorted(
+            partners = [
                 (-remaining[k], k)
                 for k in range(len(remaining))
                 if k != i and remaining[k] > 0 and tuple(sorted((i, k))) not in blocked
-            )
+            ]
             if not partners:
                 raise CorpusError("overlap degree sequence infeasible under pair constraints")
-            j = partners[0][1]
-            rival = partners[1][1] if len(partners) > 1 else None
-            take(i, j, min(remaining[i], steps(j, rival)))
+            j = min(partners)[1]
+            remaining[i] -= 1
+            remaining[j] -= 1
+            pairs.append((min(i, j), max(i, j)))
     # Every statement with a forbidden partner is paired off now, so each
-    # step pairs the two highest-ranked statements; the first stays first
-    # for as long as the second stays second.
+    # step pairs the two highest-ranked statements; ``ranked`` holds
+    # (-remaining, statement), in rank order.
     ranked = sorted((-d, k) for k, d in enumerate(remaining) if d > 0)
     while ranked:
         if len(ranked) == 1:
             raise CorpusError("overlap degree sequence infeasible under pair constraints")
-        (_, i), (_, j) = ranked[0], ranked[1]
-        take(i, j, steps(j, ranked[2][1] if len(ranked) > 2 else None))
+        (di, i), (dj, j) = ranked[0], ranked[1]
         del ranked[:2]
-        for k in (i, j):
-            if remaining[k] > 0:
-                insort(ranked, (-remaining[k], k))
+        pairs.append((min(i, j), max(i, j)))
+        for d, k in ((di + 1, i), (dj + 1, j)):
+            if d < 0:
+                insort(ranked, (d, k))
     return pairs
 
 
@@ -1105,3 +1092,19 @@ def _build_uk_fixture() -> Corpus:
         put_titles(titles[titles_for()])
         put_countries(countries[nation()])
     return _shuffled(bits, titles, countries, addresses)
+
+
+_FIXTURES = {
+    "cuba_t3": partial(_build_split_fixture, _CUBA_SPEC),
+    "usa_t1": partial(_build_split_fixture, _USA_SPEC),
+    "uk_s1": _build_uk_fixture,
+}
+
+FIXTURE_NAMES = tuple(_FIXTURES)
+
+
+def build_fixture(name: str) -> Corpus:
+    """Build one of the shipped reference corpora: cuba_t3, usa_t1 or uk_s1."""
+    if name not in _FIXTURES:
+        raise CorpusError(f"unknown fixture {name!r}; expected one of {', '.join(FIXTURE_NAMES)}")
+    return _FIXTURES[name]()

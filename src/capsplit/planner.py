@@ -130,15 +130,16 @@ def build_overlap_statement(n: int) -> Query:
     """
     if n < 1:
         raise GroupSpecError(f"need at least one statement, got {n}")
+    refs = [SetRef(i) for i in range(1, n + 1)]  # one per statement, shared by its pairs
     if n == 1:
-        return Diff(SetRef(1), SetRef(1))
-    pairs = [And(SetRef(i), SetRef(j)) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    return or_chain(pairs)
+        return Diff(refs[0], refs[0])
+    return or_chain([And(left, right) for i, left in enumerate(refs, 1) for right in refs[i:]])
 
 
 def build_exclusions(n: int) -> list[Query]:
     """One ``#i NOT #n+1`` statement per numbered statement; ``#n+1`` is the overlap."""
-    return [Diff(SetRef(i), SetRef(n + 1)) for i in range(1, n + 1)]
+    overlap = SetRef(n + 1)
+    return [Diff(SetRef(i), overlap) for i in range(1, n + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -407,6 +407,8 @@ class Oracle:
                     raise QueryError(f"unbound set reference #{node.number}") from None
             ids = self._terms.get(node)
             if ids is None:
+                # copied from a set, the kept frozenset's table fits its size;
+                # one filled from the ids directly is often twice as large
                 ids = self._terms[node] = frozenset(_scan_term(self.corpus, node))
             return ids
 

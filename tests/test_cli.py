@@ -68,6 +68,32 @@ def test_gen_countries_flag(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "countries, message",
+    [
+        ("usa:1,USA:3,cuba", "country 'USA' is named twice in --countries"),
+        ("CUBA, cuba ", "country 'CUBA' is named twice in --countries"),
+        ("USA:", "country weight '' of 'USA' is not finite, or not ASCII digits"),
+        ("CUBA:2,USA:", "country weight '' of 'USA' is not finite, or not ASCII digits"),
+    ],
+)
+def test_gen_countries_named_twice_or_without_a_weight_are_refused(tmp_path, capsys,
+                                                                    countries, message):
+    out = tmp_path / "c.tsv"
+    assert main(["gen", "--n", "30", "--countries", countries, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_gen_profile_naming_one_country_twice_is_refused(tmp_path, capsys):
+    path, out = tmp_path / "profile.json", tmp_path / "c.tsv"
+    path.write_text(json.dumps({"seed": 1, "n_records": 30,
+                                "country_weights": {"usa": 1, "USA": 1, "CUBA": 1}}))
+    assert main(["gen", "--profile", str(path), "--out", str(out)]) == 3
+    assert "profile countries 'USA' and 'usa' name one country" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_non_finite_weights_are_data_errors(tmp_path, capsys):
     out = tmp_path / "c.tsv"
     for countries in ("CUBA:inf,USA", "CUBA:nan,USA"):

@@ -5,6 +5,7 @@ import io
 import math
 import random
 import sys
+import weakref
 from collections import Counter
 from functools import partial
 from itertools import chain, islice
@@ -30,6 +31,7 @@ from capsplit.corpus import (
     _TITLE_WORDS,
     FILE_HEADER,
     FIXTURE_LETTER_GROUPS,
+    FIXTURE_NAMES,
     SYMBOLS,
     _below,
     _check_id,
@@ -274,6 +276,30 @@ def _read_with(reader, source):
         corpus.years, corpus.source_titles, corpus.countries, corpus.addresses)]
     return corpus.ids, columns, serialize(corpus)
 
+
+
+def test_unparsed_encoder_holds_one_mapping():
+    enc = _Encoder()
+    for raw in (("B REV",), ("A REV",), ("B REV",)):
+        enc.add(raw)
+    assert enc.numbers is enc
+    assert dict(enc) == {("B REV",): 0, ("A REV",): 1}
+    column = enc.column()
+    assert (column.values, column.codes) == ((("B REV",), ("A REV",)), (0, 1, 0))
+    # no reference cycle: the encoder is freed as soon as its builder drops it
+    gone = weakref.ref(enc)
+    del enc
+    assert gone() is None
+
+
+def test_parsing_encoder_numbers_texts_that_parse_alike_once():
+    enc = _Encoder(partial(_parse_field, "CU"))
+    for raw in ("usa", "USA|CUBA", " USA ", "cuba|usa"):
+        enc.add(raw)
+    assert enc.numbers is not enc
+    assert enc.numbers == {frozenset({"USA"}): 0, frozenset({"USA", "CUBA"}): 1}
+    assert enc.codes == [0, 1, 0, 1]
+    assert enc.column().values == (frozenset({"USA"}), frozenset({"USA", "CUBA"}))
 
 # Cell texts for each field: (texts the readers accept, texts they refuse).
 _CELLS = (
@@ -529,6 +555,22 @@ def test_bad_field_value_gives_one_message_at_every_entry_point(tag, text, value
     assert str(err.value) == f"profile country {country!r}: {body}"
 
 
+@pytest.mark.parametrize(
+    "country_weights, names",
+    [
+        ({"usa": 1, "USA": 1, "CUBA": 1}, ("USA", "usa")),
+        ({"CUBA": 1.0, " Cuba": 2.0}, (" Cuba", "CUBA")),
+        ({"north  ireland": 1, "NORTH IRELAND": 1}, ("NORTH IRELAND", "north  ireland")),
+        ({"usa": 0, "USA": 1}, ("USA", "usa")),  # a name of weight 0 is read too
+    ],
+)
+def test_profile_naming_one_country_twice_is_refused(country_weights, names):
+    for n in (0, 30):
+        with pytest.raises(CorpusError) as err:
+            generate(CorpusProfile(seed=1, n_records=n, country_weights=country_weights))
+        assert str(err.value) == f"profile countries {names[0]!r} and {names[1]!r} name one country"
+
+
 def test_corpus_rejects_duplicate_ids():
     rec = make_record("R1", ("A REV",))
     with pytest.raises(CorpusError, match="duplicate record id"):
@@ -614,6 +656,9 @@ def test_non_finite_weights_rejected(weights):
     [
         # a reserved character in a country the RNG practically never draws
         ({"USA": 1.0, "A(B": 1e-9}, {}),
+        # ... or never draws at all
+        ({"USA": 1.0, "A(B": 0}, {}),
+        ({"USA": 1.0, "CUBA": 0.0}, {"CUBA": ("MIT*",)}),
         # a reserved character in an address pool the RNG never reaches
         ({"USA": 1.0}, {"USA": ("STANFORD UNIV", "MIT*")}),
         ({"USA": 1.0}, {"USA": ("  ",)}),
@@ -747,6 +792,7 @@ def _pairing(pair, degrees, forbidden):
     picks=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=4),
 )
 @example(degrees=[5536, 4385, 13440, 9267, 13200, 56, 168], picks=[(5, 6)])  # usa_t1
+@example(degrees=[1000, 1000, 2], picks=[])  # long runs of one equal pair
 def test_pair_degrees_equal_the_reference_pairing(degrees, picks):
     forbidden = frozenset((i % len(degrees), j % len(degrees)) for i, j in picks)
     assert _pairing(pair_overlap_degrees, degrees, forbidden) == _pairing(
@@ -968,5 +1014,8 @@ def test_fixture_is_deterministic():
 
 
 def test_unknown_fixture_name():
-    with pytest.raises(CorpusError, match="unknown fixture"):
+    with pytest.raises(CorpusError) as err:
         build_fixture("atlantis_t9")
+    assert str(err.value) == ("unknown fixture 'atlantis_t9'; "
+                              "expected one of cuba_t3, usa_t1, uk_s1")
+    assert FIXTURE_NAMES == ("cuba_t3", "usa_t1", "uk_s1")

@@ -41,6 +41,7 @@ from capsplit import (
     validate_direct,
 )
 from capsplit import planner
+from capsplit.query import postorder
 
 from conftest import CUBA_BASE, REFERENCE_GROUPS_CUBA, USA_BASE
 from helpers import make_record
@@ -108,6 +109,18 @@ def test_overlap_statement_for_one_group_evaluates_empty():
 def test_build_exclusions():
     stmts = build_exclusions(7)
     assert [print_normalized(s) for s in stmts] == [f"#{i} NOT #8" for i in range(1, 8)]
+
+
+def _set_ref_objects(queries) -> set[int]:
+    return {id(node) for query in queries for node in postorder(query) if isinstance(node, SetRef)}
+
+
+def test_overlap_and_exclusions_hold_one_set_ref_per_number():
+    # 28 pairs of 8 statements reference 8 SetRef objects, not 56
+    assert len(_set_ref_objects([build_overlap_statement(8)])) == 8
+    assert len(_set_ref_objects([build_overlap_statement(1)])) == 1
+    # #1..#7 and the overlap #8, which every exclusion shares
+    assert len(_set_ref_objects(build_exclusions(7))) == 8
 
 
 # -- group specifications ------------------------------------------------------
