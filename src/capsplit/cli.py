@@ -31,11 +31,11 @@ from .corpus import (
     CorpusProfile,
     _ascii_float,
     _ascii_int,
+    _write_corpus,
     build_fixture,
     generate,
     load_corpus,
     save_corpus,
-    serialize,
 )
 from .engine import CapExceededError, CappedEngine, EngineConfig, EngineError
 from .planner import (
@@ -176,7 +176,7 @@ def _positive_int(text: str) -> int:
 
 def _add_engine_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--corpus", required=True, help="corpus file to load")
-    sub.add_argument("--cap", type=_positive_int, default=100_000, help="result-set cap")
+    sub.add_argument("--cap", type=_positive_int, default=EngineConfig.cap, help="result-set cap")
     sub.add_argument("--mode", choices=("visible", "censored"), default="visible")
 
 
@@ -276,18 +276,15 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         if args.multi_title_prob is not None:
             overrides["multi_title_prob"] = args.multi_title_prob
         if args.countries:
-            weights = _parse_countries(args.countries)
-            overrides["country_weights"] = weights
-            overrides["address_pools"] = {
-                c: DEFAULT_ADDRESS_POOLS[c] for c in weights if c in DEFAULT_ADDRESS_POOLS
-            }
+            overrides["country_weights"] = _parse_countries(args.countries)
+            overrides["address_pools"] = DEFAULT_ADDRESS_POOLS
         if overrides:
             profile = replace(profile, **overrides)
         corpus = generate(profile)
     if args.out:
         save_corpus(corpus, args.out)
     else:
-        sys.stdout.write(serialize(corpus))
+        _write_corpus(corpus, sys.stdout)
     return EXIT_OK
 
 

@@ -54,7 +54,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import not_
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 # Canonical symbol order for title initials: letters first, then digits.
 SYMBOLS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
@@ -81,10 +81,11 @@ class CorpusError(ValueError):
     """Malformed corpus data: bad lines, duplicate ids, invalid profiles."""
 
 
-# '|' is the multi-value separator; '()=#*' can never appear in a query
-# pattern, so a stored value containing them would be unreachable by any
-# statement and silently escape every export strategy.
-_VALUE_RESERVED = set("|()=#*")
+# '()=#*' can never appear in a query pattern, so a stored value containing
+# them would be unreachable by any statement and silently escape every export
+# strategy; '|' is also the multi-value separator.
+_PATTERN_RESERVED = frozenset("()=#*")
+_VALUE_RESERVED = _PATTERN_RESERVED | {"|"}
 
 
 def _ascii_int(text: str) -> int | None:
@@ -518,17 +519,22 @@ def serialize(corpus: Corpus) -> str:
     return "".join(_lines(corpus))
 
 
+def _write_corpus(corpus: Corpus, fh: TextIO) -> None:
+    """Write ``serialize(corpus)`` to ``fh``, ``_BATCH_LINES`` lines at a time."""
+    lines = _lines(corpus)
+    while batch := "".join(islice(lines, _BATCH_LINES)):
+        fh.write(batch)
+
+
 def load_corpus(path: str) -> Corpus:
     with open(path, "r", encoding="utf-8") as fh:
         return ingest(fh)
 
 
 def save_corpus(corpus: Corpus, path: str) -> None:
-    """Write ``serialize(corpus)`` to ``path``, a batch of lines at a time."""
-    lines = _lines(corpus)
+    """Write ``serialize(corpus)`` to ``path``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        while batch := "".join(islice(lines, 4096)):
-            fh.write(batch)
+        _write_corpus(corpus, fh)
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +597,11 @@ class CorpusProfile:
 
     def validate(self) -> None:
         """Check every field's type, then its value, however the profile was built."""
+        self._checked()
+
+    def _checked(self) -> _Countries:
+        """Check the profile as ``validate`` does, and return its countries as
+        ``_read_countries`` reads them."""
         for name, (what, ok) in _PROFILE_TYPES.items():
             value = getattr(self, name)
             if not ok(value):
@@ -614,6 +625,7 @@ class CorpusProfile:
                 raise CorpusError(f"initial_letter_weights key {sym!r} not in A..Z, 0..9")
         if not 0.0 <= self.multi_title_prob <= 1.0:
             raise CorpusError(f"multi_title_prob {self.multi_title_prob} outside [0, 1]")
+        return _read_countries(self.country_weights, self.address_pools)
 
     @classmethod
     def from_dict(cls, data: dict) -> "CorpusProfile":
@@ -646,8 +658,9 @@ def _weights(value: object) -> bool:
 
 def _pools(value: object) -> bool:
     return isinstance(value, dict) and all(
-        isinstance(pool, (list, tuple)) and all(isinstance(a, str) for a in pool)
-        for pool in value.values()
+        isinstance(key, str) and isinstance(pool, (list, tuple))
+        and all(isinstance(a, str) for a in pool)
+        for key, pool in value.items()
     )
 
 
@@ -675,6 +688,50 @@ def _check_weights(weights: dict[str, float], what: str) -> None:
         raise CorpusError(f"profile {what} has a negative weight")
     if not any(w > 0 for w in weights.values()):
         raise CorpusError(f"profile {what} has no positive weight")
+
+
+def _read_profile_value(tag: str, value: str, key: str) -> frozenset[str]:
+    """``value`` read as one CU or AD value; a fault names the profile country ``key``."""
+    try:
+        return _parse_field(tag, (value,), text=False)
+    except CorpusError as exc:
+        raise CorpusError(f"profile country {key!r}: {exc}") from None
+
+
+def _by_country(names: Iterable[str], what: str) -> dict[frozenset[str], str]:
+    """Each of ``names`` keyed by the country it names, in sorted order of the names.
+
+    Two names of one country ("usa", "USA") are refused, not read as one.
+    """
+    named: dict[frozenset[str], str] = {}
+    for name in sorted(names):
+        country = _read_profile_value("CU", name, name)
+        if country in named:
+            raise CorpusError(f"profile {what} {named[country]!r} and {name!r} name one country")
+        named[country] = name
+    return named
+
+
+# the drawable countries, each with its pool of addresses as sets of one, and
+# their weights
+_Countries = tuple[list[tuple[frozenset[str], tuple[frozenset[str], ...]]], list[float]]
+
+
+def _read_countries(weights: dict[str, float], pools: dict[str, Sequence[str]]) -> _Countries:
+    """The only reader of a profile's countries: the drawable ones, each with its pool.
+
+    Each weight name and each pool key is read as a CU value, and each pool
+    address as an AD value, so a bad name or address fails even if it is
+    never drawn. A pool belongs to the country its key names, however either
+    is spelled; a country without a pool draws no address. Returns the
+    countries of positive weight, in sorted order of their names.
+    """
+    named = _by_country(weights, "countries")
+    pool_of = {country: tuple(_read_profile_value("AD", address, key) for address in pools[key])
+               for country, key in _by_country(pools, "address_pools keys").items()}
+    drawn = [(country, name) for country, name in named.items() if weights[name] > 0]
+    return ([(country, pool_of.get(country, ())) for country, _ in drawn],
+            [weights[name] for _, name in drawn])
 
 
 def _weighted_items(weights: dict[str, float]) -> tuple[list[str], list[float]]:
@@ -756,28 +813,11 @@ def _random_title(bits, initial: str) -> str:
 
 def generate(profile: CorpusProfile) -> Corpus:
     """Generate a corpus fully determined by the profile."""
-    profile.validate()
+    # the profile's countries and pools are read once, where it is checked,
+    # so no generated record is checked again
+    countries, country_w = profile._checked()
     rng = random.Random(profile.seed)
     bits, uniform = rng.getrandbits, rng.random
-    weights = profile.country_weights
-    # Caller-supplied names and pools are read here, once, in sorted order,
-    # so no generated record is checked again; a name of weight 0 is read
-    # too, though never drawn. Pools are keyed by the raw country name, and
-    # each address is drawn as a set of one. Two names of one country
-    # ("usa", "USA") are refused, not drawn as one.
-    pools, countries, country_w, named = profile.address_pools, [], [], {}
-    for c in sorted(weights):
-        try:
-            country = _parse_field("CU", (c,), text=False)
-            pool = tuple(_parse_field("AD", (a,), text=False) for a in pools.get(c, ()))
-        except CorpusError as exc:
-            raise CorpusError(f"profile country {c!r}: {exc}") from None
-        if country in named:
-            raise CorpusError(f"profile countries {named[country]!r} and {c!r} name one country")
-        named[country] = c
-        if weights[c] > 0:
-            countries.append((country, pool))
-            country_w.append(weights[c])
     country_at = _weighted(rng, countries, country_w)
     letter = _weighted(rng, *_weighted_items(profile.initial_letter_weights))
     multi = profile.multi_title_prob
@@ -832,7 +872,6 @@ FIXTURE_SPLIT_PREFIX = "J"
 class _SplitFixtureSpec:
     seed: int
     country: str
-    pivot: str
     exclusive: tuple[int, ...]  # records in exactly one statement
     overlap_degree: tuple[int, ...]  # per-statement count of two-section records
     with_pivot_pool: tuple[str, ...]
@@ -843,7 +882,6 @@ class _SplitFixtureSpec:
 _CUBA_SPEC = _SplitFixtureSpec(
     seed=1003,
     country="CUBA",
-    pivot="HAVANA",
     exclusive=(127, 205, 139, 177, 86, 108, 34),
     overlap_degree=(13, 11, 22, 16, 5, 0, 1),
     with_pivot_pool=(
@@ -862,7 +900,6 @@ _CUBA_SPEC = _SplitFixtureSpec(
 _USA_SPEC = _SplitFixtureSpec(
     seed=1001,
     country="USA",
-    pivot="CA",
     exclusive=(85586, 87535, 69457, 75516, 45551, 17008, 92808),
     overlap_degree=(5536, 4385, 13440, 9267, 13200, 56, 168),
     with_pivot_pool=(

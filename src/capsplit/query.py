@@ -52,7 +52,7 @@ from enum import Enum
 from itertools import compress, zip_longest
 from typing import Callable, Iterator, Mapping, Set, TypeVar, Union
 
-from .corpus import Corpus, _ascii_int, normalize_text
+from .corpus import Corpus, _PATTERN_RESERVED, _ascii_int, normalize_text
 
 
 class QueryError(ValueError):
@@ -72,9 +72,6 @@ class FieldKind(Enum):
     AD = "AD"
 
 
-_PATTERN_FORBIDDEN = set("()=#*")
-
-
 @dataclass(frozen=True)
 class Pattern:
     """A normalized match value; ``truncated`` means trailing-``*`` prefix match.
@@ -91,7 +88,7 @@ class Pattern:
         text = normalize_text(self.text)
         if not text:
             raise QueryError("empty pattern")
-        bad = _PATTERN_FORBIDDEN.intersection(text)
+        bad = _PATTERN_RESERVED.intersection(text)
         if bad:
             raise QueryError(f"pattern {text!r} contains reserved character {sorted(bad)[0]!r}")
         words = text.split(" ")

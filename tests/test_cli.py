@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -92,6 +93,38 @@ def test_gen_profile_naming_one_country_twice_is_refused(tmp_path, capsys):
     assert main(["gen", "--profile", str(path), "--out", str(out)]) == 3
     assert "profile countries 'USA' and 'usa' name one country" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [
+        {"seed": 1, "n_records": 0, "country_weights": {"USA": 1, "A(B": 1}},
+        {"seed": 1, "n_records": 0, "address_pools": {"X|Y": ["OK"]}},
+    ],
+)
+def test_gen_profile_with_a_bad_country_fails_at_load(tmp_path, capsys, profile):
+    path, out = tmp_path / "profile.json", tmp_path / "c.tsv"
+    path.write_text(json.dumps(profile))
+    # --countries would replace the bad field, but the file is checked as it is read
+    assert main(["gen", "--profile", str(path), "--countries", "USA", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    with pytest.raises(CorpusError) as python_err:
+        generate(CorpusProfile(**profile))
+    assert err == f"error: invalid profile {path}: {python_err.value}\n"
+    assert str(python_err.value).startswith("profile country ")
+    assert not out.exists()
+
+
+def test_gen_countries_bytes_are_pinned(tmp_path, capsys):
+    # every record of a country without a default pool has an empty address field
+    argv = ["gen", "--countries", "usa,Zimbabwe", "--seed", "5", "--n", "300"]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(stdout).hexdigest() == (
+        "f5c7a91e4ccb8cae7d1332457d0ffc8ca129e5e6385ddfe30f0ed125a21df1e7")
+    out = tmp_path / "c.tsv"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == stdout
 
 
 def test_gen_non_finite_weights_are_data_errors(tmp_path, capsys):

@@ -571,6 +571,44 @@ def test_profile_naming_one_country_twice_is_refused(country_weights, names):
         assert str(err.value) == f"profile countries {names[0]!r} and {names[1]!r} name one country"
 
 
+@pytest.mark.parametrize(
+    "address_pools, message",
+    [
+        # a pool that no weight names is read too, and a fault names its key
+        ({"FRANCE": ("BAD|ADDR",)},
+         "profile country 'FRANCE': address 'BAD|ADDR' contains reserved character '|'"),
+        ({"X|Y": ("OK",)}, "profile country 'X|Y': country 'X|Y' contains reserved character '|'"),
+        ({"usa": ("MIT",), "USA": ("MIT",)},
+         "profile address_pools keys 'USA' and 'usa' name one country"),
+        ({1: ("MIT",)}, "profile address_pools must be an object of string lists, "
+                        "got {1: ('MIT',)}"),
+    ],
+    ids=["unnamed-bad-address", "unnamed-bad-key", "one-country-twice", "key-not-a-string"],
+)
+def test_every_address_pool_is_read(address_pools, message):
+    profile = CorpusProfile(seed=1, n_records=5, country_weights={"USA": 1.0},
+                            address_pools=address_pools)
+    for check in (profile.validate, partial(generate, profile)):
+        with pytest.raises(CorpusError) as err:
+            check()
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "country_weights, address_pools",
+    [
+        ({"usa": 1}, {"USA": ("MIT CAMBRIDGE MA",)}),
+        ({"USA": 1, "cuba": 0}, {" usa ": ("MIT CAMBRIDGE MA",), "CUBA": ("CNIC",)}),
+    ],
+)
+def test_generate_draws_from_the_pool_of_the_country_its_key_names(country_weights,
+                                                                    address_pools):
+    corpus = generate(CorpusProfile(seed=1, n_records=40, country_weights=country_weights,
+                                    address_pools=address_pools))
+    assert {(r.countries, r.addresses) for r in corpus} == {
+        (frozenset({"USA"}), frozenset({"MIT CAMBRIDGE MA"}))}
+
+
 def test_corpus_rejects_duplicate_ids():
     rec = make_record("R1", ("A REV",))
     with pytest.raises(CorpusError, match="duplicate record id"):
