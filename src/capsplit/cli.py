@@ -182,7 +182,6 @@ def _add_engine_args(sub: argparse.ArgumentParser) -> None:
 
 def _add_strategy_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--base", required=True, help="base query to partition")
-    sub.add_argument("--field", choices=("SO", "CU", "AD"), default="SO")
     source = sub.add_mutually_exclusive_group(required=True)
     source.add_argument(
         "--groups", help="prescribed groups, e.g. 'AB,...,J/AD=CA' or '/AD=LONDON'"
@@ -201,7 +200,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="write a corpus file")
     gen.add_argument("--out", help="output path (default: stdout)")
     gen.add_argument("--profile", help="JSON generator profile")
-    gen.add_argument("--fixture", choices=FIXTURE_NAMES, help="write a shipped fixture instead")
+    gen.add_argument("--fixture", choices=FIXTURE_NAMES,
+                     help="write a shipped fixture instead (takes no generator flag)")
     gen.add_argument("--seed", type=_natural_int)
     gen.add_argument("--n", type=_natural_int)
     gen.add_argument("--multi-title-prob", type=_ascii_number, dest="multi_title_prob")
@@ -254,6 +254,10 @@ def _parse_countries(text: str) -> dict[str, float]:
                               "or not ASCII digits")
         weights[name] = value
     return weights
+
+
+# the flags of a seeded profile, which a shipped fixture does not read
+_GENERATOR_FLAGS = ("--profile", "--seed", "--n", "--multi-title-prob", "--countries")
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -309,7 +313,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 def _planner(args: argparse.Namespace) -> Callable[[CappedEngine], Strategy]:
     """Parse ``--base`` and ``--groups`` into a planner, before any corpus is loaded."""
     base = parse(args.base)
-    field = FieldKind(args.field)
+    field = FieldKind.SO  # the source title, as the paper partitions
     if args.groups is not None:  # argparse lets exactly one of --groups, --auto through
         groups = parse_group_spec(args.groups)
         return lambda engine: plan_prescribed(engine, base, field, groups)
@@ -355,6 +359,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_arg_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "gen" and args.fixture:
+            given = [flag for flag in _GENERATOR_FLAGS
+                     if getattr(args, flag[2:].replace("-", "_")) is not None]
+            if given:
+                parser.error(f"gen --fixture takes none of {', '.join(given)}")
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:

@@ -527,8 +527,31 @@ def _write_corpus(corpus: Corpus, fh: TextIO) -> None:
 
 
 def load_corpus(path: str) -> Corpus:
-    with open(path, "r", encoding="utf-8") as fh:
-        return ingest(fh)
+    """``ingest`` a corpus file; text that is not UTF-8 is a ``CorpusError``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return ingest(fh)
+    except UnicodeDecodeError:
+        raise CorpusError(_not_utf8(path)) from None
+
+
+def _not_utf8(path: str) -> str:
+    """Name the line and value of the first byte of ``path`` that is not UTF-8.
+
+    The text reader counts its error's offset from the chunk it was decoding,
+    so the bytes are read again, on this error path only. Lines break on
+    ``\\n``, ``\\r`` and ``\\r\\n``, as ``ingest`` reads them.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start]
+        line = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+        return (f"line {line}: byte 0x{data[exc.start]:02X} is not UTF-8 ({exc.reason}); "
+                "corpus text is UTF-8")
+    return "text is not UTF-8"  # the file changed since it was read
 
 
 def save_corpus(corpus: Corpus, path: str) -> None:

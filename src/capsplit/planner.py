@@ -16,9 +16,10 @@ Two planners build the statements:
   or a pivot split of a prefix on a second field (``Split``), realized as
   two, ``base AND SO=J* AND AD=CA`` then ``base AND SO=J* NOT AD=CA``.
   Pivot splits serve buckets known to be oversized.
-- ``plan_auto`` packs symbols greedily in canonical order (A..Z then 0..9):
-  each bucket is the longest run of symbols whose statement's count stays
-  below the cap. Counts never fall as a run grows, so it finds that run in
+- ``plan_auto`` packs first symbols greedily in canonical order (A..Z,
+  0..9, then any other stored first symbol by code point): each bucket
+  is the longest run of symbols whose statement's count stays below the
+  cap. Counts never fall as a run grows, so it finds that run in
   O(log n) probes, not one per symbol: it gallops through run widths 1, 2,
   4, ... to the first that does not fit, then bisects. It first probes all
   symbols at once, so a domain below the cap costs one probe. A single
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass
+from itertools import combinations, product
 from typing import Iterable, Union
 
 from .corpus import SYMBOLS, symbol_sort_key
@@ -157,13 +159,10 @@ def parse_group_spec(text: str) -> tuple[Group, ...]:
     (``/AD=LONDON``) splits the whole base query. Each listed symbol, and
     the first symbol of a split prefix, must upper-case to one symbol in
     A..Z, 0..9. No two chunks may share records, whatever the chunk order:
-    no symbol is listed twice, no split prefix starts with a listed symbol
-    or with another split prefix (or equals it), and a whole-base split is
-    the only chunk.
+    no prefix that one chunk names may start with a prefix that another
+    chunk names (see ``_named_prefixes``).
     """
-    groups: list[Group] = []
-    listed: set[str] = set()
-    prefixes: list[str] = []
+    chunks: list[tuple[str, Group]] = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
@@ -180,29 +179,28 @@ def parse_group_spec(text: str) -> tuple[Group, ...]:
                 raise GroupSpecError(f"unknown pivot field {field_name!r}") from None
             truncated = value.endswith("*")
             pivot = Pattern(value[:-1] if truncated else value, truncated)
-            prefix = _split_prefix(prefix)
-            prefixes.append(prefix)
-            groups.append(Split(prefix, pivot_field, pivot))
+            chunks.append((chunk, Split(_split_prefix(prefix), pivot_field, pivot)))
         else:
-            symbols = [_symbol(ch, "letter group symbol") for ch in chunk]
-            clash = listed.intersection(symbols)
-            if clash:
-                raise GroupSpecError(f"symbol {sorted(clash)[0]!r} appears in two letter groups")
-            listed.update(symbols)
-            ordered = sorted(set(symbols), key=symbol_sort_key)
-            groups.append(Prefixes(tuple(Pattern(sym, truncated=True) for sym in ordered)))
-    for i, prefix in enumerate(prefixes):
-        if prefix and prefix[0] in listed:
-            raise GroupSpecError(f"split prefix {prefix!r} collides with a letter group symbol")
-        if not prefix and len(groups) > 1:
-            raise GroupSpecError("a whole-base split (empty prefix) must be the only chunk")
-        for other in prefixes[:i]:
-            if prefix.startswith(other) or other.startswith(prefix):
+            symbols = sorted({_symbol(ch, "letter group symbol") for ch in chunk},
+                             key=symbol_sort_key)
+            chunks.append((chunk, Prefixes(tuple(Pattern(sym, True) for sym in symbols))))
+    named = [(chunk, _named_prefixes(group)) for chunk, group in chunks]
+    for (chunk_a, prefixes_a), (chunk_b, prefixes_b) in combinations(named, 2):
+        for a, b in product(prefixes_a, prefixes_b):
+            if a.startswith(b) or b.startswith(a):
                 raise GroupSpecError(
-                    f"split prefixes {other!r} and {prefix!r} overlap: "
-                    "both would export the same records"
+                    f"groups {chunk_a!r} and {chunk_b!r} both export the records "
+                    f"under prefix {min(a, b, key=len)!r}"
                 )
-    return tuple(groups)
+    return tuple(group for _, group in chunks)
+
+
+def _named_prefixes(group: Group) -> tuple[str, ...]:
+    """The prefixes whose records ``group`` exports: a bucket's pattern texts,
+    a split's prefix, and the empty prefix (every record) for a whole-base split."""
+    if isinstance(group, Prefixes):
+        return tuple(p.text for p in group.patterns)
+    return (group.prefix,)
 
 
 def _symbol(ch: str, what: str) -> str:
@@ -287,15 +285,10 @@ def plan_prescribed(
             raise PlanInfeasibleError(
                 f"statement {i} ({print_normalized(stmt)}) has {count} records; cap is {cap}"
             )
-    covered: set[str] = set()
-    for group in groups:
-        if isinstance(group, Prefixes):
-            covered.update(p.text[0] for p in group.patterns)
-        elif group.prefix:
-            covered.add(group.prefix[0])
-        else:  # a whole-base split covers every stored first symbol
-            covered.update(SYMBOLS, engine.prefix_children(field, ""))
-    return _assemble(base, cap, statements, _coverage_warnings(engine, field, covered))
+    named = {prefix for group in groups for prefix in _named_prefixes(group)}
+    # the empty prefix of a whole-base split covers every first symbol, stored or not
+    warnings = () if "" in named else _coverage_warnings(engine, field, {p[0] for p in named})
+    return _assemble(base, cap, statements, warnings)
 
 
 class _Packer:
@@ -405,16 +398,19 @@ def plan_auto(
 ) -> Strategy:
     """Greedy alphabetical packing, on visible and censored engines alike."""
     cap = _effective_cap(engine, cap)
-    symbols = [Pattern(s, True) for s in SYMBOLS]
+    # the canonical symbols, then any other stored first symbol (no stored
+    # value starts with a space or a reserved character, so each is writable)
+    firsts = engine.prefix_children(field, "").union(SYMBOLS)
+    symbols = [Pattern(s, True) for s in sorted(firsts, key=symbol_sort_key)]
     packer = _Packer(engine, base, field, cap)
     whole = packer.probe(symbols)  # a domain below the cap is one statement
     runs = [(symbols, whole.value)] if whole.fits(cap) else packer.pack(symbols, [], 0)
     # A degenerate base (matches nothing) keeps one full-coverage statement.
     packed = [patterns for patterns, n in runs if n > 0] or [symbols]
     statements = tuple(_bucket(base, field, patterns) for patterns in packed)
-    # Greedy plans only drop provably empty symbols, so canonical-coverage
-    # warnings would be noise; stray-symbol warnings still apply.
-    return _assemble(base, cap, statements, _coverage_warnings(engine, field, set(SYMBOLS)))
+    # Greedy plans cover every stored first symbol and drop only provably
+    # empty buckets, so coverage warnings would be noise.
+    return _assemble(base, cap, statements, ())
 
 
 # The greedy body only asks whether a probe fits, which censored counts answer too.

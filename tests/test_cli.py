@@ -189,6 +189,23 @@ def test_gen_fixture(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "910 records"
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--n", "5", "--seed", "3", "--countries", "usa"], "--seed, --n, --countries"),
+        (["--profile", "missing.json"], "--profile"),
+        (["--multi-title-prob", "0.5"], "--multi-title-prob"),
+        (["--countries", ""], "--countries"),
+    ],
+    ids=["seed-n-countries", "profile", "multi-title-prob", "empty-countries"],
+)
+def test_gen_fixture_refuses_generator_flags(flags, named, tmp_path, capsys):
+    out = tmp_path / "cuba.tsv"
+    assert main(["gen", "--fixture", "cuba_t3", *flags, "--out", str(out)]) == 2
+    assert f"gen --fixture takes none of {named}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ingest_malformed_is_data_error(tmp_path, capsys):
     path = tmp_path / "bad.tsv"
     path.write_text("R1\t2007\tA REV\tUSA\t\nR1\t2007\tB REV\tUSA\t\n")
@@ -235,7 +252,8 @@ def test_count_takes_a_query_nested_5000_deep(cuba_file, capsys):
     [
         (["count", "PY=2007 AND"], "offset"),
         (["plan", "--base", "PY=(2007", "--auto"], "offset"),
-        (["run", "--base", "PY=2007", "--groups", "AB,B"], "'B' appears in two letter groups"),
+        (["run", "--base", "PY=2007", "--groups", "AB,B"],
+         "groups 'AB' and 'B' both export the records under prefix 'B'"),
         (["validate", "--base", "PY=2007", "--groups", "J/XX=5"], "unknown pivot field"),
     ],
     ids=["count-query", "plan-base", "run-groups", "validate-groups"],
@@ -256,6 +274,16 @@ def test_unknown_flag_and_bad_cap_are_usage_errors(cuba_file, capsys):
     assert main(["plan", "--cap", "0", "--corpus", cuba_file, "--base", "PY=1", "--auto"]) == 2
     assert main(["bogus-command"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["plan", "run", "validate"])
+def test_partition_field_is_not_a_flag(command, cuba_file, capsys):
+    # statements always bucket the source title; an AD partition would leave
+    # records without an address out of every statement
+    for field in ("SO", "AD"):
+        argv = [command, "--corpus", cuba_file, "--base", CUBA_BASE, "--field", field, "--auto"]
+        assert main(argv) == 2
+        assert "unrecognized arguments: --field" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -448,7 +476,8 @@ def test_validate_refuses_a_split_given_twice_as_a_usage_error(cuba_file, capsys
     assert main(args) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "split prefixes 'J' and 'J' overlap" in captured.err
+    assert ("groups 'J/AD=HAVANA' and 'J/AD=HAVANA' both export the records "
+            "under prefix 'J'") in captured.err
 
 
 def test_report_lines_are_machine_parseable(cuba_file, capsys):

@@ -133,6 +133,24 @@ def test_ingest_refuses_a_leading_byte_order_mark(header, tmp_path, capsys):
     assert "line 1:" in err and "byte-order mark" in err
 
 
+@pytest.mark.parametrize(
+    "lines, ending",
+    [(1, "\n"), (5000, "\r\n"), (5000, "\r")],
+    ids=["line-3", "crlf-past-the-first-chunk", "cr-past-the-first-chunk"],
+)
+def test_corpus_file_that_is_not_utf8_is_a_data_error(lines, ending, tmp_path, capsys):
+    good = "".join(f"R{i}\t2007\tA REV\tUSA\t{ending}" for i in range(lines))
+    path = tmp_path / "latin1.tsv"
+    path.write_bytes(f"{FILE_HEADER}{ending}{good}".encode() + b"R\xff\t2007\tB\tUSA\t\n")
+    bad_line = lines + 2
+    with pytest.raises(CorpusError, match=rf"^line {bad_line}: byte 0xFF is not UTF-8"):
+        load_corpus(str(path))
+    for argv in (["ingest"], ["plan", "--base", "PY=2007", "--auto"]):
+        assert main([*argv, "--corpus", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert f"error: line {bad_line}: byte 0xFF" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("year", ["0", "7", "2007", "10000"])
 def test_ingest_years_round_trip(year):
     text = f"{FILE_HEADER}\nR1\t{year}\tA REV\tUSA\t\n"

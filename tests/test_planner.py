@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 from unittest import mock
 
@@ -154,28 +155,92 @@ def test_parse_group_spec_errors(text):
         parse_group_spec(text)
 
 
+def _overlap_message(first: str, second: str, prefix: str) -> str:
+    return re.escape(f"groups {first!r} and {second!r} both export the records "
+                     f"under prefix {prefix!r}")
+
+
 def test_parse_group_spec_refuses_letters_and_split_prefixes_that_overlap():
-    with pytest.raises(GroupSpecError, match="'B' appears in two letter groups"):
+    with pytest.raises(GroupSpecError, match=_overlap_message("AB", "BC", "B")):
         parse_group_spec("AB,BC")
-    for text in ("ABJ,J/AD=CA", "J/AD=CA,ABJ"):  # whatever the chunk order
-        with pytest.raises(GroupSpecError, match="split prefix 'J' collides"):
-            parse_group_spec(text)
+    # whatever the chunk order
+    with pytest.raises(GroupSpecError, match=_overlap_message("ABJ", "J/AD=CA", "J")):
+        parse_group_spec("ABJ,J/AD=CA")
+    with pytest.raises(GroupSpecError, match=_overlap_message("J/AD=CA", "ABJ", "J")):
+        parse_group_spec("J/AD=CA,ABJ")
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, prefix",
     [
-        "J/AD=HAVANA,J/AD=HAVANA",
-        "J/AD=CA,J/AD=HAVANA",
-        "J/AD=CA,JO/AD=CA",
-        "/AD=LONDON,/AD=PARIS",
-        "AB,/AD=LONDON",
+        pytest.param(text, prefix, id=text)
+        for text, prefix in [
+            ("J/AD=HAVANA,J/AD=HAVANA", "J"),
+            ("J/AD=CA,J/AD=HAVANA", "J"),
+            ("J/AD=CA,JO/AD=CA", "J"),
+            ("/AD=LONDON,/AD=PARIS", ""),
+            ("AB,/AD=LONDON", ""),
+        ]
     ],
 )
-def test_parse_group_spec_refuses_split_scopes_that_overlap(text):
+def test_parse_group_spec_refuses_split_scopes_that_overlap(text, prefix):
     for spec in (text, ",".join(reversed(text.split(",")))):  # whatever the chunk order
-        with pytest.raises(GroupSpecError, match="overlap|only chunk"):
+        first, second = spec.split(",")
+        with pytest.raises(GroupSpecError, match=_overlap_message(first, second, prefix)):
             parse_group_spec(spec)
+
+
+def _head_refuses(chunks: list[str]) -> bool:
+    """The four overlap checks ``parse_group_spec`` made before they became
+    one rule over named prefixes, kept as the reference; ``chunks`` are
+    canonical letter chunks and ``PREFIX/AD=X`` splits."""
+    listed: set[str] = set()
+    prefixes: list[str] = []
+    for chunk in chunks:
+        if "/" in chunk:
+            prefixes.append(chunk.partition("/")[0])
+            continue
+        if listed.intersection(chunk):  # a symbol in two letter chunks
+            return True
+        listed.update(chunk)
+    for i, prefix in enumerate(prefixes):
+        if prefix and prefix[0] in listed:  # a split prefix starting with a listed symbol
+            return True
+        if not prefix and len(chunks) > 1:  # a whole-base split beside another chunk
+            return True
+        for other in prefixes[:i]:  # split prefixes that nest or are equal
+            if prefix.startswith(other) or other.startswith(prefix):
+                return True
+    return False
+
+
+_CHUNKS = st.lists(
+    st.one_of(
+        st.text("AJ1", min_size=1, max_size=3),  # letter chunks, repeats within one allowed
+        st.sampled_from(["", "A", "J", "JO", "JOR", "JA", "1"]).map(lambda p: f"{p}/AD=X"),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@given(chunks=_CHUNKS)
+def test_parse_group_spec_refuses_exactly_what_the_four_old_checks_refused(chunks):
+    for order in (chunks, chunks[::-1]):
+        if not _head_refuses(order):
+            assert len(parse_group_spec(",".join(order))) == len(order)
+            continue
+        with pytest.raises(GroupSpecError) as refused:
+            parse_group_spec(",".join(order))
+        first, second, prefix = re.fullmatch(
+            r"groups '(.*)' and '(.*)' both export the records under prefix '(.*)'",
+            str(refused.value),
+        ).groups()
+        # two different chunks, in spec order, that both name a prefix starting with it
+        i, j = order.index(first), order.index(second, order.index(first) + 1)
+        for chunk in (order[i], order[j]):
+            named = [chunk.partition("/")[0]] if "/" in chunk else list(chunk)
+            assert any(p.startswith(prefix) for p in named)
 
 
 def test_split_prefix_is_checked_and_normalized_at_parse_time():
@@ -528,8 +593,11 @@ def test_stray_symbol_warning():
     engine = CappedEngine(Corpus(records), EngineConfig(cap=100))
     base = parse("PY=2007")
     stray = "stored values start with symbols outside A..Z, 0..9 that no group covers: É"
-    # greedy plans drop only empty symbols, so only the stray warning applies
-    assert plan_auto(engine, base, SO).warnings == (stray,)
+    # greedy plans bucket every stored first symbol, stray ones too
+    auto = plan_auto(engine, base, SO)
+    assert auto.warnings == ()
+    report = validate_direct(auto, engine)
+    assert report.method_b_total == report.direct_count == 2
     assert plan_prescribed(engine, base, SO, parse_group_spec("A")).warnings == (
         "groups leave first symbols uncovered: BCDEFGHIJKLMNOPQRSTUVWXYZ0123456789",
         stray,
@@ -538,10 +606,18 @@ def test_stray_symbol_warning():
     assert plan_prescribed(engine, base, SO, parse_group_spec("/AD=LONDON")).warnings == ()
 
 
+def test_whole_base_split_reads_no_first_symbols(cuba_corpus):
+    engine = CappedEngine(cuba_corpus)
+    with mock.patch.object(engine, "prefix_children", wraps=engine.prefix_children) as children:
+        strategy = plan_prescribed(engine, parse(CUBA_BASE), SO, parse_group_spec("/AD=HAVANA"))
+    assert strategy.warnings == ()
+    assert children.call_count == 0
+
+
 # titles of a few short words, so buckets deepen, keep exact residues, cross
-# word boundaries and end on the keyword OR (SO=OR*, SO=J OR*) without any
-# value holding it as a whole word
-_WORDS = st.sampled_from(["J", "JA", "JO", "JOR", "ORA", "A", "1"])
+# word boundaries, end on the keyword OR (SO=OR*, SO=J OR*) without any
+# value holding it as a whole word, and start outside A..Z, 0..9 (ÉA)
+_WORDS = st.sampled_from(["J", "JA", "JO", "JOR", "ORA", "A", "1", "ÉA"])
 _TITLE = st.lists(_WORDS, min_size=1, max_size=3).map(" ".join)
 _RECORDS = st.lists(
     st.tuples(st.lists(_TITLE, min_size=1, max_size=2), st.sampled_from([2006, 2007])),
