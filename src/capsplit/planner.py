@@ -29,6 +29,13 @@ Two planners build the statements:
   until everything fits or a single full-title class reaches the cap,
   which is irreducible. One greedy body serves both count modes
   (``plan_censored`` is the same function) and counts each statement once.
+  It refuses the AD field, whose values may be empty: no prefix bucket
+  names a record without an address.
+
+``plan_prescribed`` reads nothing of the term dictionary. After checking
+its statements it sends one more, ``base NOT (s1 OR ... OR sn)``, and
+warns with that count if it is not zero ("at least the cap" when
+censored), however the groups spell their prefixes.
 
 Every strategy also carries the overlap statement (the OR of all pairwise
 ANDs of the numbered statements) and one exclusion statement per numbered
@@ -227,26 +234,6 @@ def _split_prefix(text: str) -> str:
         raise GroupSpecError(f"split prefix {text!r}: {exc}") from None
 
 
-def _coverage_warnings(
-    engine: CappedEngine, field: FieldKind, covered: set[str]
-) -> tuple[str, ...]:
-    """Warn about the canonical and the stored first symbols not in ``covered``."""
-    warnings = []
-    missing = [s for s in SYMBOLS if s not in covered]
-    if missing:
-        warnings.append(
-            "groups leave first symbols uncovered: " + "".join(missing)
-        )
-    present = engine.prefix_children(field, "")
-    stray = sorted(present - covered - set(SYMBOLS))
-    if stray:
-        warnings.append(
-            "stored values start with symbols outside A..Z, 0..9 that no group covers: "
-            + "".join(stray)
-        )
-    return tuple(warnings)
-
-
 # ---------------------------------------------------------------------------
 # Planners
 # ---------------------------------------------------------------------------
@@ -276,7 +263,11 @@ def plan_prescribed(
     groups: tuple[Group, ...],
     cap: int | None = None,
 ) -> Strategy:
-    """Realize caller-fixed groups, verifying every statement stays sub-cap."""
+    """Realize caller-fixed groups, verifying every statement stays sub-cap.
+
+    Coverage is asked of the interface too: a non-zero count of
+    ``base NOT (s1 OR ... OR sn)`` is the strategy's one warning.
+    """
     cap = _effective_cap(engine, cap)
     statements = tuple(stmt for group in groups for stmt in realize_group(base, field, group))
     for i, stmt in enumerate(statements, start=1):
@@ -285,9 +276,10 @@ def plan_prescribed(
             raise PlanInfeasibleError(
                 f"statement {i} ({print_normalized(stmt)}) has {count} records; cap is {cap}"
             )
-    named = {prefix for group in groups for prefix in _named_prefixes(group)}
-    # the empty prefix of a whole-base split covers every first symbol, stored or not
-    warnings = () if "" in named else _coverage_warnings(engine, field, {p[0] for p in named})
+    uncovered = engine.count(Diff(base, or_chain(list(statements))))
+    warnings = () if uncovered.value == 0 else (
+        f"groups leave records of the base uncovered: {uncovered}",
+    )
     return _assemble(base, cap, statements, warnings)
 
 
@@ -397,6 +389,11 @@ def plan_auto(
     engine: CappedEngine, base: Query, field: FieldKind, cap: int | None = None
 ) -> Strategy:
     """Greedy alphabetical packing, on visible and censored engines alike."""
+    if field is FieldKind.AD:
+        raise GroupSpecError(
+            "cannot pack AD values: AD values may be empty, so an AD partition "
+            "cannot name the records without an address"
+        )
     cap = _effective_cap(engine, cap)
     # the canonical symbols, then any other stored first symbol (no stored
     # value starts with a space or a reserved character, so each is writable)

@@ -366,8 +366,21 @@ def test_plan_script_facsimile_and_round_trip(cuba_file, tmp_path, capsys):
     assert "Statement to find overlapping" in lines
     assert "New Search Strategy (Excluding overlapping)" in lines
     assert lines[-1] == "15. #7 NOT #8"
-    warning = capsys.readouterr().err
-    assert "uncovered" in warning
+    # the groups name every record of the base, so nothing is warned
+    assert capsys.readouterr().err == ""
+
+
+def test_plan_and_validate_a_spec_that_leaves_records_out(cuba_file, tmp_path, capsys):
+    # SO=JO* AND/NOT AD=HAVANA drops the other J titles
+    leaky = REFERENCE_GROUPS_CUBA.replace("J/AD=HAVANA", "JO/AD=HAVANA")
+    args = ["--corpus", cuba_file, "--base", CUBA_BASE, "--groups", leaky]
+    assert main(["plan", *args, "--out", str(tmp_path / "leaky.txt")]) == 0
+    assert capsys.readouterr().err == "warning: groups leave records of the base uncovered: 142\n"
+    assert main(["validate", *args]) == 1
+    out = capsys.readouterr().out
+    assert "method_b.total=768" in out
+    assert "direct.count=910" in out
+    assert out.endswith("verdict=Mismatch\n")
 
 
 def test_plan_infeasible_exit_code(cuba_file, capsys):

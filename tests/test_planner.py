@@ -25,6 +25,7 @@ from capsplit import (
     Split,
     Strategy,
     VISIBLE,
+    Verdict,
     build_exclusions,
     build_overlap_statement,
     emit_strategy_script,
@@ -278,7 +279,27 @@ def test_plan_prescribed_reference_grouping(cuba_corpus):
         f"8. {print_normalized(strategy.overlap_stmt)}",
     ]
     assert len(strategy.exclusion_stmts) == 7
-    assert strategy.warnings == ("groups leave first symbols uncovered: 0",)
+    # no record of the base starts with 0, so nothing is left out
+    assert strategy.warnings == ()
+
+
+@pytest.mark.parametrize(
+    ("spec", "missing"),
+    [(REFERENCE_GROUPS_CUBA.replace("J/", "JO/"), 142), ("A", 832)],
+)
+def test_plan_prescribed_warns_with_the_uncovered_count(cuba_corpus, spec, missing):
+    engine = CappedEngine(cuba_corpus)
+    strategy = plan_prescribed(engine, parse(CUBA_BASE), SO, parse_group_spec(spec))
+    assert strategy.warnings == (f"groups leave records of the base uncovered: {missing}",)
+    report = validate_direct(strategy, engine)
+    assert report.direct_count - report.method_b_total == missing
+    assert report.verdict is Verdict.MISMATCH
+
+
+def test_censored_uncovered_count_reads_at_least_the_cap(cuba_corpus):
+    engine = CappedEngine(cuba_corpus, EngineConfig(cap=500, count_mode=CENSORED))
+    strategy = plan_prescribed(engine, parse(CUBA_BASE), SO, parse_group_spec("A"))
+    assert strategy.warnings == ("groups leave records of the base uncovered: at least the cap",)
 
 
 def test_plan_prescribed_full_coverage_has_no_warning(cuba_corpus):
@@ -592,26 +613,37 @@ def test_stray_symbol_warning():
     )
     engine = CappedEngine(Corpus(records), EngineConfig(cap=100))
     base = parse("PY=2007")
-    stray = "stored values start with symbols outside A..Z, 0..9 that no group covers: É"
     # greedy plans bucket every stored first symbol, stray ones too
     auto = plan_auto(engine, base, SO)
     assert auto.warnings == ()
     report = validate_direct(auto, engine)
     assert report.method_b_total == report.direct_count == 2
+    # the ÉTUDES record is the one that no group names
     assert plan_prescribed(engine, base, SO, parse_group_spec("A")).warnings == (
-        "groups leave first symbols uncovered: BCDEFGHIJKLMNOPQRSTUVWXYZ0123456789",
-        stray,
+        "groups leave records of the base uncovered: 1",
     )
     # a whole-base split covers every first symbol, stray ones too
     assert plan_prescribed(engine, base, SO, parse_group_spec("/AD=LONDON")).warnings == ()
 
 
-def test_whole_base_split_reads_no_first_symbols(cuba_corpus):
+@pytest.mark.parametrize(
+    "spec",
+    [REFERENCE_GROUPS_CUBA, "A", "/AD=HAVANA"],
+    ids=["reference", "letters", "whole-base-split"],
+)
+def test_prescribed_plans_read_no_term_dictionary(cuba_corpus, spec):
     engine = CappedEngine(cuba_corpus)
     with mock.patch.object(engine, "prefix_children", wraps=engine.prefix_children) as children:
-        strategy = plan_prescribed(engine, parse(CUBA_BASE), SO, parse_group_spec("/AD=HAVANA"))
-    assert strategy.warnings == ()
+        plan_prescribed(engine, parse(CUBA_BASE), SO, parse_group_spec(spec))
     assert children.call_count == 0
+
+
+def test_plan_auto_refuses_the_address_field_before_probing(cuba_corpus):
+    engine = CappedEngine(cuba_corpus, EngineConfig(cap=500))
+    with mock.patch.object(engine, "count", wraps=engine.count) as count:
+        with pytest.raises(GroupSpecError, match="AD values may be empty"):
+            plan_auto(engine, parse("PY=2007"), FieldKind.AD)
+    assert count.call_count == 0
 
 
 # titles of a few short words, so buckets deepen, keep exact residues, cross
@@ -708,3 +740,37 @@ def test_galloping_packs_like_linear_packing_in_fewer_probes(records, cap, count
     # at most two probes per run beyond linear packing (plan_auto probes the whole domain for both)
     assert galloping.probes <= linear.probes + 2 * statements
     assert galloping.repeated_probes() == []
+
+
+# letter chunks and splits over the symbols of ``_WORDS``, multi-symbol prefixes
+# (JO/, JA/) and a whole-base split among them
+_CHUNK = st.one_of(
+    st.text(alphabet="AJO1B", min_size=1, max_size=3),
+    st.builds(
+        "{}/{}".format,
+        st.sampled_from(["", "J", "JO", "JA", "JOR", "O", "A", "1"]),
+        st.sampled_from(["AD=HAVANA", "SO=JOR*", "PY=2006"]),
+    ),
+)
+
+
+@given(records=_RECORDS, cap=st.integers(2, 21), chunks=st.lists(_CHUNK, min_size=1, max_size=4))
+def test_prescribed_warning_counts_what_method_b_misses(records, cap, chunks):
+    try:
+        groups = parse_group_spec(",".join(chunks))
+    except GroupSpecError:
+        return
+    corpus = _records_corpus(records)
+    visible = CappedEngine(corpus, EngineConfig(cap=cap))
+    base = parse("PY=2007")
+    try:
+        strategy = plan_prescribed(visible, base, SO, groups)
+    except PlanInfeasibleError:
+        return
+    report = validate_direct(strategy, visible)
+    missing = report.direct_count - report.method_b_total
+    expected = (f"groups leave records of the base uncovered: {missing}",) if missing else ()
+    assert strategy.warnings == expected
+    assert (strategy.warnings == ()) == (report.verdict is not Verdict.MISMATCH)
+    censored = CappedEngine(corpus, EngineConfig(cap=len(records) + 1, count_mode=CENSORED))
+    assert plan_prescribed(censored, base, SO, groups).warnings == strategy.warnings
