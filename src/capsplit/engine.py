@@ -28,16 +28,17 @@ gives the digits or "at least the cap" for every refusal message.
 Indexing is per field and built over the column's distinct values only:
 a sorted term dictionary maps each term to the codes of the distinct
 values that hold it, so term lookups, prefix ranges and next-symbol
-introspection are all cheap, a year is written as digits and an address
-set is split into tokens once, however many records share it. How a
-leaf's bitset is made from those value codes follows from what ``bytes``
-can hold. A column of at most 256 distinct values (a paper-scale
-corpus's years, country sets and address sets) keeps its codes as
-``bytes``; a leaf is one ``translate`` of them to ``0``/``1`` digits,
-read by ``int(..., 2)``, which is linear and has no digit limit. A wider
-column (source titles) keeps the record positions of each value code,
-and a leaf sets their bits in a little-endian byte buffer of one bit per
-record, which ``int.from_bytes`` reads as the int.
+introspection are all cheap. Its terms are the strings a value is found
+through, as ``query.field_strings`` states them, read once per distinct
+value however many records share it. How a leaf's bitset is made from
+those value codes follows from what ``bytes`` can hold. A column of at
+most 256 distinct values (a paper-scale corpus's years, country sets and
+address sets) keeps its codes as ``bytes``; a leaf is one ``translate``
+of them to ``0``/``1`` digits, read by ``int(..., 2)``, which is linear
+and has no digit limit. A wider column (source titles) keeps the record
+positions of each value code, and a leaf sets their bits in a
+little-endian byte buffer of one bit per record, which ``int.from_bytes``
+reads as the int.
 
 A query is evaluated by ``query.fold``, the one walk of a query tree.
 Every result is a Python ``int`` used as a bitset over record positions:
@@ -63,7 +64,7 @@ from itertools import chain, compress
 from typing import Iterable, Iterator
 
 from .corpus import Column, Corpus
-from .query import And, Diff, FieldKind, Or, Query, SetRef, Term, fold
+from .query import And, Diff, FieldKind, Or, Query, SetRef, Term, field_strings, fold
 
 VISIBLE = "visible"
 CENSORED = "censored"
@@ -135,12 +136,7 @@ class CappedEngine:
         self.corpus = corpus
         self.config = config or EngineConfig()
         self._ids = corpus.ids
-        self._index: dict[FieldKind, _FieldIndex] = {
-            FieldKind.PY: _FieldIndex(corpus.years, lambda year: (str(year),)),
-            FieldKind.CU: _FieldIndex(corpus.countries, iter),
-            FieldKind.SO: _FieldIndex(corpus.source_titles, iter),
-            FieldKind.AD: _FieldIndex(corpus.addresses, _address_tokens),
-        }
+        self._index = {field: _FieldIndex(*field_strings(corpus, field)) for field in FieldKind}
         self._leaves: dict[Term, int] = {}
         self._statements: list[int] = []  # #k is self._statements[k - 1]
 
@@ -196,11 +192,11 @@ class CappedEngine:
         self._statements.clear()
 
     def prefix_children(self, field: FieldKind, prefix: str) -> set[str]:
-        """Distinct characters that follow ``prefix`` among stored values.
+        """Distinct characters that follow ``prefix`` among the field's stored terms.
 
-        The prefix is a raw character position into the normalized values
+        The prefix is a raw character position into the normalized terms
         (only case-folded here), so positions ending on a word boundary,
-        like ``"JOURNAL "``, stay addressable. Values exactly equal to the
+        like ``"JOURNAL "``, stay addressable. Terms exactly equal to the
         prefix contribute nothing; they form the exact-match residue a
         planner must cover separately.
         """
@@ -280,19 +276,20 @@ def _combine(node: And | Or | Diff, left: int, right: int) -> int:
 class _FieldIndex:
     """One field's index: each term's value codes, and the bitset of a set of value codes.
 
-    ``codes`` maps every term to the codes of the distinct values that hold
-    it, and ``terms`` lists the terms sorted. A column of at most 256
-    distinct values keeps its codes as ``bytes``, last record first, so
-    that ``translate`` with a table that maps each matching code to ``1``
-    and every other to ``0`` writes the bitset in base 2. A wider column
-    keeps the record positions of each value code, whose bits are set one
-    by one in a little-endian byte buffer that ``int.from_bytes`` reads.
+    ``codes`` maps every term of ``query.field_strings`` to the codes of
+    the distinct values found through it, and ``terms`` lists the terms
+    sorted. A column of at most 256 distinct values keeps its codes as
+    ``bytes``, last record first, so that ``translate`` with a table that
+    maps each matching code to ``1`` and every other to ``0`` writes the
+    bitset in base 2. A wider column keeps the record positions of each
+    value code, whose bits are set one by one in a little-endian byte
+    buffer that ``int.from_bytes`` reads.
     """
 
-    def __init__(self, column: Column, terms_of) -> None:
+    def __init__(self, column: Column, strings: Iterable[Iterable[str]]) -> None:
         codes: dict[str, list[int]] = defaultdict(list)
-        for code, value in enumerate(column.values):
-            for term in terms_of(value):
+        for code, terms in enumerate(strings):
+            for term in terms:
                 codes[term].append(code)
         self.codes = dict(codes)
         self.terms = sorted(codes)
@@ -318,8 +315,3 @@ class _FieldIndex:
         for pos in chain.from_iterable(map(self._positions.__getitem__, codes)):
             buf[pos >> 3] |= 1 << (pos & 7)
         return int.from_bytes(buf, "little")
-
-
-def _address_tokens(addresses: frozenset[str]) -> set[str]:
-    """The distinct whitespace-separated tokens of an address set."""
-    return {token for address in addresses for token in address.split()}

@@ -28,14 +28,15 @@ scans the text with one token pattern, then reads the grammar in one loop
 with an operand stack and an operator stack, so it reads back any tree
 the printer writes.
 
-Field semantics over a corpus: PY matches the decimal publication year,
-CU any affiliation country, SO any source title (a record with two titles
-is found through either one), AD any whitespace-separated token of any
-address. Evaluation here is a direct per-field scan of the corpus and
-serves as the reference semantics; the indexed engine must agree with it.
-A term scan matches its pattern once per distinct string of the field (a
-year, a country, a title, an address token), then makes one pass over
-the field's column of value numbers to collect the ids.
+Field semantics over a corpus, stated once by ``field_strings``: a term
+matches a record when its pattern matches a string the record is found
+through in that field. PY is found through the year's decimal digits, CU
+through each country, SO through each source title (a record with two
+titles is found through either one), AD through each whitespace-separated
+token of each address. The engine's index and the scan here both read
+``field_strings``; the scan is the reference semantics the indexed engine
+must agree with. It matches a term's pattern once per distinct string of
+the field, then makes one pass over the field's column of value numbers.
 ``Oracle`` evaluates over one corpus and keeps the id set of each distinct
 term it has scanned, so repeated direct counts scan each term once;
 ``evaluate`` is a one-shot ``Oracle`` that keeps nothing. Neither holds an
@@ -50,9 +51,9 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, zip_longest
-from typing import Callable, Iterator, Mapping, Set, TypeVar, Union
+from typing import Callable, Collection, Iterator, Mapping, Sequence, Set, TypeVar, Union
 
-from .corpus import Corpus, _PATTERN_RESERVED, _ascii_int, normalize_text
+from .corpus import Column, Corpus, _PATTERN_RESERVED, _ascii_int, normalize_text
 
 
 class QueryError(ValueError):
@@ -433,25 +434,31 @@ def evaluate(
     return Oracle(corpus).evaluate(query, registry)
 
 
+def field_strings(corpus: Corpus, field: FieldKind) -> tuple[Column, Sequence[Collection[str]]]:
+    """The field's column and, per distinct value of it, the strings a record is found through.
+
+    Entry k holds the strings of ``column.values[k]``: the year's digits
+    for PY, each country for CU, each title for SO, and each
+    whitespace-separated token of each address for AD.
+    """
+    if field is FieldKind.PY:
+        return corpus.years, [(str(year),) for year in corpus.years.values]
+    if field is FieldKind.AD:
+        column = corpus.addresses
+        return column, [{tok for addr in value for tok in addr.split()} for value in column.values]
+    column = corpus.countries if field is FieldKind.CU else corpus.source_titles
+    return column, column.values
+
+
 def _scan_term(corpus: Corpus, term: Term) -> set[str]:
     """The ids of the records ``term`` matches: one match per distinct string, one column pass.
 
-    Each distinct string a record can be found through (a year's digits, a
-    country, a title, an address token) is matched once; then one pass over
-    the field's column of value numbers keeps the ids whose value holds a
-    matched string. Every field, the year included, takes this path.
+    Each distinct string of ``field_strings`` is matched once; then one
+    pass over the field's column of value numbers keeps the ids whose value
+    holds a matched string. Every field, the year included, takes this path.
     """
     match = term.pattern.matches
-    field = term.field
-    if field is FieldKind.PY:
-        column = corpus.years
-        strings = [(str(year),) for year in column.values]
-    elif field is FieldKind.AD:
-        column = corpus.addresses
-        strings = [{tok for addr in value for tok in addr.split()} for value in column.values]
-    else:
-        column = corpus.countries if field is FieldKind.CU else corpus.source_titles
-        strings = column.values
+    column, strings = field_strings(corpus, term.field)
     matched = {s for s in set().union(*strings) if match(s)}
     hit = [not matched.isdisjoint(value) for value in strings]
     return set(compress(corpus.ids, map(hit.__getitem__, column.codes)))

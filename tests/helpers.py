@@ -5,6 +5,7 @@ so index bugs and set-algebra bugs cannot hide each other."""
 from __future__ import annotations
 
 import random
+from typing import Iterable
 
 from capsplit import And, Corpus, FieldKind, Or, Record, SetRef, Term
 from capsplit.query import Query
@@ -31,7 +32,8 @@ def record_matches(rec: Record, node: Query, registry: dict[int, set[str]] | Non
     return left and not right
 
 
-def brute_eval(corpus: Corpus, node: Query, registry: dict[int, set[str]] | None = None) -> set[str]:
+def brute_eval(corpus: Iterable[Record], node: Query,
+               registry: dict[int, set[str]] | None = None) -> set[str]:
     return {rec.id for rec in corpus if record_matches(rec, node, registry)}
 
 

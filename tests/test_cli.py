@@ -348,6 +348,14 @@ def test_readme_commands_parse():
             pytest.fail(f"README command does not parse: {line}")
 
 
+def test_readme_python_examples_run():
+    # every python block of the README runs as written, each in a fresh namespace
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.S | re.M)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {"__name__": "readme_example"})
+
+
 # -- plan ------------------------------------------------------------------------
 
 

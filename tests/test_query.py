@@ -27,7 +27,7 @@ from capsplit import (
     parse,
     print_normalized,
 )
-from capsplit.query import _scan_term
+from capsplit.query import _scan_term, field_strings
 
 from helpers import brute_eval, make_record
 
@@ -522,6 +522,28 @@ def test_scan_term_matches_each_distinct_string_once(text, strings, monkeypatch)
     assert sorted(seen) == sorted(strings)
     monkeypatch.undo()
     assert found == brute_eval(corpus, parse(text))
+
+
+def test_field_strings_names_the_strings_each_field_is_found_through():
+    corpus = Corpus((
+        make_record("R1", ("ALPHA REV", "BETA REV"), 2007, ("CUBA", "USA"), ("UNIV HAVANA",)),
+        make_record("R2", ("ALPHA REV",), 2008, ("USA",),
+                    ("MIT CAMBRIDGE MA", "HARVARD CAMBRIDGE MA")),
+        make_record("R3", ("GAMMA J",), 2007, ("UK",)),
+    ))
+    expected = {
+        PY: (corpus.years, [["2007"], ["2008"]]),
+        CU: (corpus.countries, [["CUBA", "USA"], ["USA"], ["UK"]]),
+        SO: (corpus.source_titles, [["ALPHA REV", "BETA REV"], ["ALPHA REV"], ["GAMMA J"]]),
+        # the two addresses share CAMBRIDGE and MA, each named once; no address, no string
+        AD: (corpus.addresses, [["HAVANA", "UNIV"], ["CAMBRIDGE", "HARVARD", "MA", "MIT"], []]),
+    }
+    for field, (column, strings) in expected.items():
+        found_column, found = field_strings(corpus, field)
+        assert found_column is column, field
+        assert [sorted(value) for value in found] == strings, field
+    assert corpus.years.codes == (0, 1, 0)
+    assert corpus.countries.codes == corpus.source_titles.codes == corpus.addresses.codes == (0, 1, 2)
 
 
 def test_oracle_answers_are_fresh_sets():
