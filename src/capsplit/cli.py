@@ -42,6 +42,7 @@ from .planner import (
     GroupSpecError,
     PlanInfeasibleError,
     Strategy,
+    check_base,
     parse_group_spec,
     plan_auto,
     plan_prescribed,
@@ -313,6 +314,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 def _planner(args: argparse.Namespace) -> Callable[[CappedEngine], Strategy]:
     """Parse ``--base`` and ``--groups`` into a planner, before any corpus is loaded."""
     base = parse(args.base)
+    check_base(base)
     field = FieldKind.SO  # the source title, as the paper partitions
     if args.groups is not None:  # argparse lets exactly one of --groups, --auto through
         groups = parse_group_spec(args.groups)

@@ -26,19 +26,20 @@ the cap) that the engine, planner and runner ask; ``str`` of a count
 gives the digits or "at least the cap" for every refusal message.
 
 Indexing is per field and built over the column's distinct values only:
-a sorted term dictionary maps each term to the codes of the distinct
-values that hold it, so term lookups, prefix ranges and next-symbol
-introspection are all cheap. Its terms are the strings a value is found
-through, as ``query.field_strings`` states them, read once per distinct
-value however many records share it. How a leaf's bitset is made from
-those value codes follows from what ``bytes`` can hold. A column of at
-most 256 distinct values (a paper-scale corpus's years, country sets and
-address sets) keeps its codes as ``bytes``; a leaf is one ``translate``
-of them to ``0``/``1`` digits, read by ``int(..., 2)``, which is linear
-and has no digit limit. A wider column (source titles) keeps the record
-positions of each value code, and a leaf sets their bits in a
-little-endian byte buffer of one bit per record, which ``int.from_bytes``
-reads as the int.
+one sorted table of terms, each with the codes of the distinct values
+that hold it. The terms that start with a prefix are one span of the
+table, found by two bisections, and that span answers exact leaves,
+truncated leaves and next-symbol introspection alike. Its terms are the
+strings a value is found through, as ``query.field_strings`` states
+them, read once per distinct value however many records share it. How a
+leaf's bitset is made from those value codes follows from what ``bytes``
+can hold. A column of at most 256 distinct values (a paper-scale
+corpus's years, country sets and address sets) keeps its codes as
+``bytes``; a leaf is one ``translate`` of them to ``0``/``1`` digits,
+read by ``int(..., 2)``, which is linear and has no digit limit. A wider
+column (source titles) keeps the record positions of each value code,
+and a leaf sets their bits in a little-endian byte buffer of one bit per
+record, which ``int.from_bytes`` reads as the int.
 
 A query is evaluated by ``query.fold``, the one walk of a query tree.
 Every result is a Python ``int`` used as a bitset over record positions:
@@ -48,23 +49,22 @@ once and kept. A leaf cannot go stale, so that cache is bounded by the
 distinct leaves ever queried. Nothing else is cached: operator results
 are recomputed on every query, and the session list holds each
 statement's immutable int.
-Next-symbol introspection hops from one child symbol to the next by
-bisection, so it reads one stored term per child, not every term under
-the prefix. ``retrieve`` reads a result's bytes and visits only those
-with a set bit, so its cost follows the result size, not the corpus
-size.
+Next-symbol introspection hops from the span of one child symbol to the
+next, so it reads one stored term per child, not every term under the
+prefix. ``retrieve`` reads a result's bytes and visits only those with a
+set bit, so its cost follows the result size, not the corpus size.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain, compress
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .corpus import Column, Corpus
-from .query import And, Diff, FieldKind, Or, Query, SetRef, Term, field_strings, fold
+from .query import And, Diff, FieldKind, Or, Pattern, Query, SetRef, Term, field_strings, fold
 
 VISIBLE = "visible"
 CENSORED = "censored"
@@ -200,23 +200,7 @@ class CappedEngine:
         prefix contribute nothing; they form the exact-match residue a
         planner must cover separately.
         """
-        if field is FieldKind.PY:
-            raise EngineError("prefix introspection is not supported for PY")
-        prefix = prefix.upper()
-        cut = len(prefix)
-        terms = self._index[field].terms
-        children: set[str] = set()
-        i = bisect_left(terms, prefix)
-        if i < len(terms) and terms[i] == prefix:
-            i += 1
-        # one term per child: hop past every term that starts with prefix + ch
-        while i < len(terms) and terms[i].startswith(prefix):
-            ch = terms[i][cut]
-            children.add(ch)
-            if ch == "\U0010ffff":
-                break
-            i = bisect_left(terms, prefix + chr(ord(ch) + 1), i)
-        return children
+        return self._index[field].children(prefix.upper())
 
     # -- evaluation ---------------------------------------------------------
 
@@ -233,14 +217,6 @@ class CappedEngine:
             raise CapExceededError(count, self.config.cap)
         return hits
 
-    def _terms_with_prefix(self, field: FieldKind, prefix: str) -> Iterator[str]:
-        """The stored terms of ``field`` that start with ``prefix``, in sorted order."""
-        terms = self._index[field].terms
-        i = bisect_left(terms, prefix)
-        while i < len(terms) and terms[i].startswith(prefix):
-            yield terms[i]
-            i += 1
-
     def _eval(self, query: Query) -> int:
         return fold(query, self._leaf, _combine)
 
@@ -254,14 +230,7 @@ class CappedEngine:
         bits = self._leaves.get(node)
         if bits is not None:
             return bits
-        index = self._index[node.field]
-        text = node.pattern.text
-        if node.pattern.truncated:
-            terms = self._terms_with_prefix(node.field, text)
-            codes = set(chain.from_iterable(map(index.codes.__getitem__, terms)))
-        else:
-            codes = index.codes.get(text, ())
-        bits = self._leaves[node] = index.bits(codes)
+        bits = self._leaves[node] = self._index[node.field].leaf(node.pattern)
         return bits
 
 
@@ -274,16 +243,17 @@ def _combine(node: And | Or | Diff, left: int, right: int) -> int:
 
 
 class _FieldIndex:
-    """One field's index: each term's value codes, and the bitset of a set of value codes.
+    """One field's index: a sorted term table, and the bitset of a set of value codes.
 
-    ``codes`` maps every term of ``query.field_strings`` to the codes of
-    the distinct values found through it, and ``terms`` lists the terms
-    sorted. A column of at most 256 distinct values keeps its codes as
-    ``bytes``, last record first, so that ``translate`` with a table that
-    maps each matching code to ``1`` and every other to ``0`` writes the
-    bitset in base 2. A wider column keeps the record positions of each
-    value code, whose bits are set one by one in a little-endian byte
-    buffer that ``int.from_bytes`` reads.
+    ``terms`` lists every term of ``query.field_strings`` once, sorted, and
+    ``_codes[i]`` holds the codes of the distinct values found through
+    ``terms[i]``; ``_span`` is the one rule that reads them. A column of
+    at most 256 distinct values keeps its codes as ``bytes``, last record
+    first, so that ``translate`` with a table that maps each matching code
+    to ``1`` and every other to ``0`` writes the bitset in base 2. A wider
+    column keeps the record positions of each value code, whose bits are
+    set one by one in a little-endian byte buffer that ``int.from_bytes``
+    reads.
     """
 
     def __init__(self, column: Column, strings: Iterable[Iterable[str]]) -> None:
@@ -291,8 +261,8 @@ class _FieldIndex:
         for code, terms in enumerate(strings):
             for term in terms:
                 codes[term].append(code)
-        self.codes = dict(codes)
         self.terms = sorted(codes)
+        self._codes = list(map(codes.__getitem__, self.terms))
         self._size = len(column.codes)
         if len(column.values) <= 256:
             self._reversed_codes = bytes(reversed(column.codes))
@@ -301,6 +271,34 @@ class _FieldIndex:
             self._positions: list[list[int]] = [[] for _ in column.values]
             for pos, code in enumerate(column.codes):
                 self._positions[code].append(pos)
+
+    def _span(self, prefix: str, lo: int = 0, hi: int | None = None) -> tuple[int, int]:
+        """The bounds of the terms in ``lo:hi`` that start with ``prefix``: from the first
+        not below it to the first whose leading ``len(prefix)`` characters sort above it."""
+        cut = len(prefix)
+        lo = bisect_left(self.terms, prefix, lo, hi)
+        return lo, bisect_right(self.terms, prefix, lo, hi, key=lambda term: term[:cut])
+
+    def leaf(self, pattern: Pattern) -> int:
+        """The bitset of the records found through ``pattern``: through a term
+        that starts with its text if it is truncated, equals its text if not."""
+        lo, hi = self._span(pattern.text)
+        if not pattern.truncated:  # a term equal to the text sorts first in its span
+            hi = lo + 1 if lo < hi and self.terms[lo] == pattern.text else lo
+        return self.bits(set(chain.from_iterable(self._codes[lo:hi])))
+
+    def children(self, prefix: str) -> set[str]:
+        """The characters that follow ``prefix`` in the terms, one hop per character."""
+        cut = len(prefix)
+        lo, hi = self._span(prefix)
+        if lo < hi and len(self.terms[lo]) == cut:  # the term equal to the prefix
+            lo += 1
+        children: set[str] = set()
+        while lo < hi:
+            ch = self.terms[lo][cut]
+            children.add(ch)
+            lo = self._span(prefix + ch, lo, hi)[1]
+        return children
 
     def bits(self, codes: Iterable[int]) -> int:
         """The bitset of the records whose value code is one of ``codes``."""

@@ -61,6 +61,7 @@ from .query import (
     SetRef,
     Term,
     or_chain,
+    postorder,
     print_normalized,
 )
 
@@ -239,6 +240,21 @@ def _split_prefix(text: str) -> str:
 # ---------------------------------------------------------------------------
 
 
+def check_base(base: Query) -> None:
+    """Refuse a base that names a numbered statement.
+
+    A run numbers a plan's statements from ``#1`` in a new session, so a
+    ``#k`` in the base would name one of them there, not the statement it
+    named while the plan was probed.
+    """
+    for node in postorder(base):
+        if isinstance(node, SetRef):
+            raise GroupSpecError(
+                f"the base query names the numbered statement #{node.number}; "
+                "a run numbers its statements anew, so a base cannot refer to one"
+            )
+
+
 def _effective_cap(engine: CappedEngine, cap: int | None) -> int:
     if cap is None:
         return engine.config.cap
@@ -261,14 +277,14 @@ def plan_prescribed(
     base: Query,
     field: FieldKind,
     groups: tuple[Group, ...],
-    cap: int | None = None,
 ) -> Strategy:
-    """Realize caller-fixed groups, verifying every statement stays sub-cap.
+    """Realize caller-fixed groups, verifying every statement stays below the engine's cap.
 
     Coverage is asked of the interface too: a non-zero count of
     ``base NOT (s1 OR ... OR sn)`` is the strategy's one warning.
     """
-    cap = _effective_cap(engine, cap)
+    check_base(base)
+    cap = engine.config.cap
     statements = tuple(stmt for group in groups for stmt in realize_group(base, field, group))
     for i, stmt in enumerate(statements, start=1):
         count = engine.count(stmt)
@@ -394,6 +410,7 @@ def plan_auto(
             "cannot pack AD values: AD values may be empty, so an AD partition "
             "cannot name the records without an address"
         )
+    check_base(base)
     cap = _effective_cap(engine, cap)
     # the canonical symbols, then any other stored first symbol (no stored
     # value starts with a space or a reserved character, so each is writable)

@@ -255,8 +255,9 @@ def test_count_takes_a_query_nested_5000_deep(cuba_file, capsys):
         (["run", "--base", "PY=2007", "--groups", "AB,B"],
          "groups 'AB' and 'B' both export the records under prefix 'B'"),
         (["validate", "--base", "PY=2007", "--groups", "J/XX=5"], "unknown pivot field"),
+        (["plan", "--base", "PY=2007 NOT #1", "--auto"], "names the numbered statement #1"),
     ],
-    ids=["count-query", "plan-base", "run-groups", "validate-groups"],
+    ids=["count-query", "plan-base", "run-groups", "validate-groups", "plan-base-reference"],
 )
 def test_bad_query_or_spec_is_usage_error_before_the_corpus_loads(argv, message, tmp_path, capsys):
     missing = str(tmp_path / "missing.tsv")

@@ -344,9 +344,10 @@ def test_prefix_children_prefix_is_a_raw_position():
     assert engine.prefix_children(FieldKind.SO, "journal ") == {"O"}
 
 
-def test_prefix_children_rejects_py(engine):
-    with pytest.raises(EngineError, match="PY"):
-        engine.prefix_children(FieldKind.PY, "2")
+def test_prefix_children_reads_py_years():
+    # PY's terms are the year's digits, as for any other field
+    corpus = Corpus((make_record("R1", ("A",), year=2005), make_record("R2", ("A",), year=2007)))
+    assert CappedEngine(corpus).prefix_children(FieldKind.PY, "200") == {"5", "7"}
 
 
 # words of a few symbols, past "Z" and up to the last code point, joined by spaces
@@ -360,7 +361,9 @@ _VALUE = st.lists(_WORD, min_size=1, max_size=3).map(" ".join)
 )
 @example(titles=["JO", "JO A", "JO É", "JOB"], pick=(0, 2))  # a term equals the prefix
 @example(titles=["JO", "JO A", "JO É", "JOB"], pick=(1, 3))  # the prefix ends on a space
+@example(titles=["JO A", "JO AB", "JO", "JOA"], pick=(0, 4))  # past a word boundary
 @example(titles=["J\U0010ffff", "J\U0010ffffA", "JA"], pick=(2, 1))  # the last code point
+@example(titles=["J\U0010ffff", "J\U0010ffffA", "JA"], pick=(0, 2))  # ending on it
 def test_prefix_children_equals_a_scan_of_every_value(titles, pick):
     corpus = Corpus(tuple(make_record(f"R{i:02d}", (t,)) for i, t in enumerate(titles)))
     title = titles[pick[0] % len(titles)]
@@ -374,6 +377,13 @@ def test_prefix_children_equals_a_scan_of_every_value(titles, pick):
     engine = CappedEngine(corpus)
     assert engine.prefix_children(FieldKind.SO, prefix) == scan
     assert engine.prefix_children(FieldKind.SO, "") == {t[0] for t in titles}
+    # the leaves of the same span: every title under the prefix, and the prefix itself
+    if prefix and Pattern(prefix, True).text == prefix:
+        for truncated, matches in ((True, str.startswith), (False, str.__eq__)):
+            leaf = Term(FieldKind.SO, Pattern(prefix, truncated))
+            assert engine.retrieve(leaf) == {
+                rec.id for rec in corpus if any(matches(t, prefix) for t in rec.source_titles)
+            }
 
 
 @pytest.mark.parametrize("n", [0, 1, 8, 9, 16, 17, 300])

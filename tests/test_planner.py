@@ -39,6 +39,7 @@ from capsplit import (
     plan_censored,
     plan_prescribed,
     print_normalized,
+    run_strategy,
     serialize,
     validate_direct,
 )
@@ -312,12 +313,24 @@ def test_plan_prescribed_full_coverage_has_no_warning(cuba_corpus):
 
 
 def test_plan_prescribed_infeasible_names_statement(cuba_corpus):
-    engine = CappedEngine(cuba_corpus)
+    engine = CappedEngine(cuba_corpus, EngineConfig(cap=200))
     with pytest.raises(PlanInfeasibleError, match=r"statement 2 .*cap is 200"):
-        plan_prescribed(
-            engine, parse(CUBA_BASE), SO,
-            parse_group_spec(REFERENCE_GROUPS_CUBA), cap=200,
-        )
+        plan_prescribed(engine, parse(CUBA_BASE), SO, parse_group_spec(REFERENCE_GROUPS_CUBA))
+
+
+@pytest.mark.parametrize("count_mode", [VISIBLE, CENSORED])
+def test_a_base_naming_a_numbered_statement_is_refused_before_any_probe(cuba_corpus, count_mode):
+    # a finished run leaves #1 in the engine's session, but the next run
+    # numbers its own statements from #1, so the base would name one of them
+    engine = CountingEngine(cuba_corpus, EngineConfig(cap=500, count_mode=count_mode))
+    run_strategy(plan_auto(engine, parse(CUBA_BASE), SO), engine)
+    engine.probed.clear()
+    for text in ("#1", f"{CUBA_BASE} NOT #1"):
+        with pytest.raises(GroupSpecError, match="names the numbered statement #1"):
+            plan_auto(engine, parse(text), SO)
+        with pytest.raises(GroupSpecError, match="names the numbered statement #1"):
+            plan_prescribed(engine, parse(text), SO, parse_group_spec(REFERENCE_GROUPS_CUBA))
+    assert engine.probes == 0
 
 
 def test_plan_prescribed_names_the_without_side_of_a_split_that_does_not_fit():
@@ -498,8 +511,6 @@ def test_plan_mode_preconditions(cuba_corpus):
     base = parse(CUBA_BASE)
     with pytest.raises(GroupSpecError, match="cap 400 above the engine cap 100"):
         plan_auto(visible, base, SO, cap=400)
-    with pytest.raises(GroupSpecError, match="cap 101 above the engine cap 100"):
-        plan_prescribed(visible, base, SO, parse_group_spec(REFERENCE_GROUPS_CUBA), cap=101)
     for cap in (100, 60):
         strategy = plan_auto(visible, base, SO, cap=cap)
         assert validate_direct(strategy, visible).direct_count == 910
