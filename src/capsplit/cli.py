@@ -35,6 +35,7 @@ from .corpus import (
     build_fixture,
     generate,
     load_corpus,
+    normalize_text,
     save_corpus,
 )
 from .engine import CapExceededError, CappedEngine, EngineConfig, EngineError
@@ -243,7 +244,7 @@ def _parse_countries(text: str) -> dict[str, float]:
     weights: dict[str, float] = {}
     for part in text.split(","):
         name, colon, weight = part.partition(":")
-        name = name.strip().upper()
+        name = normalize_text(name)
         if not name:
             raise CorpusError(f"bad --countries entry in {text!r}")
         if name in weights:

@@ -28,8 +28,9 @@ fills every column, parsing each distinct raw value once. ``Record``
 stays the value type of one record: ``Corpus(records)`` encodes records,
 and iterating a corpus builds them back on demand. ``ingest`` reads text a
 bounded batch of lines at a time and fills the columns a column at a
-time, with no Python step per line; only a batch that holds an error is
-walked line by line, to name its first bad line.
+time, with no Python step per line. It has one line reader: a batch that
+holds an error is read again through it one line at a time, to name its
+first bad line.
 
 Each kind of input has one reader, whatever door it enters by.
 ``_parse_field`` reads SO, CU and AD values: ``ingest`` text once per
@@ -334,12 +335,10 @@ def ingest(source: str | Iterable[str]) -> Corpus:
     parsed value in that field's table, so texts that normalize alike
     (``usa``, ``USA``) share one value.
 
-    Lines are read in bounded batches, and each batch is checked and split
-    a column at a time, with no Python step per line: the tab counts, one
-    split into cells, the ids upper-cased in one string, the duplicate ids
-    in one set update, and each field column numbered through its encoder.
-    A batch that fails any of these is walked line by line with the same
-    readers, which raises the error of its first bad line.
+    Lines are read in bounded batches by one reader, ``_Reader.read``,
+    which checks a batch a column at a time, with no Python step per line.
+    A batch it refuses is read again through it one line at a time, and
+    the first line it refuses is named.
     """
     # A string is read as a text file is, breaking lines only on \n, \r and \r\n.
     lines = iter(io.StringIO(source, newline=None) if isinstance(source, str) else source)
@@ -351,8 +350,16 @@ def ingest(source: str | Iterable[str]) -> Corpus:
     reader = _Reader()
     start = 1
     while batch := list(islice(lines, _BATCH_LINES)):
-        if not reader.read(batch, start):
-            reader.raise_first_error(batch, start)
+        try:
+            reader.read(batch, start)
+        except CorpusError:
+            for lineno, line in enumerate(batch, start):
+                try:
+                    reader.read([line], lineno)
+                except CorpusError as exc:
+                    raise CorpusError(f"line {lineno}: {exc}") from None
+            raise AssertionError(f"lines {start}-{start + len(batch) - 1} were refused, "
+                                 "but each one reads")
         start += len(batch)
     return reader.corpus()
 
@@ -369,94 +376,80 @@ class _Reader:
             _Encoder(partial(_parse_field, tag)) for tag in ("SO", "CU", "AD")
         )
 
-    def read(self, batch: list[str], start: int) -> bool:
-        """Add the records of lines ``start``, ``start + 1``, ...; False if a line is bad.
+    def read(self, batch: list[str], start: int) -> None:
+        """Add the records of lines ``start``, ``start + 1``, ...; raise the first fault checked.
 
-        A refused batch adds no id and no comment line, so that
-        ``raise_first_error`` can walk it from the state before it; the
-        encoders may have numbered some of its texts, which is harmless,
-        since a refused batch always holds an error.
+        A line that is not a comment is checked in this order: blank, field
+        count, PY, id, SO, CU, AD, repeated id. The batch is checked a column
+        at a time in that order, so a batch of one line raises that line's
+        first fault. Blankness is decided only after a check fails: a blank
+        line fails the field count or its empty year. A refused batch adds
+        no id, code or comment line, so it can be read again from the state
+        before it; the encoders may have numbered some of its texts, which
+        is harmless, since a refused batch always holds an error.
         """
         comment = list(map(str.startswith, batch, repeat("#")))
         comments = list(compress(range(start, start + len(batch)), comment))
         data = list(compress(batch, map(not_, comment))) if comments else batch
         if data:
-            # a blank line has no tab, so every line of 5 fields has exactly 4
-            if set(map(str.count, data, repeat("\t"))) != {4}:
-                return False
+            # a line of 5 fields has exactly 4 tabs
+            tabs = set(map(str.count, data, repeat("\t")))
+            if tabs != {4}:
+                _refuse_blank(data)
+                raise CorpusError(f"expected 5 tab-separated fields, got {min(tabs - {4}) + 1}")
             cells = "\t".join(data).split("\t")
+            try:
+                years = list(map(self.years.__getitem__, cells[1::5]))
+            except CorpusError:
+                _refuse_blank(data)
+                raise
             ids = _batch_ids(cells[0::5])
-            if ids is None:
-                return False
+            # the last cell of a line still holds its line break
+            addresses = map(str.rstrip, cells[4::5], repeat("\n"))
+            fields = [(encoder, list(map(encoder.__getitem__, texts))) for encoder, texts in (
+                (self.titles, cells[2::5]), (self.countries, cells[3::5]),
+                (self.addresses, addresses))]
             size = len(self.seen)
             self.seen.update(ids)
             if len(self.seen) - size != len(ids):
-                return False
-            # the last cell of a line still holds its line break
-            addresses = map(str.rstrip, cells[4::5], repeat("\n"))
-            try:
-                for encoder, texts in ((self.years, cells[1::5]), (self.titles, cells[2::5]),
-                                       (self.countries, cells[3::5]), (self.addresses, addresses)):
-                    encoder.codes += map(encoder.__getitem__, texts)
-            except CorpusError:
-                return False
+                self.seen = set(self.ids)
+                raise self._repeated(ids, comments)
             self.ids += ids
+            self.years.codes += years
+            for encoder, codes in fields:
+                encoder.codes += codes
         self.comments += comments
-        return True
 
-    def raise_first_error(self, batch: list[str], start: int) -> None:
-        """Read a batch that ``read`` refused line by line, raising the error of its first bad line."""
-        ids, comments, seen = self.ids, self.comments, set(self.ids)
-        for lineno, raw in enumerate(batch, start):
-            line = raw.rstrip("\n")
-            if line.startswith("#"):
-                comments.append(lineno)
-                continue
-            if not line.strip():
-                raise CorpusError(f"line {lineno}: blank line is not valid corpus data")
-            fields = line.split("\t")
-            if len(fields) != 5:
-                raise CorpusError(
-                    f"line {lineno}: expected 5 tab-separated fields, got {len(fields)}"
-                )
-            id_text, year_text, so_text, cu_text, ad_text = fields
-            try:
-                self.years[year_text]
-                rid = _check_id(id_text)
-                self.titles[so_text], self.countries[cu_text], self.addresses[ad_text]
-            except CorpusError as exc:
-                raise CorpusError(f"line {lineno}: {exc}") from None
-            if rid in seen:
-                raise CorpusError(
-                    f"line {lineno}: duplicate id {rid!r} "
-                    f"(first defined on line {_line_of(ids.index(rid), comments)})"
-                )
-            seen.add(rid)
-            ids.append(rid)
-        raise AssertionError(f"lines {start}-{start + len(batch) - 1} were refused, "
-                             "but each one reads")
+    def _repeated(self, ids: list[str], comments: list[int]) -> CorpusError:
+        """The fault of the first of ``ids`` that repeats an id read before it."""
+        known = set(self.ids)
+        # set.add returns None, so this stops at the first id already known
+        rid = next(rid for rid in ids if rid in known or known.add(rid))
+        first = _line_of((self.ids + ids).index(rid), self.comments + comments)
+        return CorpusError(f"duplicate id {rid!r} (first defined on line {first})")
 
     def corpus(self) -> Corpus:
         return Corpus._of(tuple(self.ids), self.years.column(), self.titles.column(),
                           self.countries.column(), self.addresses.column())
 
 
-def _batch_ids(texts: list[str]) -> list[str] | None:
-    """``_check_id`` of every id text, or None if one is not a valid id.
+def _refuse_blank(lines: list[str]) -> None:
+    """Raise if one of ``lines`` holds only whitespace."""
+    if not all(map(str.strip, lines)):
+        raise CorpusError("blank line is not valid corpus data")
 
-    The texts are upper-cased as one string. Texts that are already one
-    token each need nothing more; otherwise each is normalized, and the ids
-    must then be one token each, with no ``|`` and none led by ``#``.
+
+def _batch_ids(texts: list[str]) -> list[str]:
+    """``_check_id`` of every id text, raising the fault of the first bad one.
+
+    The common case is checked as one string: texts that upper-case to one
+    token each, with no ``|`` and none led by ``#``, are their own ids.
+    Otherwise each text is read by ``_check_id``, the one id rule.
     """
     text = "\t".join(texts).upper()
     ids = text.split("\t")
-    if text.split() != ids:  # an id is empty, padded or more than one word
-        text = "\t".join(map(normalize_text, texts))
-        ids = text.split("\t")
-        if text.split() != ids:
-            return None
-    if "|" in text or text.startswith("#") or "\t#" in text:
-        return None
+    if text.split() != ids or "|" in text or text.startswith("#") or "\t#" in text:
+        return list(map(_check_id, texts))
     return ids
 
 

@@ -284,6 +284,8 @@ def plan_prescribed(
     ``base NOT (s1 OR ... OR sn)`` is the strategy's one warning.
     """
     check_base(base)
+    if not groups:
+        raise GroupSpecError("a prescribed plan needs at least one group")
     cap = engine.config.cap
     statements = tuple(stmt for group in groups for stmt in realize_group(base, field, group))
     for i, stmt in enumerate(statements, start=1):

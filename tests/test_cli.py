@@ -74,6 +74,8 @@ def test_gen_countries_flag(tmp_path, capsys):
     [
         ("usa:1,USA:3,cuba", "country 'USA' is named twice in --countries"),
         ("CUBA, cuba ", "country 'CUBA' is named twice in --countries"),
+        ("NORTH  IRELAND,north ireland",
+         "country 'NORTH IRELAND' is named twice in --countries"),
         ("USA:", "country weight '' of 'USA' is not finite, or not ASCII digits"),
         ("CUBA:2,USA:", "country weight '' of 'USA' is not finite, or not ASCII digits"),
     ],

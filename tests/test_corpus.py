@@ -390,6 +390,30 @@ def test_ingest_names_a_duplicate_defined_batches_earlier(monkeypatch):
     assert str(err.value) == "line 6: duplicate id 'R1' (first defined on line 2)"
 
 
+# Lines with two faults each, after a good line R0: a line reports the fault
+# its first check finds, in the order blank, field count, PY, id, SO, CU, AD,
+# repeated id.
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("R|1\tMMVII\tA REV\tUSA\t", "unparsable year 'MMVII'"),
+        ("R|1\t2007\tA(\tUSA\t", "record id 'R|1' uses a reserved character"),
+        ("R1\t2007\tA(\tUS=A\t", "source title 'A(' contains reserved character '('"),
+        ("R1\t2007\tA REV\tUS=A\t#X", "country 'US=A' contains reserved character '='"),
+        ("r0\t2007\tA REV\tUS=A\t", "country 'US=A' contains reserved character '='"),
+        (" \t\t \t\t", "blank line is not valid corpus data"),
+    ],
+    ids=["year+id", "id+SO", "SO+CU", "CU+AD", "CU+repeated-id", "blank-with-four-tabs"],
+)
+@pytest.mark.parametrize("batch", [1, 4096])
+def test_a_line_with_two_faults_reports_the_one_checked_first(monkeypatch, line, message, batch):
+    source = f"{FILE_HEADER}\nR0\t2007\tA REV\tUSA\t\n{line}\n"
+    monkeypatch.setattr(capsplit.corpus, "_BATCH_LINES", batch)
+    got = _read_with(ingest, source)
+    assert got == _read_with(_per_line_ingest, source)
+    assert got == f"line 3: {message}"
+
+
 # -- serialize --------------------------------------------------------------
 
 

@@ -333,6 +333,14 @@ def test_a_base_naming_a_numbered_statement_is_refused_before_any_probe(cuba_cor
     assert engine.probes == 0
 
 
+def test_plan_prescribed_refuses_no_groups_before_any_probe(cuba_corpus):
+    engine = CountingEngine(cuba_corpus)
+    with pytest.raises(GroupSpecError) as err:
+        plan_prescribed(engine, parse(CUBA_BASE), SO, ())
+    assert str(err.value) == "a prescribed plan needs at least one group"
+    assert engine.probes == 0
+
+
 def test_plan_prescribed_names_the_without_side_of_a_split_that_does_not_fit():
     # J has 3 records with AD=CA and 12 without: the with side fits cap 10, the other does not
     records = [make_record(f"A{i}", ("A REV",)) for i in range(4)]
