@@ -24,7 +24,12 @@ table, so work that depends only on a value (parsing, serializing,
 indexing, matching) is done once per distinct value. A paper-scale corpus
 has half a million records but one year, tens of thousands of distinct
 titles and a few dozen distinct country and address sets. One encoder
-fills every column, parsing each distinct raw value once. ``Record``
+fills every column, parsing each distinct raw value once. No field keeps
+a Python object per record: a column's numbers are one flat buffer
+(``bytes`` for at most 256 values, ``array('I')`` beyond), and the ids
+are one tab-joined ``str`` with an ``array('I')`` of where each starts
+(``Ids``). Every builder fills these buffers directly, a batch at a
+time where it reads or numbers ids. ``Record``
 stays the value type of one record: ``Corpus(records)`` encodes records,
 and iterating a corpus builds them back on demand. ``ingest`` reads text a
 bounded batch of lines at a time and fills the columns a column at a
@@ -48,14 +53,17 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 import random
 import sys
+from array import array
 from bisect import bisect, insort
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import not_
-from typing import Iterable, Iterator, Sequence, TextIO
+from operator import add, eq, not_
+from typing import Iterable, Iterator, TextIO
 
 # Canonical symbol order for title initials: letters first, then digits.
 SYMBOLS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
@@ -168,15 +176,114 @@ class Column:
 
     ``values`` holds each distinct parsed value once (a year, a titles
     tuple, a country set or an address set); ``codes[pos]`` is the index
-    of the value of the record at ``pos``. Iterating yields the value of every
-    record in order.
+    of the value of the record at ``pos``. The codes are one flat buffer:
+    ``bytes`` when there are at most 256 values, ``array('I')`` when there
+    are more. Iterating yields the value of every record in order.
     """
 
     values: tuple
-    codes: tuple[int, ...]
+    codes: bytes | array
 
     def __iter__(self) -> Iterator:
         return map(self.values.__getitem__, self.codes)
+
+
+def _flat(codes: list[int] | Iterator[int], width: int) -> bytes | array:
+    """``codes`` into ``width`` values as a ``Column``'s flat buffer: bytes, or array('I').
+
+    ``codes`` is a list or an iterator: ``bytes()`` and ``array()`` would
+    copy a buffer's raw bytes, not its items.
+    """
+    return bytes(codes) if width <= 256 else array("I", codes)
+
+
+class Ids(Sequence):
+    """A corpus's record ids, in order, in two flat buffers.
+
+    The ids are joined by tabs into one ``str``; ``_starts[i]`` is where id
+    ``i`` starts, and one more entry is where an id after the last would
+    start. An id holds no whitespace, so a tab cannot occur inside one.
+    Indexing and iteration give ``str``s; iteration splits a batch of ids
+    at a time. The sequence equals any sequence of the same ids, and, like
+    a list, it is unhashable.
+    """
+
+    __slots__ = ("_text", "_starts")
+
+    def __init__(self, ids: Iterable[str]) -> None:
+        writer = _IdWriter()
+        writer.add(ids)
+        self._text, self._starts = writer.buffers()
+
+    def __len__(self) -> int:
+        return len(self._starts) - 1
+
+    def __getitem__(self, index: int) -> str:
+        n = len(self)
+        i = operator.index(index)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("id index out of range")
+        return self._text[self._starts[i]:self._starts[i + 1] - 1]
+
+    def __iter__(self) -> Iterator[str]:
+        return chain.from_iterable(map(self._batch, range(0, len(self), _BATCH_LINES)))
+
+    def _batch(self, lo: int) -> list[str]:
+        """The ids from ``lo`` on, at most ``_BATCH_LINES`` of them, split at once."""
+        hi = min(lo + _BATCH_LINES, len(self))
+        return self._text[self._starts[lo]:self._starts[hi] - 1].split("\t")
+
+    def select(self, positions: Iterable[int]) -> set[str]:
+        """The set of the ids at ``positions``, each sliced from the text by its offsets."""
+        text, starts = self._text, self._starts
+        # one comprehension, which indexes the offsets faster than chained maps do
+        return {text[starts[pos]:starts[pos + 1] - 1] for pos in positions}
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Ids):  # a tab cannot occur inside an id
+            return self._text == other._text
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None  # equal to tuples, whose hashes it cannot match cheaply
+
+    def __repr__(self) -> str:
+        return f"Ids({list(self)!r})"
+
+
+class _IdWriter:
+    """Fills an ``Ids``'s buffers a batch of ids at a time."""
+
+    def __init__(self) -> None:
+        self.chunks: list[str] = []  # each batch's ids joined by tabs
+        self.starts = array("I", [0])
+
+    def add(self, ids: Iterable[str]) -> None:
+        ids = iter(ids)
+        while batch := list(islice(ids, _BATCH_LINES)):
+            chunk = "\t".join(batch)
+            self.chunks.append(chunk)
+            start, step = self.starts.pop(), len(batch[0]) + 1
+            n = len(batch)
+            if len(chunk) == n * step - 1 and chunk[step - 1::step] == "\t" * (n - 1):
+                # the batch's tabs are all where ids as long as the first would end them
+                self.starts.extend(range(start, start + n * step + 1, step))
+            else:
+                # each id starts one past the tab that ends the one before it
+                self.starts.extend(accumulate(map(add, map(len, batch), repeat(1)),
+                                              initial=start))
+
+    def buffers(self) -> tuple[str, array]:
+        """The text and the starts of the ids added so far."""
+        return "\t".join(self.chunks), self.starts
+
+    def ids(self) -> Ids:
+        flat = object.__new__(Ids)
+        flat._text, flat._starts = self.buffers()
+        return flat
 
 
 class _Encoder(dict):
@@ -207,25 +314,28 @@ class _Encoder(dict):
     def add(self, raw) -> None:
         self.codes.append(self[raw])
 
-    def column(self, order: list[int] | None = None) -> Column:
+    def column(self, order: Iterable[int] | None = None) -> Column:
         """The column of the recorded codes, or of ``codes[i] for i in order``."""
         codes = self.codes if order is None else map(self.codes.__getitem__, order)
-        return Column(tuple(self.numbers), tuple(codes))
+        values = tuple(self.numbers)
+        return Column(values, _flat(codes, len(values)))
 
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
 class Corpus:
     """Immutable ordered record collection, stored by column.
 
-    ``ids`` holds one id per record; ``years``, ``source_titles``,
-    ``countries`` and ``addresses`` are ``Column``s, so each distinct
-    value is stored once however many records carry it. ``Corpus(records)``
-    builds one from ``Record``s; iterating yields equal ``Record``s in
-    order, built on demand. Two corpora are equal when they hold the same
-    records in the same order, however their value tables are laid out.
+    ``ids`` holds one id per record, as ``Ids``; ``years``,
+    ``source_titles``, ``countries`` and ``addresses`` are ``Column``s, so
+    each distinct value is stored once however many records carry it, and
+    each record costs one code in a flat buffer. No field keeps a Python
+    object per record. ``Corpus(records)`` builds one from ``Record``s;
+    iterating yields equal ``Record``s in order, built on demand. Two
+    corpora are equal, and hash alike, when they hold the same records in
+    the same order, however they were built and their value tables laid out.
     """
 
-    ids: tuple[str, ...]
+    ids: Ids
     years: Column
     source_titles: Column
     countries: Column
@@ -247,15 +357,19 @@ class Corpus:
             titles.add(rec.source_titles)
             countries.add(rec.countries)
             addresses.add(rec.addresses)
-        self._fill(tuple(ids), years.column(), titles.column(), countries.column(),
+        self._fill(Ids(ids), years.column(), titles.column(), countries.column(),
                    addresses.column())
 
     @classmethod
-    def _of(cls, ids: tuple[str, ...], years: Column, titles: Column,
+    def _of(cls, ids: Ids | Iterable[str], years: Column, titles: Column,
             countries: Column, addresses: Column) -> "Corpus":
-        """A corpus of columns whose values and ids were checked where they entered."""
+        """A corpus of columns whose values and ids were checked where they entered.
+
+        Ids given as any other iterable, a tuple say, are stored as ``Ids``.
+        """
         corpus = object.__new__(cls)
-        corpus._fill(ids, years, titles, countries, addresses)
+        corpus._fill(ids if isinstance(ids, Ids) else Ids(ids), years, titles, countries,
+                     addresses)
         return corpus
 
     def _fill(self, *columns) -> None:
@@ -295,7 +409,7 @@ class Corpus:
         )
 
     def __hash__(self) -> int:
-        return hash(self.ids)
+        return hash(self.ids._text)
 
 
 def _numbered(years: Column, titles: Column, countries: Column,
@@ -303,7 +417,7 @@ def _numbered(years: Column, titles: Column, countries: Column,
     """Number generated columns R0000001, R0000002, ...; unique by construction."""
     n = len(years.codes)
     width = max(7, len(str(n)))
-    ids = tuple(map(f"R%0{width}d".__mod__, range(1, n + 1)))
+    ids = Ids(map(f"R%0{width}d".__mod__, range(1, n + 1)))
     return Corpus._of(ids, years, titles, countries, addresses)
 
 
@@ -365,16 +479,23 @@ def ingest(source: str | Iterable[str]) -> Corpus:
 
 
 class _Reader:
-    """The columns ``ingest`` fills, one batch of lines at a time."""
+    """The columns ``ingest`` fills, one batch of lines at a time.
+
+    The ids go to an ``_IdWriter``, and each field's codes to a byte array
+    that is widened to ``array('I')`` once the field has more than 256
+    values, so no column keeps a Python object per record while it fills.
+    """
 
     def __init__(self) -> None:
-        self.ids: list[str] = []
+        self.ids = _IdWriter()
         self.seen: set[str] = set()
         self.comments: list[int] = []  # the line numbers of comment lines, ascending
         self.years = _Encoder(_parse_year)
         self.titles, self.countries, self.addresses = (
             _Encoder(partial(_parse_field, tag)) for tag in ("SO", "CU", "AD")
         )
+        for encoder in (self.years, self.titles, self.countries, self.addresses):
+            encoder.codes = array("B")  # flat from the first batch on, widened past 256 values
 
     def read(self, batch: list[str], start: int) -> None:
         """Add the records of lines ``start``, ``start + 1``, ...; raise the first fault checked.
@@ -412,25 +533,37 @@ class _Reader:
             size = len(self.seen)
             self.seen.update(ids)
             if len(self.seen) - size != len(ids):
-                self.seen = set(self.ids)
-                raise self._repeated(ids, comments)
-            self.ids += ids
-            self.years.codes += years
-            for encoder, codes in fields:
-                encoder.codes += codes
+                earlier = list(self.ids.ids())
+                self.seen = set(earlier)
+                raise self._repeated(earlier + ids, comments)
+            self.ids.add(ids)
+            for encoder, codes in ((self.years, years), *fields):
+                if encoder.codes.typecode == "I":
+                    encoder.codes.fromlist(codes)
+                elif len(encoder.numbers) <= 256:
+                    encoder.codes.frombytes(bytes(codes))
+                else:  # a code no longer fits in a byte
+                    encoder.codes = array("I", encoder.codes)
+                    encoder.codes.fromlist(codes)
         self.comments += comments
 
     def _repeated(self, ids: list[str], comments: list[int]) -> CorpusError:
-        """The fault of the first of ``ids`` that repeats an id read before it."""
-        known = set(self.ids)
+        """The fault of the first of ``ids``, every id read and then a batch's, that repeats
+        one before it; ``comments`` are the batch's comment lines."""
+        known: set[str] = set()
         # set.add returns None, so this stops at the first id already known
         rid = next(rid for rid in ids if rid in known or known.add(rid))
-        first = _line_of((self.ids + ids).index(rid), self.comments + comments)
+        first = _line_of(ids.index(rid), self.comments + comments)
         return CorpusError(f"duplicate id {rid!r} (first defined on line {first})")
 
     def corpus(self) -> Corpus:
-        return Corpus._of(tuple(self.ids), self.years.column(), self.titles.column(),
-                          self.countries.column(), self.addresses.column())
+        """The corpus of the lines read; no line is read after it."""
+        self.seen = set()  # its id strings go before the ids' flat buffers are joined
+        # a column's codes are a byte array while its values number at most 256
+        columns = (Column(tuple(encoder.numbers),
+                          encoder.codes.tobytes() if encoder.codes.typecode == "B" else encoder.codes)
+                   for encoder in (self.years, self.titles, self.countries, self.addresses))
+        return Corpus._of(self.ids.ids(), *columns)
 
 
 def _refuse_blank(lines: list[str]) -> None:
@@ -496,15 +629,16 @@ def _parse_field(tag: str, values: str | Iterable[str],
 
 def _lines(corpus: Corpus) -> Iterator[str]:
     """The on-disk lines of ``corpus``, each ending in ``\\n``, header first."""
-    yield FILE_HEADER + "\n"
-    # each distinct value is written once; sets serialize sorted
+    # each distinct value is written once, the address with its line break;
+    # sets serialize sorted
     py = [str(year) for year in corpus.years.values]
     so = ["|".join(titles) for titles in corpus.source_titles.values]
-    cu, ad = (["|".join(sorted(v)) for v in column.values]
-              for column in (corpus.countries, corpus.addresses))
-    for rid, y, s, c, a in zip(corpus.ids, corpus.years.codes, corpus.source_titles.codes,
-                               corpus.countries.codes, corpus.addresses.codes):
-        yield f"{rid}\t{py[y]}\t{so[s]}\t{cu[c]}\t{ad[a]}\n"
+    cu = ["|".join(sorted(countries)) for countries in corpus.countries.values]
+    ad = ["|".join(sorted(addresses)) + "\n" for addresses in corpus.addresses.values]
+    rows = zip(corpus.ids, *(map(table.__getitem__, column.codes) for table, column in (
+        (py, corpus.years), (so, corpus.source_titles), (cu, corpus.countries),
+        (ad, corpus.addresses))))
+    return chain((FILE_HEADER + "\n",), map("\t".join, rows))
 
 
 def serialize(corpus: Corpus) -> str:
@@ -793,7 +927,7 @@ def _weighted(rng: random.Random, items: Sequence, weights: Iterable[float]):
     return lambda: items[bisect(cum, uniform() * total, 0, hi)]
 
 
-def _shuffle(bits, x: list) -> None:
+def _shuffle(bits, x: list | array) -> None:
     """``random.shuffle(x)``, drawn through ``bits``, a ``Random.getrandbits``."""
     for i in reversed(range(1, len(x))):
         n = i + 1
@@ -1095,10 +1229,10 @@ def _build_split_fixture(spec: _SplitFixtureSpec) -> Corpus:
 
 def _shuffled(bits, titles: _Encoder, countries: _Encoder, addresses: _Encoder) -> Corpus:
     """Number a fixture's rows in a shuffled order; shuffling depends only on the row count."""
-    order = list(range(len(titles.codes)))
+    order = array("I", range(len(titles.codes)))
     _shuffle(bits, order)
     columns = (encoder.column(order) for encoder in (titles, countries, addresses))
-    return _numbered(Column((_FIXTURE_YEAR,), (0,) * len(order)), *columns)
+    return _numbered(Column((_FIXTURE_YEAR,), bytes(len(order))), *columns)
 
 
 def _build_uk_fixture() -> Corpus:

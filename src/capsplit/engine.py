@@ -35,11 +35,14 @@ them, read once per distinct value however many records share it. How a
 leaf's bitset is made from those value codes follows from what ``bytes``
 can hold. A column of at most 256 distinct values (a paper-scale
 corpus's years, country sets and address sets) keeps its codes as
-``bytes``; a leaf is one ``translate`` of them to ``0``/``1`` digits,
-read by ``int(..., 2)``, which is linear and has no digit limit. A wider
-column (source titles) keeps the record positions of each value code,
-and a leaf sets their bits in a little-endian byte buffer of one bit per
-record, which ``int.from_bytes`` reads as the int.
+``bytes``, reversed in one slice; a leaf is one ``translate`` of them to
+``0``/``1`` digits, read by ``int(..., 2)``, which is linear and has no
+digit limit. A wider column (source titles) keeps one ``array('I')`` of
+record positions, grouped by value code by a counting sort, and one of
+where each code's group starts, so the index holds no Python object per
+record. A leaf sets the bits of its codes' positions in a little-endian
+byte buffer of one bit per record, which ``int.from_bytes`` reads as the
+int.
 
 A query is evaluated by ``query.fold``, the one walk of a query tree.
 Every result is a Python ``int`` used as a bitset over record positions:
@@ -58,9 +61,10 @@ set bit, so its cost follows the result size, not the corpus size.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
+from array import array
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import accumulate, chain, compress, repeat
 from typing import Iterable
 
 from .corpus import Column, Corpus
@@ -150,12 +154,9 @@ class CappedEngine:
         hits = self._below_cap(query)
         # byte i holds positions 8i..8i+7; only the bytes with a set bit are visited
         data = hits.to_bytes((hits.bit_length() + 7) >> 3, "little")
-        ids = self._ids
-        return {
-            ids[(i << 3) + bit]
-            for i in compress(range(len(data)), data)
-            for bit in _SET_BITS[data[i]]
-        }
+        return self._ids.select(
+            [(i << 3) + bit for i in compress(range(len(data)), data) for bit in _SET_BITS[data[i]]]
+        )
 
     def coverage(self, queries: Iterable[Query]) -> list[int]:
         """How many records at least k of the queries match, for k = 1, 2, ...
@@ -249,11 +250,13 @@ class _FieldIndex:
     ``_codes[i]`` holds the codes of the distinct values found through
     ``terms[i]``; ``_span`` is the one rule that reads them. A column of
     at most 256 distinct values keeps its codes as ``bytes``, last record
-    first, so that ``translate`` with a table that maps each matching code
-    to ``1`` and every other to ``0`` writes the bitset in base 2. A wider
-    column keeps the record positions of each value code, whose bits are
-    set one by one in a little-endian byte buffer that ``int.from_bytes``
-    reads.
+    first (one slice of the column's ``bytes``), so that ``translate`` with
+    a table that maps each matching code to ``1`` and every other to ``0``
+    writes the bitset in base 2. A wider column keeps one ``array('I')`` of
+    record positions, grouped by value code and ascending within a code,
+    and one ``array('I')`` of where each code's group starts. A leaf sets
+    the bits of its codes' positions one by one in a little-endian byte
+    buffer that ``int.from_bytes`` reads.
     """
 
     def __init__(self, column: Column, strings: Iterable[Iterable[str]]) -> None:
@@ -265,12 +268,10 @@ class _FieldIndex:
         self._codes = list(map(codes.__getitem__, self.terms))
         self._size = len(column.codes)
         if len(column.values) <= 256:
-            self._reversed_codes = bytes(reversed(column.codes))
+            self._reversed_codes = column.codes[::-1]
         else:
             self._reversed_codes = None
-            self._positions: list[list[int]] = [[] for _ in column.values]
-            for pos, code in enumerate(column.codes):
-                self._positions[code].append(pos)
+            self._starts, self._positions = _grouped(column.codes, len(column.values))
 
     def _span(self, prefix: str, lo: int = 0, hi: int | None = None) -> tuple[int, int]:
         """The bounds of the terms in ``lo:hi`` that start with ``prefix``: from the first
@@ -310,6 +311,26 @@ class _FieldIndex:
             return int(self._reversed_codes.translate(table) or b"0", 2)
         # little-endian bytes: position p is bit p & 7 of byte p >> 3
         buf = bytearray((self._size + 7) >> 3)
-        for pos in chain.from_iterable(map(self._positions.__getitem__, codes)):
-            buf[pos >> 3] |= 1 << (pos & 7)
+        positions, starts = self._positions, self._starts
+        for code in codes:
+            for pos in positions[starts[code]:starts[code + 1]]:
+                buf[pos >> 3] |= 1 << (pos & 7)
         return int.from_bytes(buf, "little")
+
+
+def _grouped(codes: array, width: int) -> tuple[array, array]:
+    """Where each of ``width`` codes' group starts, and the positions of ``codes`` by group.
+
+    A counting sort: the groups are sized by a count of the codes, then each
+    position is placed at the next free slot of its code's group, so the
+    positions of one code ascend.
+    """
+    counts = Counter(codes)
+    starts = array("I", accumulate(map(counts.get, range(width), repeat(0)), initial=0))
+    free = starts.tolist()
+    positions = array("I", bytes(4 * len(codes)))
+    for pos, code in enumerate(codes):
+        slot = free[code]
+        positions[slot] = pos
+        free[code] = slot + 1
+    return starts, positions

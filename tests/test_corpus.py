@@ -6,6 +6,7 @@ import math
 import random
 import sys
 import weakref
+from array import array
 from collections import Counter
 from functools import partial
 from itertools import chain, islice
@@ -28,11 +29,13 @@ from capsplit import (
 import capsplit.corpus
 from capsplit.cli import main
 from capsplit.corpus import (
+    _BATCH_LINES,
     _TITLE_WORDS,
     FILE_HEADER,
     FIXTURE_LETTER_GROUPS,
     FIXTURE_NAMES,
     SYMBOLS,
+    Ids,
     _below,
     _check_id,
     _Encoder,
@@ -233,7 +236,7 @@ def test_ingest_parses_each_distinct_raw_text_once_per_field(monkeypatch, cuba_c
     # raw texts that parse alike share one value
     assert corpus.years.values == (2007, 2008)
     assert corpus.source_titles.values == (("A REV",), ("B REV", "A REV"))
-    assert corpus.countries.codes == (0, 0, 1, 0, 0)
+    assert list(corpus.countries.codes) == [0, 0, 1, 0, 0]
     # a fixture has one year
     assert cuba_corpus.years.values == (2007,)
 
@@ -303,7 +306,7 @@ def test_unparsed_encoder_holds_one_mapping():
     assert enc.numbers is enc
     assert dict(enc) == {("B REV",): 0, ("A REV",): 1}
     column = enc.column()
-    assert (column.values, column.codes) == ((("B REV",), ("A REV",)), (0, 1, 0))
+    assert (column.values, list(column.codes)) == ((("B REV",), ("A REV",)), [0, 1, 0])
     # no reference cycle: the encoder is freed as soon as its builder drops it
     gone = weakref.ref(enc)
     del enc
@@ -655,6 +658,79 @@ def test_corpus_rejects_duplicate_ids():
     rec = make_record("R1", ("A REV",))
     with pytest.raises(CorpusError, match="duplicate record id"):
         Corpus((rec, rec))
+
+
+# -- flat columns --------------------------------------------------------------
+
+
+def _distinct_titles(width):
+    """``width`` records, each with a title of its own, as ``Record``s and as corpus text."""
+    records = [make_record(f"R{i}", (f"T{i} REV",)) for i in range(width)]
+    return records, "".join(f"R{i}\t2007\tT{i} REV\tUSA\t\n" for i in range(width))
+
+
+@pytest.mark.parametrize("width, kind", [(256, bytes), (257, array)])
+def test_codes_are_bytes_up_to_256_values_and_an_unsigned_array_beyond(width, kind, monkeypatch):
+    records, text = _distinct_titles(width)
+    generated = generate(CorpusProfile(seed=1, n_records=width))
+    read = ingest(text)
+    # read 100 lines at a time, the 257th title arrives in the third batch
+    monkeypatch.setattr(capsplit.corpus, "_BATCH_LINES", 100)
+    read_in_batches = ingest(text)
+    assert read_in_batches == read
+    for corpus in (read, read_in_batches, Corpus(records), generated):
+        titles = corpus.source_titles
+        assert len(titles.values) == width
+        assert type(titles.codes) is kind
+        if kind is array:
+            assert titles.codes.typecode == "I"
+        # one year, one country set and no address: a byte per record each
+        for column in (corpus.years, corpus.countries, corpus.addresses):
+            assert type(column.codes) is bytes and len(column.codes) == width
+
+
+def test_ids_are_a_sequence_of_strings():
+    n = 2 * _BATCH_LINES + 3  # iteration splits a batch at a time
+    expected = tuple(f"R{i}" for i in range(n))
+    corpus = ingest("".join(f"{rid}\t2007\tA REV\tUSA\t\n" for rid in expected))
+    ids = corpus.ids
+    assert isinstance(ids, Ids)
+    assert len(ids) == n
+    assert (ids[0], ids[_BATCH_LINES - 1], ids[_BATCH_LINES], ids[-1]) == (
+        "R0", f"R{_BATCH_LINES - 1}", f"R{_BATCH_LINES}", f"R{n - 1}")
+    assert ids[-n] == "R0"
+    for index in (n, -n - 1):
+        with pytest.raises(IndexError):
+            ids[index]
+    assert tuple(ids) == expected and list(ids) == list(expected)
+    assert ids == expected and expected == ids and ids == list(expected)
+    assert ids != expected[:-1] and ids != expected[:-1] + ("R",)
+    assert ids != "R0" and ids != 0
+    assert [rec.id for rec in corpus] == list(expected)
+
+
+def test_corpora_built_every_way_are_equal_and_hash_alike():
+    records = [make_record(f"R{i}", (f"T{i % 300} REV",), 2007 + i % 3, ("USA",)) for i in range(700)]
+    read = ingest(serialize(Corpus(records)))
+    built = Corpus(records)
+    columns = (read.years, read.source_titles, read.countries, read.addresses)
+    of_tuple = Corpus._of(tuple(rec.id for rec in records), *columns)
+    for corpus in (built, of_tuple):
+        assert corpus == read and read == corpus
+        assert hash(corpus) == hash(read)
+        assert corpus.ids == read.ids
+    assert type(of_tuple.ids) is Ids
+    assert read != Corpus(records[:-1])
+
+
+@pytest.mark.parametrize("ids, read", [(["ß1", "É1", "r2"], ["SS1", "É1", "R2"]), ([], [])])
+def test_non_ascii_ids_and_the_empty_corpus_round_trip(ids, read):
+    corpus = Corpus([make_record(rid, ("A REV",)) for rid in ids])
+    assert list(corpus.ids) == read and len(corpus.ids) == len(read)
+    again = ingest(serialize(corpus))
+    assert again == corpus and hash(again) == hash(corpus)
+    assert list(again.ids) == read
+    assert [rec.id for rec in again] == read
 
 
 # -- generator ---------------------------------------------------------------

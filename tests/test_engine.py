@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import random
 import sys
+import tracemalloc
 from collections import Counter
 from itertools import chain
 
@@ -24,6 +26,7 @@ from capsplit import (
     Pattern,
     SetRef,
     Term,
+    build_fixture,
     build_overlap_statement,
     evaluate,
     generate,
@@ -457,6 +460,34 @@ def test_leaves_agree_with_the_oracle_on_both_sides_of_the_bytes_rule(field, n_v
     for text in ("PY=1000", "CU=C0", "SO=T*", "AD=UNIV", "PY=2*"):
         query = parse(text)
         assert engine.retrieve(query) == oracle.evaluate(query), text
+
+
+# -- memory -------------------------------------------------------------------
+
+
+def test_a_corpus_and_its_index_keep_no_python_object_per_record():
+    # ids, per-record codes and SO positions are flat buffers: a few bytes per
+    # record, where one object or pointer per record costs 8 to 60
+    tracing = tracemalloc.is_tracing()
+    gc.collect()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        corpus = build_fixture("uk_s1")
+        gc.collect()
+        built = tracemalloc.get_traced_memory()[0]
+        engine = CappedEngine(corpus)
+        gc.collect()
+        indexed = tracemalloc.get_traced_memory()[0]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    n = len(corpus)
+    assert n == 131_845
+    assert (built - before) / n <= 40, "bytes per record held by the corpus"
+    assert (indexed - built) / n <= 24, "bytes per record added by the engine's index"
+    assert engine.count(parse("SO=A*")).value > 0
 
 
 # -- shared-result hygiene ----------------------------------------------------
