@@ -29,7 +29,8 @@ a Python object per record: a column's numbers are one flat buffer
 (``bytes`` for at most 256 values, ``array('I')`` beyond), and the ids
 are one tab-joined ``str`` with an ``array('I')`` of where each starts
 (``Ids``). Every builder fills these buffers directly, a batch at a
-time where it reads or numbers ids. ``Record``
+time where it reads or numbers ids, and ``serialize`` writes a batch's
+ids from their joined text without splitting it. ``Record``
 stays the value type of one record: ``Corpus(records)`` encodes records,
 and iterating a corpus builds them back on demand. ``ingest`` reads text a
 bounded batch of lines at a time and fills the columns a column at a
@@ -197,6 +198,12 @@ def _flat(codes: list[int] | Iterator[int], width: int) -> bytes | array:
     return bytes(codes) if width <= 256 else array("I", codes)
 
 
+# byte value -> the offsets of its set bits, lowest first
+_SET_BITS = tuple(tuple(bit for bit in range(8) if byte >> bit & 1) for byte in range(256))
+# a binary digit -> a flag that ``itertools.compress`` reads
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
 class Ids(Sequence):
     """A corpus's record ids, in order, in two flat buffers.
 
@@ -228,18 +235,39 @@ class Ids(Sequence):
         return self._text[self._starts[i]:self._starts[i + 1] - 1]
 
     def __iter__(self) -> Iterator[str]:
-        return chain.from_iterable(map(self._batch, range(0, len(self), _BATCH_LINES)))
+        return chain.from_iterable(map(str.split, self.batches(), repeat("\t")))
 
-    def _batch(self, lo: int) -> list[str]:
-        """The ids from ``lo`` on, at most ``_BATCH_LINES`` of them, split at once."""
+    def batches(self) -> Iterator[str]:
+        """The ids ``_BATCH_LINES`` at a time, each batch's joined by tabs."""
+        return map(self._joined, range(0, len(self), _BATCH_LINES))
+
+    def _joined(self, lo: int) -> str:
+        """The ids from ``lo`` on, at most ``_BATCH_LINES`` of them, joined by tabs."""
         hi = min(lo + _BATCH_LINES, len(self))
-        return self._text[self._starts[lo]:self._starts[hi] - 1].split("\t")
+        return self._text[self._starts[lo]:self._starts[hi] - 1]
 
-    def select(self, positions: Iterable[int]) -> set[str]:
-        """The set of the ids at ``positions``, each sliced from the text by its offsets."""
-        text, starts = self._text, self._starts
-        # one comprehension, which indexes the offsets faster than chained maps do
-        return {text[starts[pos]:starts[pos + 1] - 1] for pos in positions}
+    def select(self, bits: int) -> set[str]:
+        """The set of the ids whose bits are set in ``bits``, bit ``i`` standing for id ``i``.
+
+        Where more than a quarter of a batch's ids are selected, the batch is
+        split at once and filtered; elsewhere each selected id is sliced from
+        the text by its offsets, and a batch with none is skipped, so the cost
+        follows the ids selected, not the corpus size.
+        """
+        data = bits.to_bytes((bits.bit_length() + 7) >> 3, "little")
+        text, starts, found = self._text, self._starts, set()
+        for lo in range(0, len(data), _BATCH_LINES >> 3):
+            # byte i holds the bits of ids 8i..8i+7
+            chunk = data[lo:lo + (_BATCH_LINES >> 3)]
+            word = int.from_bytes(chunk, "little")
+            if 4 * word.bit_count() > min(_BATCH_LINES, len(self) - 8 * lo):
+                flags = format(word, "b")[::-1].encode("ascii").translate(_BIT_FLAGS)
+                found.update(compress(self._joined(8 * lo).split("\t"), flags))
+            elif word:
+                positions = [8 * i + bit for i in compress(range(lo, lo + len(chunk)), chunk)
+                             for bit in _SET_BITS[data[i]]]
+                found.update([text[starts[pos]:starts[pos + 1] - 1] for pos in positions])
+        return found
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Ids):  # a tab cannot occur inside an id
@@ -264,17 +292,10 @@ class _IdWriter:
     def add(self, ids: Iterable[str]) -> None:
         ids = iter(ids)
         while batch := list(islice(ids, _BATCH_LINES)):
-            chunk = "\t".join(batch)
-            self.chunks.append(chunk)
-            start, step = self.starts.pop(), len(batch[0]) + 1
-            n = len(batch)
-            if len(chunk) == n * step - 1 and chunk[step - 1::step] == "\t" * (n - 1):
-                # the batch's tabs are all where ids as long as the first would end them
-                self.starts.extend(range(start, start + n * step + 1, step))
-            else:
-                # each id starts one past the tab that ends the one before it
-                self.starts.extend(accumulate(map(add, map(len, batch), repeat(1)),
-                                              initial=start))
+            self.chunks.append("\t".join(batch))
+            # each id starts one past the tab that ends the one before it
+            self.starts.extend(accumulate(map(add, map(len, batch), repeat(1)),
+                                          initial=self.starts.pop()))
 
     def buffers(self) -> tuple[str, array]:
         """The text and the starts of the ids added so far."""
@@ -627,30 +648,34 @@ def _parse_field(tag: str, values: str | Iterable[str],
     return container(values)
 
 
-def _lines(corpus: Corpus) -> Iterator[str]:
-    """The on-disk lines of ``corpus``, each ending in ``\\n``, header first."""
+def _chunks(corpus: Corpus) -> Iterator[str]:
+    """The on-disk text of ``corpus``: its header line, then ``_BATCH_LINES`` lines at a time."""
     # each distinct value is written once, the address with its line break;
     # sets serialize sorted
     py = [str(year) for year in corpus.years.values]
     so = ["|".join(titles) for titles in corpus.source_titles.values]
     cu = ["|".join(sorted(countries)) for countries in corpus.countries.values]
     ad = ["|".join(sorted(addresses)) + "\n" for addresses in corpus.addresses.values]
-    rows = zip(corpus.ids, *(map(table.__getitem__, column.codes) for table, column in (
-        (py, corpus.years), (so, corpus.source_titles), (cu, corpus.countries),
-        (ad, corpus.addresses))))
-    return chain((FILE_HEADER + "\n",), map("\t".join, rows))
+    rests = (f"{py[y]}\t{so[s]}\t{cu[c]}\t{ad[a]}" for y, s, c, a in zip(
+        corpus.years.codes, corpus.source_titles.codes, corpus.countries.codes,
+        corpus.addresses.codes))
+    yield FILE_HEADER + "\n"
+    for ids in corpus.ids.batches():
+        # the tab after each id, the last one's added, is where the rest of its line goes;
+        # the ids are not split, and a "%" in one is escaped
+        lines = ids.replace("%", "%%").replace("\t", "\t%s") + "\t%s"
+        yield lines % tuple(islice(rests, _BATCH_LINES))
 
 
 def serialize(corpus: Corpus) -> str:
     """Render a corpus in the on-disk format; byte-deterministic."""
-    return "".join(_lines(corpus))
+    return "".join(_chunks(corpus))
 
 
 def _write_corpus(corpus: Corpus, fh: TextIO) -> None:
     """Write ``serialize(corpus)`` to ``fh``, ``_BATCH_LINES`` lines at a time."""
-    lines = _lines(corpus)
-    while batch := "".join(islice(lines, _BATCH_LINES)):
-        fh.write(batch)
+    for chunk in _chunks(corpus):
+        fh.write(chunk)
 
 
 def load_corpus(path: str) -> Corpus:

@@ -54,8 +54,9 @@ are recomputed on every query, and the session list holds each
 statement's immutable int.
 Next-symbol introspection hops from the span of one child symbol to the
 next, so it reads one stored term per child, not every term under the
-prefix. ``retrieve`` reads a result's bytes and visits only those with a
-set bit, so its cost follows the result size, not the corpus size.
+prefix. ``retrieve`` hands a result's bitset to ``Ids.select``, which
+skips every batch of ids without a set bit, so its cost follows the
+result size, not the corpus size.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from bisect import bisect_left, bisect_right
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, repeat
 from typing import Iterable
 
 from .corpus import Column, Corpus
@@ -72,9 +73,6 @@ from .query import And, Diff, FieldKind, Or, Pattern, Query, SetRef, Term, field
 
 VISIBLE = "visible"
 CENSORED = "censored"
-
-# byte value -> the offsets of its set bits, lowest first
-_SET_BITS = tuple(tuple(bit for bit in range(8) if byte >> bit & 1) for byte in range(256))
 
 
 class EngineError(Exception):
@@ -151,12 +149,7 @@ class CappedEngine:
 
     def retrieve(self, query: Query) -> set[str]:
         """Materialize the result iff its cardinality is strictly below the cap."""
-        hits = self._below_cap(query)
-        # byte i holds positions 8i..8i+7; only the bytes with a set bit are visited
-        data = hits.to_bytes((hits.bit_length() + 7) >> 3, "little")
-        return self._ids.select(
-            [(i << 3) + bit for i in compress(range(len(data)), data) for bit in _SET_BITS[data[i]]]
-        )
+        return self._ids.select(self._below_cap(query))
 
     def coverage(self, queries: Iterable[Query]) -> list[int]:
         """How many records at least k of the queries match, for k = 1, 2, ...

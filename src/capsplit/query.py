@@ -51,8 +51,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, zip_longest
-from typing import (Callable, Collection, Iterator, Mapping, NamedTuple, Sequence, Set, TypeVar,
-                    Union)
+from typing import Callable, Collection, Iterator, Mapping, Sequence, Set, TypeVar, Union
 
 from .corpus import Column, Corpus, _PATTERN_RESERVED, _ascii_int, normalize_text
 
@@ -374,35 +373,21 @@ def _print_operator(node: And | Or | Diff, left: deque[str], right: deque[str]) 
 # ---------------------------------------------------------------------------
 
 
-class _Scanned(NamedTuple):
-    """A corpus as an ``Oracle`` scans it: its ids read once into a tuple, and its columns.
-
-    A scan keeps the ids of the records it matches; taken from the tuple,
-    they are the strings every scan shares, not new ones sliced from the
-    corpus's flat ids.
-    """
-
-    ids: tuple[str, ...]
-    years: Column
-    source_titles: Column
-    countries: Column
-    addresses: Column
-
-
 class Oracle:
     """Index-free evaluator over one corpus, scanning each distinct term once.
 
-    The ids are read into one tuple when the oracle is built. The first
-    evaluation of a ``Term`` scans the field's column and keeps the matching
-    ids as a frozenset; later evaluations over the same corpus reuse it, so
-    the oracle holds at most one id set per distinct term. Operators combine
-    those sets and are not kept. The corpus is immutable, so a kept term set
-    can never go stale.
+    The first evaluation of a ``Term`` scans the field's column and keeps
+    the matching ids as a frozenset; later evaluations over the same corpus
+    reuse it, so the oracle holds at most one id set per distinct term.
+    Operators combine those sets and are not kept. The corpus is
+    immutable, so a kept term set can never go stale.
     """
 
     def __init__(self, corpus: Corpus):
-        self._scanned = _Scanned(tuple(corpus.ids), corpus.years, corpus.source_titles,
-                                 corpus.countries, corpus.addresses)
+        self.corpus = corpus
+        # read once: a scan keeps the ids it matches, and taken from this tuple they
+        # are strings every scan shares, not new ones sliced from the flat ids
+        self._ids = tuple(corpus.ids)
         self._terms: dict[Term, frozenset[str]] = {}
 
     def evaluate(
@@ -425,7 +410,7 @@ class Oracle:
             if ids is None:
                 # copied from a set, the kept frozenset's table fits its size;
                 # one filled from the ids directly is often twice as large
-                ids = self._terms[node] = frozenset(_scan_term(self._scanned, node))
+                ids = self._terms[node] = frozenset(_scan_term(self.corpus, self._ids, node))
             return ids
 
         # a copy, so no caller can change a kept term set or a registry entry
@@ -452,8 +437,7 @@ def evaluate(
     return Oracle(corpus).evaluate(query, registry)
 
 
-def field_strings(corpus: Corpus | _Scanned,
-                  field: FieldKind) -> tuple[Column, Sequence[Collection[str]]]:
+def field_strings(corpus: Corpus, field: FieldKind) -> tuple[Column, Sequence[Collection[str]]]:
     """The field's column and, per distinct value of it, the strings a record is found through.
 
     Entry k holds the strings of ``column.values[k]``: the year's digits
@@ -469,15 +453,16 @@ def field_strings(corpus: Corpus | _Scanned,
     return column, column.values
 
 
-def _scan_term(corpus: Corpus | _Scanned, term: Term) -> set[str]:
+def _scan_term(corpus: Corpus, ids: Sequence[str], term: Term) -> set[str]:
     """The ids of the records ``term`` matches: one match per distinct string, one column pass.
 
     Each distinct string of ``field_strings`` is matched once; then one
-    pass over the field's column of value numbers keeps the ids whose value
-    holds a matched string. Every field, the year included, takes this path.
+    pass over the field's column of value numbers keeps those of ``ids``,
+    the corpus's, whose value holds a matched string. Every field, the year
+    included, takes this path.
     """
     match = term.pattern.matches
     column, strings = field_strings(corpus, term.field)
     matched = {s for s in set().union(*strings) if match(s)}
     hit = [not matched.isdisjoint(value) for value in strings]
-    return set(compress(corpus.ids, map(hit.__getitem__, column.codes)))
+    return set(compress(ids, map(hit.__getitem__, column.codes)))

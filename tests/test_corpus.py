@@ -709,6 +709,16 @@ def test_ids_are_a_sequence_of_strings():
     assert [rec.id for rec in corpus] == list(expected)
 
 
+def test_ids_select_splits_dense_batches_and_slices_sparse_ones():
+    n = 2 * _BATCH_LINES + 3
+    ids = Ids(f"R{i}" for i in range(n))
+    # the first batch whole, every tenth id of the second, two of the last three
+    positions = [*range(_BATCH_LINES), *range(_BATCH_LINES, 2 * _BATCH_LINES, 10), n - 3, n - 1]
+    assert ids.select(sum(1 << pos for pos in positions)) == {f"R{pos}" for pos in positions}
+    assert ids.select(1 << 1 | 1 << n - 1) == {"R1", f"R{n - 1}"}
+    assert ids.select(0) == set()
+
+
 def test_corpora_built_every_way_are_equal_and_hash_alike():
     records = [make_record(f"R{i}", (f"T{i % 300} REV",), 2007 + i % 3, ("USA",)) for i in range(700)]
     read = ingest(serialize(Corpus(records)))
@@ -723,7 +733,11 @@ def test_corpora_built_every_way_are_equal_and_hash_alike():
     assert read != Corpus(records[:-1])
 
 
-@pytest.mark.parametrize("ids, read", [(["ß1", "É1", "r2"], ["SS1", "É1", "R2"]), ([], [])])
+@pytest.mark.parametrize("ids, read", [
+    (["ß1", "É1", "r2"], ["SS1", "É1", "R2"]),
+    (["r%1", "%s", "100%%", "%(a)s"], ["R%1", "%S", "100%%", "%(A)S"]),  # "%" is no placeholder
+    ([], []),
+])
 def test_non_ascii_ids_and_the_empty_corpus_round_trip(ids, read):
     corpus = Corpus([make_record(rid, ("A REV",)) for rid in ids])
     assert list(corpus.ids) == read and len(corpus.ids) == len(read)

@@ -518,7 +518,7 @@ def test_scan_term_matches_each_distinct_string_once(text, strings, monkeypatch)
         return matches(self, value)
 
     monkeypatch.setattr(Pattern, "matches", counted)
-    found = _scan_term(corpus, parse(text))
+    found = _scan_term(corpus, corpus.ids, parse(text))
     assert sorted(seen) == sorted(strings)
     monkeypatch.undo()
     assert found == brute_eval(corpus, parse(text))

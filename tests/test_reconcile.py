@@ -303,9 +303,9 @@ def test_censored_direct_counts_scan_each_distinct_term_once(monkeypatch):
     scanned = Counter()
     scan = query._scan_term
 
-    def counting_scan(corpus, term):
+    def counting_scan(corpus, ids, term):
         scanned[term] += 1
-        return scan(corpus, term)
+        return scan(corpus, ids, term)
 
     monkeypatch.setattr(query, "_scan_term", counting_scan)
     for strategy in strategies + strategies:
