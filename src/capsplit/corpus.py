@@ -189,11 +189,11 @@ class Column:
         return map(self.values.__getitem__, self.codes)
 
 
-def _flat(codes: list[int] | Iterator[int], width: int) -> bytes | array:
+def _flat(codes: list[int] | Iterator[int] | array, width: int) -> bytes | array:
     """``codes`` into ``width`` values as a ``Column``'s flat buffer: bytes, or array('I').
 
-    ``codes`` is a list or an iterator: ``bytes()`` and ``array()`` would
-    copy a buffer's raw bytes, not its items.
+    ``codes`` is a list, an iterator or ``ingest``'s array, ``array('B')`` up
+    to 256 values: ``bytes()`` of any other buffer copies raw bytes, not items.
     """
     return bytes(codes) if width <= 256 else array("I", codes)
 
@@ -580,11 +580,8 @@ class _Reader:
     def corpus(self) -> Corpus:
         """The corpus of the lines read; no line is read after it."""
         self.seen = set()  # its id strings go before the ids' flat buffers are joined
-        # a column's codes are a byte array while its values number at most 256
-        columns = (Column(tuple(encoder.numbers),
-                          encoder.codes.tobytes() if encoder.codes.typecode == "B" else encoder.codes)
-                   for encoder in (self.years, self.titles, self.countries, self.addresses))
-        return Corpus._of(self.ids.ids(), *columns)
+        return Corpus._of(self.ids.ids(), self.years.column(), self.titles.column(),
+                          self.countries.column(), self.addresses.column())
 
 
 def _refuse_blank(lines: list[str]) -> None:
@@ -1006,13 +1003,14 @@ def generate(profile: CorpusProfile) -> Corpus:
     for _ in range(profile.n_records):
         country, pool = country_at()
         first = _random_title(bits, letter())
+        key = (first,)
         if uniform() < multi:
             second = _random_title(bits, letter())
             while second == first:
                 second = _random_title(bits, letter())
-            put_titles(titles[(first, second)])
-        else:
-            put_titles(titles[(first,)])
+            key = (first, second)
+        # nearly every title tuple is new: numbered here, not by a __missing__ frame
+        put_titles(titles.setdefault(key, len(titles)))
         put_country(cu[country])
         put_address(ad[pool[_below(bits, len(pool))] if pool else no_address])
         put_year(years[lo + _below(bits, n_years)])

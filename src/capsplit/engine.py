@@ -26,23 +26,23 @@ the cap) that the engine, planner and runner ask; ``str`` of a count
 gives the digits or "at least the cap" for every refusal message.
 
 Indexing is per field and built over the column's distinct values only:
-one sorted table of terms, each with the codes of the distinct values
-that hold it. The terms that start with a prefix are one span of the
-table, found by two bisections, and that span answers exact leaves,
-truncated leaves and next-symbol introspection alike. Its terms are the
-strings a value is found through, as ``query.field_strings`` states
-them, read once per distinct value however many records share it. How a
-leaf's bitset is made from those value codes follows from what ``bytes``
-can hold. A column of at most 256 distinct values (a paper-scale
-corpus's years, country sets and address sets) keeps its codes as
-``bytes``, reversed in one slice; a leaf is one ``translate`` of them to
-``0``/``1`` digits, read by ``int(..., 2)``, which is linear and has no
-digit limit. A wider column (source titles) keeps one ``array('I')`` of
-record positions, grouped by value code by a counting sort, and one of
-where each code's group starts, so the index holds no Python object per
-record. A leaf sets the bits of its codes' positions in a little-endian
-byte buffer of one bit per record, which ``int.from_bytes`` reads as the
-int.
+one sorted table of terms, and the codes of the values that hold each
+term in one ``array('I')``, term after term. The terms that start with a
+prefix are one span of the table, found by two bisections, and their
+codes one slice; a span answers exact leaves, truncated leaves and
+next-symbol introspection alike. Its terms are the strings a value is
+found through, as ``query.field_strings`` states them, read once per
+distinct value however many records share it. How a leaf's bitset is
+made from those value codes follows from what ``bytes`` can hold. A
+column of at most 256 distinct values (a paper-scale corpus's years,
+country sets and address sets) keeps its codes as ``bytes``, reversed in
+one slice; a leaf is one ``translate`` of them to ``0``/``1`` digits,
+read by ``int(..., 2)``, which is linear and has no digit limit. A wider
+column (source titles) keeps one ``array('I')`` of record positions,
+grouped by value code by a counting sort, and one of where each code's
+group starts, so the index holds no Python object per record. A
+leaf sets the bits of its codes' positions in a little-endian byte
+buffer of one bit per record, which ``int.from_bytes`` reads as the int.
 
 A query is evaluated by ``query.fold``, the one walk of a query tree.
 Every result is a Python ``int`` used as a bitset over record positions:
@@ -65,7 +65,8 @@ from bisect import bisect_left, bisect_right
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from functools import partial
+from itertools import accumulate, repeat
 from typing import Iterable
 
 from .corpus import Column, Corpus
@@ -237,28 +238,32 @@ def _combine(node: And | Or | Diff, left: int, right: int) -> int:
 
 
 class _FieldIndex:
-    """One field's index: a sorted term table, and the bitset of a set of value codes.
+    """One field's index: a sorted term table, and the bitset of a span of its terms.
 
     ``terms`` lists every term of ``query.field_strings`` once, sorted, and
-    ``_codes[i]`` holds the codes of the distinct values found through
-    ``terms[i]``; ``_span`` is the one rule that reads them. A column of
-    at most 256 distinct values keeps its codes as ``bytes``, last record
-    first (one slice of the column's ``bytes``), so that ``translate`` with
-    a table that maps each matching code to ``1`` and every other to ``0``
-    writes the bitset in base 2. A wider column keeps one ``array('I')`` of
-    record positions, grouped by value code and ascending within a code,
-    and one ``array('I')`` of where each code's group starts. A leaf sets
-    the bits of its codes' positions one by one in a little-endian byte
-    buffer that ``int.from_bytes`` reads.
+    ``_codes`` the codes of the distinct values found through each, term
+    after term, ``terms[i]``'s from ``_term_starts[i]`` to ``_term_starts[i + 1]``,
+    so the span of terms that ``_span`` finds is one slice. A value found
+    through two terms of a span is met twice there, which only sets its
+    bits twice. A column of at most 256 distinct values keeps its codes as
+    ``bytes``, last record first (one slice of the column's ``bytes``), so
+    that ``translate`` with a table that maps each matching code to ``1``
+    and every other to ``0`` writes the bitset in base 2. A wider column
+    keeps one ``array('I')`` of record positions, grouped by value code and
+    ascending within a code, and one ``array('I')`` of where each code's
+    group starts. A leaf sets the bits of its codes' positions one by one
+    in a little-endian byte buffer that ``int.from_bytes`` reads.
     """
 
     def __init__(self, column: Column, strings: Iterable[Iterable[str]]) -> None:
-        codes: dict[str, list[int]] = defaultdict(list)
+        codes: dict[str, array] = defaultdict(partial(array, "I"))
         for code, terms in enumerate(strings):
             for term in terms:
                 codes[term].append(code)
         self.terms = sorted(codes)
-        self._codes = list(map(codes.__getitem__, self.terms))
+        grouped = list(map(codes.__getitem__, self.terms))
+        self._codes = array("I", b"".join(grouped))  # an array's raw bytes are its codes
+        self._term_starts = array("I", accumulate(map(len, grouped), initial=0))
         self._size = len(column.codes)
         if len(column.values) <= 256:
             self._reversed_codes = column.codes[::-1]
@@ -279,23 +284,7 @@ class _FieldIndex:
         lo, hi = self._span(pattern.text)
         if not pattern.truncated:  # a term equal to the text sorts first in its span
             hi = lo + 1 if lo < hi and self.terms[lo] == pattern.text else lo
-        return self.bits(set(chain.from_iterable(self._codes[lo:hi])))
-
-    def children(self, prefix: str) -> set[str]:
-        """The characters that follow ``prefix`` in the terms, one hop per character."""
-        cut = len(prefix)
-        lo, hi = self._span(prefix)
-        if lo < hi and len(self.terms[lo]) == cut:  # the term equal to the prefix
-            lo += 1
-        children: set[str] = set()
-        while lo < hi:
-            ch = self.terms[lo][cut]
-            children.add(ch)
-            lo = self._span(prefix + ch, lo, hi)[1]
-        return children
-
-    def bits(self, codes: Iterable[int]) -> int:
-        """The bitset of the records whose value code is one of ``codes``."""
+        codes = self._codes[self._term_starts[lo]:self._term_starts[hi]]
         if self._reversed_codes is not None:
             table = bytearray(b"0" * 256)
             for code in codes:
@@ -309,6 +298,19 @@ class _FieldIndex:
             for pos in positions[starts[code]:starts[code + 1]]:
                 buf[pos >> 3] |= 1 << (pos & 7)
         return int.from_bytes(buf, "little")
+
+    def children(self, prefix: str) -> set[str]:
+        """The characters that follow ``prefix`` in the terms, one hop per character."""
+        cut = len(prefix)
+        lo, hi = self._span(prefix)
+        if lo < hi and len(self.terms[lo]) == cut:  # the term equal to the prefix
+            lo += 1
+        children: set[str] = set()
+        while lo < hi:
+            ch = self.terms[lo][cut]
+            children.add(ch)
+            lo = self._span(prefix + ch, lo, hi)[1]
+        return children
 
 
 def _grouped(codes: array, width: int) -> tuple[array, array]:

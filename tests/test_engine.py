@@ -405,16 +405,19 @@ def test_leaf_bitset_has_one_bit_per_posting(n):
 
 
 def _values_corpus(n_values: int, field: str, n_records: int) -> Corpus:
-    """Records whose PY or CU column cycles through ``n_values`` distinct values.
+    """Records whose PY, CU or SO column cycles through ``n_values`` distinct values.
 
     A record's countries are ``C{v}`` and ``C{v+1}``, so its country set is
-    one of ``n_values`` sets.
+    one of ``n_values`` sets. Its SO titles are ``JA{v} REV`` and
+    ``JB{v} REV``, so ``SO=J*`` finds each SO value through two terms.
     """
     def record(p: int):
         v = p % n_values
         if field == "PY":
             return make_record(f"R{p}", (f"T{p % 7} REV",), year=1000 + v,
                                addresses=(f"UNIV {v % 5}",))
+        if field == "SO":
+            return make_record(f"R{p}", (f"JA{v} REV", f"JB{v} REV"))
         return make_record(f"R{p}", (f"T{p % 7} REV",), countries=(f"C{v}", f"C{v + 1}"))
     return Corpus(tuple(map(record, range(n_records))))
 
@@ -434,6 +437,7 @@ def _stored_strings(corpus: Corpus) -> dict[FieldKind, set[str]]:
     "field, n_values, n_records",
     [
         ("PY", 256, 600), ("PY", 257, 600), ("CU", 256, 600), ("CU", 257, 600),
+        ("SO", 256, 600), ("SO", 257, 600),  # a value in a span twice, counted once
         ("PY", 3, 0),
         ("PY", 3, 4400), ("CU", 300, 4400),  # leaves of more bits than int() reads in base 10
     ],
@@ -441,7 +445,7 @@ def _stored_strings(corpus: Corpus) -> dict[FieldKind, set[str]]:
 def test_leaves_agree_with_the_oracle_on_both_sides_of_the_bytes_rule(field, n_values, n_records):
     corpus = _values_corpus(n_values, field, n_records)
     engine, oracle = CappedEngine(corpus), Oracle(corpus)
-    column = corpus.years if field == "PY" else corpus.countries
+    column = {"PY": corpus.years, "CU": corpus.countries, "SO": corpus.source_titles}[field]
     assert len(column.values) == min(n_values, n_records)
     narrow = engine._index[FieldKind[field]]._reversed_codes is not None
     assert narrow == (len(column.values) <= 256)
@@ -457,17 +461,22 @@ def test_leaves_agree_with_the_oracle_on_both_sides_of_the_bytes_rule(field, n_v
             # the engine and the oracle both read query.field_strings; the brute
             # force reads each record's fields, so it checks that one definition
             assert hits == brute_eval(records, term), term
-    for text in ("PY=1000", "CU=C0", "SO=T*", "AD=UNIV", "PY=2*"):
+    for text in ("PY=1000", "CU=C0", "SO=T*", "SO=J*", "AD=UNIV", "PY=2*"):
         query = parse(text)
         assert engine.retrieve(query) == oracle.evaluate(query), text
+    if field == "SO":  # every record is found through both its titles, and counted once
+        assert engine.count(parse("SO=J*")) == CountResult.exact(n_records)
 
 
 # -- memory -------------------------------------------------------------------
 
 
 def test_a_corpus_and_its_index_keep_no_python_object_per_record():
-    # ids, per-record codes and SO positions are flat buffers: a few bytes per
-    # record, where one object or pointer per record costs 8 to 60
+    # ids, per-record codes, SO positions and each field's term codes are flat
+    # buffers: a few bytes per record, where one object or pointer per record
+    # costs 8 to 60. In a generated corpus nearly every record's titles are a
+    # value and a term of their own, so there the index keeps one term per record.
+    generated = generate(CorpusProfile(seed=1, n_records=50_000))
     tracing = tracemalloc.is_tracing()
     gc.collect()
     if not tracing:
@@ -480,14 +489,20 @@ def test_a_corpus_and_its_index_keep_no_python_object_per_record():
         engine = CappedEngine(corpus)
         gc.collect()
         indexed = tracemalloc.get_traced_memory()[0]
+        generated_engine = CappedEngine(generated)
+        gc.collect()
+        generated_indexed = tracemalloc.get_traced_memory()[0]
     finally:
         if not tracing:
             tracemalloc.stop()
     n = len(corpus)
     assert n == 131_845
     assert (built - before) / n <= 40, "bytes per record held by the corpus"
-    assert (indexed - built) / n <= 24, "bytes per record added by the engine's index"
+    assert (indexed - built) / n <= 11, "bytes per record added by the engine's index"
+    assert (generated_indexed - indexed) / len(generated) <= 40, \
+        "bytes per generated record added by the engine's index"
     assert engine.count(parse("SO=A*")).value > 0
+    assert generated_engine.count(parse("SO=A*")).value > 0
 
 
 # -- shared-result hygiene ----------------------------------------------------
