@@ -63,7 +63,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import add, eq, not_
+from operator import add, eq, lt, not_
 from typing import Iterable, Iterator, TextIO
 
 # Canonical symbol order for title initials: letters first, then digits.
@@ -435,7 +435,11 @@ class Corpus:
 
 def _numbered(years: Column, titles: Column, countries: Column,
               addresses: Column) -> Corpus:
-    """Number generated columns R0000001, R0000002, ...; unique by construction."""
+    """Number generated columns R0000001, R0000002, ...; unique by construction.
+
+    Every id is padded to one width, so the ids ascend as text at any size,
+    and ``ingest`` checks them for repeats without a set (see ``_Reader``).
+    """
     n = len(years.codes)
     width = max(7, len(str(n)))
     ids = Ids(map(f"R%0{width}d".__mod__, range(1, n + 1)))
@@ -473,7 +477,10 @@ def ingest(source: str | Iterable[str]) -> Corpus:
     Lines are read in bounded batches by one reader, ``_Reader.read``,
     which checks a batch a column at a time, with no Python step per line.
     A batch it refuses is read again through it one line at a time, and
-    the first line it refuses is named.
+    the first line it refuses is named. While the ids ascend, as they do in
+    every file ``gen`` writes, no id is held twice: the duplicate check keeps
+    only the last id read, and a set of the ids is built only once they
+    break that order.
     """
     # A string is read as a text file is, breaking lines only on \n, \r and \r\n.
     lines = iter(io.StringIO(source, newline=None) if isinstance(source, str) else source)
@@ -505,11 +512,17 @@ class _Reader:
     The ids go to an ``_IdWriter``, and each field's codes to a byte array
     that is widened to ``array('I')`` once the field has more than 256
     values, so no column keeps a Python object per record while it fills.
+
+    Ids that strictly ascend cannot repeat, so while they do only ``last``,
+    the last id read, is kept for the duplicate check. The first batch out
+    of that order builds ``seen``, the set of the ids read, and every batch
+    from then on is checked against it.
     """
 
     def __init__(self) -> None:
         self.ids = _IdWriter()
-        self.seen: set[str] = set()
+        self.last = ""  # below every id, since none is empty
+        self.seen: set[str] | None = None  # built when the ids first break ascending order
         self.comments: list[int] = []  # the line numbers of comment lines, ascending
         self.years = _Encoder(_parse_year)
         self.titles, self.countries, self.addresses = (
@@ -551,12 +564,17 @@ class _Reader:
             fields = [(encoder, list(map(encoder.__getitem__, texts))) for encoder, texts in (
                 (self.titles, cells[2::5]), (self.countries, cells[3::5]),
                 (self.addresses, addresses))]
-            size = len(self.seen)
-            self.seen.update(ids)
-            if len(self.seen) - size != len(ids):
-                earlier = list(self.ids.ids())
-                self.seen = set(earlier)
-                raise self._repeated(earlier + ids, comments)
+            if self.seen is None and ids[0] > self.last and all(map(lt, ids, ids[1:])):
+                self.last = ids[-1]
+            else:
+                if self.seen is None:
+                    self.seen = set(self.ids.ids())
+                size = len(self.seen)
+                self.seen.update(ids)
+                if len(self.seen) - size != len(ids):
+                    earlier = list(self.ids.ids())
+                    self.seen = set(earlier)
+                    raise self._repeated(earlier + ids, comments)
             self.ids.add(ids)
             for encoder, codes in ((self.years, years), *fields):
                 if encoder.codes.typecode == "I":
@@ -579,7 +597,7 @@ class _Reader:
 
     def corpus(self) -> Corpus:
         """The corpus of the lines read; no line is read after it."""
-        self.seen = set()  # its id strings go before the ids' flat buffers are joined
+        self.seen = None  # an unordered file's id strings go before the ids' buffers are joined
         return Corpus._of(self.ids.ids(), self.years.column(), self.titles.column(),
                           self.countries.column(), self.addresses.column())
 

@@ -10,6 +10,7 @@ from array import array
 from collections import Counter
 from functools import partial
 from itertools import chain, islice
+from operator import lt
 
 import pytest
 from hypothesis import example, given
@@ -43,6 +44,7 @@ from capsplit.corpus import (
     _parse_field,
     _parse_year,
     _random_title,
+    _Reader,
     _shuffle,
     _weighted,
     build_fixture,
@@ -391,6 +393,49 @@ def test_ingest_names_a_duplicate_defined_batches_earlier(monkeypatch):
     with pytest.raises(CorpusError) as err:
         ingest(text)
     assert str(err.value) == "line 6: duplicate id 'R1' (first defined on line 2)"
+
+
+# Ids in two-line batches: while they ascend the reader keeps only the last
+# one, and the first batch out of that order makes it check by set from then on.
+@pytest.mark.parametrize(
+    "rids, message",
+    [
+        (("R3", "R2", "R3"), "line 3: duplicate id 'R3' (first defined on line 1)"),
+        (("R1", "R2", "R3", "R2"), "line 4: duplicate id 'R2' (first defined on line 2)"),
+        (("R5", "R6", "R1", "R2"), None),
+        # the last batch ascends from the one before it, but repeats an id read before the set
+        (("R2", "R4", "R3", "R1", "R2", "R5"), "line 5: duplicate id 'R2' (first defined on line 1)"),
+    ],
+    ids=["descend-then-repeat", "repeat-across-a-batch-boundary", "batch-starts-below-the-last",
+         "defined-before-the-set-repeated-after"],
+)
+def test_ids_out_of_ascending_order_are_checked_by_set(monkeypatch, rids, message):
+    monkeypatch.setattr(capsplit.corpus, "_BATCH_LINES", 2)
+    source = "".join(f"{rid}\t2007\tA\tUSA\t\n" for rid in rids)
+    got = _read_with(ingest, source)
+    assert got == _read_with(_per_line_ingest, source)
+    if message is None:
+        assert list(got[0]) == list(rids)
+    else:
+        assert got == message
+
+
+def test_every_shipped_and_generated_corpus_numbers_its_ids_in_ascending_order(
+        cuba_corpus, usa_corpus, uk_corpus):
+    # ingest checks such ids for repeats without holding a set of them; an id
+    # format that broke the order would bring that memory back unseen
+    fixtures = {"cuba_t3": cuba_corpus, "usa_t1": usa_corpus, "uk_s1": uk_corpus}
+    assert tuple(fixtures) == FIXTURE_NAMES
+    generated = generate(CorpusProfile(seed=5, n_records=3000))
+    for name, corpus in (*fixtures.items(), ("generated", generated)):
+        ids = list(corpus.ids)
+        assert all(map(lt, ids, ids[1:])), name
+    reader = _Reader()
+    lines = serialize(generated).splitlines(keepends=True)
+    for start in range(0, len(lines), 1000):
+        reader.read(lines[start:start + 1000], start + 1)
+    assert reader.seen is None
+    assert reader.corpus() == generated
 
 
 # Lines with two faults each, after a good line R0: a line reports the fault

@@ -30,8 +30,10 @@ from capsplit import (
     build_overlap_statement,
     evaluate,
     generate,
+    load_corpus,
     parse,
     print_normalized,
+    save_corpus,
 )
 from capsplit.query import And, Diff, Or
 
@@ -503,6 +505,28 @@ def test_a_corpus_and_its_index_keep_no_python_object_per_record():
         "bytes per generated record added by the engine's index"
     assert engine.count(parse("SO=A*")).value > 0
     assert generated_engine.count(parse("SO=A*")).value > 0
+
+
+def test_loading_a_corpus_file_holds_no_python_object_per_record(uk_corpus, tmp_path):
+    # the peak of a load is its flat columns, a batch of lines and the texts
+    # of each distinct value; the fixture's ids ascend, so the duplicate check
+    # holds no id of its own
+    path = str(tmp_path / "uk_s1.tsv")
+    save_corpus(uk_corpus, path)
+    tracing = tracemalloc.is_tracing()
+    gc.collect()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        corpus = load_corpus(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert corpus == uk_corpus
+    assert (peak - before) / len(corpus) <= 100, "traced peak bytes per record of the load"
 
 
 # -- shared-result hygiene ----------------------------------------------------
