@@ -516,7 +516,7 @@ class _Reader:
     Ids that strictly ascend cannot repeat, so while they do only ``last``,
     the last id read, is kept for the duplicate check. The first batch out
     of that order builds ``seen``, the set of the ids read, and every batch
-    from then on is checked against it.
+    from then on is checked against it before its ids join it.
     """
 
     def __init__(self) -> None:
@@ -569,12 +569,10 @@ class _Reader:
             else:
                 if self.seen is None:
                     self.seen = set(self.ids.ids())
-                size = len(self.seen)
-                self.seen.update(ids)
-                if len(self.seen) - size != len(ids):
-                    earlier = list(self.ids.ids())
-                    self.seen = set(earlier)
-                    raise self._repeated(earlier + ids, comments)
+                fresh = set(ids)
+                if len(fresh) < len(ids) or not self.seen.isdisjoint(fresh):
+                    raise self._repeated(list(self.ids.ids()) + ids, comments)
+                self.seen |= fresh
             self.ids.add(ids)
             for encoder, codes in ((self.years, years), *fields):
                 if encoder.codes.typecode == "I":
@@ -598,8 +596,10 @@ class _Reader:
     def corpus(self) -> Corpus:
         """The corpus of the lines read; no line is read after it."""
         self.seen = None  # an unordered file's id strings go before the ids' buffers are joined
-        return Corpus._of(self.ids.ids(), self.years.column(), self.titles.column(),
-                          self.countries.column(), self.addresses.column())
+        encoders = (self.years, self.titles, self.countries, self.addresses)
+        for encoder in encoders:  # a column reads only the parsed values, not the raw texts
+            encoder.clear()
+        return Corpus._of(self.ids.ids(), *(encoder.column() for encoder in encoders))
 
 
 def _refuse_blank(lines: list[str]) -> None:

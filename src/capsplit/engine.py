@@ -33,15 +33,15 @@ codes one slice; a span answers exact leaves, truncated leaves and
 next-symbol introspection alike. Its terms are the strings a value is
 found through, as ``query.field_strings`` states them, read once per
 distinct value however many records share it. How a leaf's bitset is
-made from those value codes follows from what ``bytes`` can hold. A
-column of at most 256 distinct values (a paper-scale corpus's years,
-country sets and address sets) keeps its codes as ``bytes``, reversed in
-one slice; a leaf is one ``translate`` of them to ``0``/``1`` digits,
-read by ``int(..., 2)``, which is linear and has no digit limit. A wider
-column (source titles) keeps one ``array('I')`` of record positions,
-grouped by value code by a counting sort, and one of where each code's
-group starts, so the index holds no Python object per record. A
-leaf sets the bits of its codes' positions in a little-endian byte
+made from those value codes follows from the column's buffer, whose type
+``corpus`` chooses. Codes held as ``bytes`` (a paper-scale corpus's
+years, country sets and address sets) are reversed in one slice; a leaf
+is one ``translate`` of them to ``0``/``1`` digits, read by
+``int(..., 2)``, which is linear and has no digit limit. For codes held
+as ``array('I')`` (source titles) the index keeps one ``array('I')`` of
+record positions, grouped by value code by a counting sort, and one of
+where each code's group starts, so it holds no Python object per record.
+A leaf sets the bits of its codes' positions in a little-endian byte
 buffer of one bit per record, which ``int.from_bytes`` reads as the int.
 
 A query is evaluated by ``query.fold``, the one walk of a query tree.
@@ -245,13 +245,13 @@ class _FieldIndex:
     after term, ``terms[i]``'s from ``_term_starts[i]`` to ``_term_starts[i + 1]``,
     so the span of terms that ``_span`` finds is one slice. A value found
     through two terms of a span is met twice there, which only sets its
-    bits twice. A column of at most 256 distinct values keeps its codes as
-    ``bytes``, last record first (one slice of the column's ``bytes``), so
-    that ``translate`` with a table that maps each matching code to ``1``
-    and every other to ``0`` writes the bitset in base 2. A wider column
-    keeps one ``array('I')`` of record positions, grouped by value code and
-    ascending within a code, and one ``array('I')`` of where each code's
-    group starts. A leaf sets the bits of its codes' positions one by one
+    bits twice. Column codes held as ``bytes`` are kept, last record first
+    (one slice), so that ``translate`` with a table that maps each matching
+    code to ``1`` and every other to ``0`` writes the bitset in base 2.
+    Codes held as an ``array('I')`` give one ``array('I')`` of record
+    positions, grouped by value code and ascending within a code, and one
+    ``array('I')`` of where each code's group starts, instead. A leaf then
+    sets the bits of its codes' positions one by one
     in a little-endian byte buffer that ``int.from_bytes`` reads.
     """
 
@@ -265,7 +265,7 @@ class _FieldIndex:
         self._codes = array("I", b"".join(grouped))  # an array's raw bytes are its codes
         self._term_starts = array("I", accumulate(map(len, grouped), initial=0))
         self._size = len(column.codes)
-        if len(column.values) <= 256:
+        if isinstance(column.codes, bytes):
             self._reversed_codes = column.codes[::-1]
         else:
             self._reversed_codes = None

@@ -12,9 +12,10 @@ complete retrieval total two ways:
   any multiplicity: the exclusion sets are pairwise disjoint and disjoint
   from the overlap set, so the sum telescopes to the union cardinality.
 
-One loop registers the statements and the exclusions alike, each as a
-``Row``. A statement that does not fit the cap ends the run with a
-report of the statement rows and the CapViolation verdict alone.
+The report is one function of the session's counts: ``_session`` makes
+every engine call, and ``_reconcile`` builds every row, running sum,
+total, cross-check and verdict from the counts alone. A statement that
+does not fit the cap ends the session with its rows and CapViolation.
 
 Every partition statement is sub-cap and therefore materializable, so the
 runner also takes the union, the records shared by two or more sections
@@ -34,12 +35,13 @@ corpus once per distinct term rather than once per term of every base.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 
 from .engine import VISIBLE, CappedEngine, CountResult
 from .planner import Strategy
-from .query import Oracle, Query, SetRef
+from .query import Oracle, SetRef
 
 
 # one oracle per engine, dropped with the engine; an oracle never refers back to it
@@ -86,62 +88,7 @@ def run_strategy(strategy: Strategy, engine: CappedEngine) -> RunReport:
     A statement whose count reaches the cap yields a partial report with
     the CapViolation verdict and no totals.
     """
-    engine.clear_statements()
-    per_statement, statement_sum = _register(engine, strategy.statements)
-    if not all(CountResult(row.count).fits(strategy.cap) for row in per_statement):
-        return RunReport(per_statement, Verdict.CAP_VIOLATION)
-
-    overlap_result = engine.register(strategy.overlap_stmt)
-
-    per_exclusion, exclusion_sum = _register(engine, strategy.exclusion_stmts)
-    # Exclusions are subsets of sub-cap statements, so never censored.
-    exclusion_sum = CountResult(exclusion_sum).expect_exact()
-
-    # records in at least 1, 2, ... sections; the list ends at the maximum multiplicity
-    coverage = engine.coverage(SetRef(row.number) for row in per_statement)
-    union_cardinality, materialized_overlap = (coverage + [0, 0])[:2]
-    max_multiplicity = len(coverage)
-
-    if overlap_result.is_exact:
-        if overlap_result.value != materialized_overlap:
-            raise ReconcileError(
-                f"overlap statement counted {overlap_result.value} records but the "
-                f"materialized sections contain {materialized_overlap} shared ones"
-            )
-        overlap_count = overlap_result.value
-    else:
-        # Censored engines may refuse the overlap count; the materialized
-        # sections carry the same information.
-        overlap_count = materialized_overlap
-
-    method_a_total = statement_sum - overlap_count
-    method_b_total = exclusion_sum + overlap_count
-    if method_b_total != union_cardinality:
-        raise ReconcileError(
-            f"method B total {method_b_total} diverged from the materialized "
-            f"union of {union_cardinality} records"
-        )
-    return RunReport(
-        per_statement,
-        _verdict(method_a_total, method_b_total, None),
-        overlap_count=overlap_count,
-        method_a_total=method_a_total,
-        per_exclusion=per_exclusion,
-        method_b_total=method_b_total,
-        union_cardinality=union_cardinality,
-        max_multiplicity=max_multiplicity,
-    )
-
-
-def _register(engine: CappedEngine, stmts: tuple[Query, ...]) -> tuple[tuple[Row, ...], int | None]:
-    """Register ``stmts`` as the next statements: their rows, numbered from 1, and their sum."""
-    rows = []
-    running: int | None = 0
-    for i, query in enumerate(stmts, start=1):
-        count = engine.register(query).value
-        running = None if running is None or count is None else running + count
-        rows.append(Row(i, count, running))
-    return tuple(rows), running
+    return _reconcile(*_session(strategy, engine))
 
 
 def validate_direct(strategy: Strategy, engine: CappedEngine) -> RunReport:
@@ -151,20 +98,70 @@ def validate_direct(strategy: Strategy, engine: CappedEngine) -> RunReport:
     are visible; a censored interface cannot report it, so it is computed
     by the engine's corpus-scan oracle instead and labeled as oracle-sourced.
     """
-    report = run_strategy(strategy, engine)
+    session = _session(strategy, engine)
     if engine.config.count_mode == VISIBLE:
-        direct = engine.count(strategy.base).expect_exact()
-        source = "engine"
-    else:
-        oracle = _ORACLES.get(engine)
-        if oracle is None:
-            oracle = _ORACLES[engine] = Oracle(engine.corpus)
-        direct = len(oracle.evaluate(strategy.base))
-        source = "oracle"
-    verdict = report.verdict
-    if verdict is not Verdict.CAP_VIOLATION:
-        verdict = _verdict(report.method_a_total, report.method_b_total, direct)
-    return replace(report, direct_count=direct, direct_source=source, verdict=verdict)
+        return _reconcile(*session, engine.count(strategy.base).expect_exact(), "engine")
+    oracle = _ORACLES.get(engine)
+    if oracle is None:
+        oracle = _ORACLES[engine] = Oracle(engine.corpus)
+    return _reconcile(*session, len(oracle.evaluate(strategy.base)), "oracle")
+
+
+def _session(strategy: Strategy, engine: CappedEngine) -> tuple:
+    """Register the strategy's statements, overlap statement and exclusions, and return
+    their counts (None where censored) and the statements' coverage; a statement that
+    does not fit the cap ends the session with no overlap, exclusions or coverage."""
+    engine.clear_statements()
+    counts = [engine.register(query).value for query in strategy.statements]
+    if not all(CountResult(count).fits(strategy.cap) for count in counts):
+        return counts, None, [], None
+    overlap = engine.register(strategy.overlap_stmt).value
+    exclusions = [engine.register(query).value for query in strategy.exclusion_stmts]
+    # records in at least 1, 2, ... sections; the list ends at the maximum multiplicity
+    return counts, overlap, exclusions, engine.coverage(map(SetRef, range(1, len(counts) + 1)))
+
+
+def _reconcile(counts: list[int | None], overlap: int | None, exclusions: list[int | None],
+               coverage: list[int] | None, direct: int | None = None,
+               source: str | None = None) -> RunReport:
+    """The report of a session's counts, None where censored: ``coverage`` is None when a
+    statement did not fit the cap, and ``direct`` is the base's count, taken from ``source``."""
+    per_statement, statement_sum = _rows(counts)
+    if coverage is None:
+        return RunReport(per_statement, Verdict.CAP_VIOLATION,
+                         direct_count=direct, direct_source=source)
+    per_exclusion, exclusion_sum = _rows(exclusions)
+    # Exclusions are subsets of sub-cap statements, so never censored.
+    exclusion_sum = CountResult(exclusion_sum).expect_exact()
+
+    union_cardinality, materialized_overlap = (*coverage, 0, 0)[:2]
+    if overlap is None:
+        # Censored engines may refuse the overlap count; the materialized
+        # sections carry the same information.
+        overlap = materialized_overlap
+    elif overlap != materialized_overlap:
+        raise ReconcileError(f"overlap statement counted {overlap} records but the "
+                             f"materialized sections contain {materialized_overlap} shared ones")
+
+    method_a_total = statement_sum - overlap
+    method_b_total = exclusion_sum + overlap
+    if method_b_total != union_cardinality:
+        raise ReconcileError(f"method B total {method_b_total} diverged from the "
+                             f"materialized union of {union_cardinality} records")
+    return RunReport(
+        per_statement, _verdict(method_a_total, method_b_total, direct),
+        overlap_count=overlap, method_a_total=method_a_total, per_exclusion=per_exclusion,
+        method_b_total=method_b_total, union_cardinality=union_cardinality,
+        max_multiplicity=len(coverage), direct_count=direct, direct_source=source,
+    )
+
+
+def _rows(counts: list[int | None]) -> tuple[tuple[Row, ...], int | None]:
+    """``counts`` as rows numbered from 1, and their sum; a sum is None from a censored
+    count on."""
+    sums = list(accumulate(counts, lambda s, n: None if s is None or n is None else s + n,
+                           initial=0))
+    return tuple(map(Row, range(1, len(sums)), counts, sums[1:])), sums[-1]
 
 
 def _verdict(method_a: int, method_b: int, direct: int | None) -> Verdict:

@@ -332,3 +332,75 @@ def test_each_engine_gets_its_own_oracle():
     del engine, exports
     gc.collect()
     assert gone() is None and oracle() is None
+
+
+# -- the report of hand-written session counts, with no engine ---------------
+# Two sections of 5 and 4 records share 1: the union is 8, and the exclusions
+# (each section without the shared record) count 4 and 3.
+
+_TWO = dict(counts=[5, 4], overlap=1, exclusions=[4, 3], coverage=[8, 1])
+
+
+def test_counts_of_two_overlapping_sections_reconcile_exact():
+    report = reconcile._reconcile(**_TWO)
+    assert report.per_statement == (reconcile.Row(1, 5, 5), reconcile.Row(2, 4, 9))
+    assert report.per_exclusion == (reconcile.Row(1, 4, 4), reconcile.Row(2, 3, 7))
+    assert report.overlap_count == 1
+    assert report.method_a_total == report.method_b_total == report.union_cardinality == 8
+    assert report.max_multiplicity == 2
+    assert report.direct_count is None and report.direct_source is None
+    assert report.verdict is Verdict.EXACT
+
+
+def test_counts_with_a_record_in_three_sections_overcount_method_a():
+    # three sections of 3 records, one record in all of them: 7 records, 1 shared
+    report = reconcile._reconcile([3, 3, 3], 1, [2, 2, 2], [7, 1, 1])
+    assert report.max_multiplicity == 3
+    assert report.method_b_total == report.union_cardinality == 7
+    assert report.method_a_total == 8
+    assert report.verdict is Verdict.METHOD_A_OVERCOUNT
+
+
+def test_a_censored_statement_count_is_a_cap_violation():
+    report = reconcile._reconcile([50, None, 30], None, [], None)
+    assert [row.running_sum for row in report.per_statement] == [50, None, None]
+    assert report.verdict is Verdict.CAP_VIOLATION
+    assert report.overlap_count is report.method_a_total is report.method_b_total is None
+    assert report.per_exclusion == ()
+
+
+def test_a_censored_overlap_count_is_taken_from_the_coverage():
+    report = reconcile._reconcile(**{**_TWO, "overlap": None})
+    assert report == reconcile._reconcile(**_TWO)
+
+
+@pytest.mark.parametrize("broken, message", [
+    ({"overlap": 0}, "overlap statement counted 0 records but the materialized sections "
+                     "contain 1 shared ones"),
+    ({"exclusions": [0, 0]}, "method B total 1 diverged from the materialized union of 8 "
+                             "records"),
+])
+def test_counts_that_contradict_the_coverage_are_refused(broken, message):
+    with pytest.raises(ReconcileError) as caught:
+        reconcile._reconcile(**{**_TWO, **broken})
+    assert str(caught.value) == message
+
+
+def test_a_censored_exclusion_count_is_refused():
+    with pytest.raises(EngineError) as caught:
+        reconcile._reconcile(**{**_TWO, "exclusions": [4, None]})
+    assert str(caught.value) == "count was censored at the cap"
+
+
+def test_a_direct_count_other_than_method_b_is_a_mismatch():
+    report = reconcile._reconcile(**_TWO, direct=9, source="engine")
+    assert report.method_a_total == report.method_b_total == 8
+    assert (report.direct_count, report.direct_source) == (9, "engine")
+    assert report.verdict is Verdict.MISMATCH
+
+
+def test_a_direct_count_leaves_a_cap_violation_standing():
+    report = reconcile._reconcile([200], None, [], None, direct=200, source="oracle")
+    assert report.verdict is Verdict.CAP_VIOLATION
+    assert (report.direct_count, report.direct_source) == (200, "oracle")
+    assert report.method_a_total is report.method_b_total is None
