@@ -25,12 +25,12 @@ indexing, matching) is done once per distinct value. A paper-scale corpus
 has half a million records but one year, tens of thousands of distinct
 titles and a few dozen distinct country and address sets. One encoder
 fills every column, parsing each distinct raw value once. No field keeps
-a Python object per record: a column's numbers are one flat buffer
-(``bytes`` for at most 256 values, ``array('I')`` beyond), and the ids
-are one tab-joined ``str`` with an ``array('I')`` of where each starts
-(``Ids``). Every builder fills these buffers directly, a batch at a
-time where it reads or numbers ids, and ``serialize`` writes a batch's
-ids from their joined text without splitting it. ``Record``
+a Python object per record: a column's numbers are one ``array`` (``'B'``
+up to 256 values, ``'I'`` beyond), and the ids are one tab-joined ``str``
+with an ``array('I')`` of where each starts (``Ids``). Every builder
+fills these buffers directly, a batch at a time where it reads or numbers
+ids, and its code arrays become the columns with no copy. ``serialize``
+writes a batch's ids from their joined text without splitting it. ``Record``
 stays the value type of one record: ``Corpus(records)`` encodes records,
 and iterating a corpus builds them back on demand. ``ingest`` reads text a
 bounded batch of lines at a time and fills the columns a column at a
@@ -177,25 +177,16 @@ class Column:
 
     ``values`` holds each distinct parsed value once (a year, a titles
     tuple, a country set or an address set); ``codes[pos]`` is the index
-    of the value of the record at ``pos``. The codes are one flat buffer:
-    ``bytes`` when there are at most 256 values, ``array('I')`` when there
-    are more. Iterating yields the value of every record in order.
+    of the value of the record at ``pos``. The codes are one ``array``:
+    typecode ``'B'`` for at most 256 values, ``'I'`` for more, by the rule of
+    ``_Encoder.column``. Iterating yields the value of every record in order.
     """
 
     values: tuple
-    codes: bytes | array
+    codes: array
 
     def __iter__(self) -> Iterator:
         return map(self.values.__getitem__, self.codes)
-
-
-def _flat(codes: list[int] | Iterator[int] | array, width: int) -> bytes | array:
-    """``codes`` into ``width`` values as a ``Column``'s flat buffer: bytes, or array('I').
-
-    ``codes`` is a list, an iterator or ``ingest``'s array, ``array('B')`` up
-    to 256 values: ``bytes()`` of any other buffer copies raw bytes, not items.
-    """
-    return bytes(codes) if width <= 256 else array("I", codes)
 
 
 # byte value -> the offsets of its set bits, lowest first
@@ -313,14 +304,14 @@ class _Encoder(dict):
     A raw value seen for the first time is parsed once, by ``parse``; parsed
     values are numbered in first-seen order in ``numbers``, so raw values that
     parse alike share one number. Without ``parse`` a raw value is its own value,
-    and ``numbers`` is the encoder itself. ``add`` records one record's number.
-    """
+    and ``numbers`` is the encoder itself. ``add`` records one record's number in
+    ``codes``, an ``array('I')`` unless a builder puts another buffer there."""
 
     def __init__(self, parse=None) -> None:
         super().__init__()
         self.parse = parse
         self._parsed: dict | None = None if parse is None else {}
-        self.codes: list[int] = []
+        self.codes = array("I")
 
     # not an attribute: an encoder holding itself is a cycle, which outlives its builder
     numbers = property(lambda self: self if self.parse is None else self._parsed)
@@ -336,10 +327,17 @@ class _Encoder(dict):
         self.codes.append(self[raw])
 
     def column(self, order: Iterable[int] | None = None) -> Column:
-        """The column of the recorded codes, or of ``codes[i] for i in order``."""
-        codes = self.codes if order is None else map(self.codes.__getitem__, order)
+        """The column of the recorded codes, or of ``codes[i] for i in order``.
+
+        Its codes are an ``array`` of typecode ``'B'`` for at most 256 values, ``'I'``
+        beyond: recorded codes in that array are the column's own, others are converted."""
         values = tuple(self.numbers)
-        return Column(values, _flat(codes, len(values)))
+        typecode = "B" if len(values) <= 256 else "I"
+        codes = self.codes if order is None else map(self.codes.__getitem__, order)
+        if getattr(codes, "typecode", None) != typecode:  # a list, a map or the other array
+            # bytes() of an iterator reads its items at C speed; array("B") parses each one
+            codes = array("B", bytes(iter(codes))) if typecode == "B" else array("I", codes)
+        return Column(values, codes)
 
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
@@ -509,9 +507,9 @@ def ingest(source: str | Iterable[str]) -> Corpus:
 class _Reader:
     """The columns ``ingest`` fills, one batch of lines at a time.
 
-    The ids go to an ``_IdWriter``, and each field's codes to a byte array
-    that is widened to ``array('I')`` once the field has more than 256
-    values, so no column keeps a Python object per record while it fills.
+    The ids go to an ``_IdWriter``, and each field's codes to an ``array('B')``
+    that is widened to ``array('I')`` once the field has more than 256 values,
+    so no column keeps a Python object per record, and each array is its column.
 
     Ids that strictly ascend cannot repeat, so while they do only ``last``,
     the last id read, is kept for the duplicate check. The first batch out
@@ -1273,7 +1271,7 @@ def _shuffled(bits, titles: _Encoder, countries: _Encoder, addresses: _Encoder) 
     order = array("I", range(len(titles.codes)))
     _shuffle(bits, order)
     columns = (encoder.column(order) for encoder in (titles, countries, addresses))
-    return _numbered(Column((_FIXTURE_YEAR,), bytes(len(order))), *columns)
+    return _numbered(Column((_FIXTURE_YEAR,), array("B", bytes(len(order)))), *columns)
 
 
 def _build_uk_fixture() -> Corpus:

@@ -331,6 +331,14 @@ def test_exactly_one_planning_source(cuba_file, tmp_path, capsys):
     assert "not allowed with argument" in capsys.readouterr().err
 
 
+def test_cap_defaults_to_the_papers_100000():
+    parser = build_arg_parser()
+    strategy = ("--corpus", "c.tsv", "--base", "PY=2007", "--auto")
+    for argv in (("count", "--corpus", "c.tsv", "PY=2007"), *((cmd, *strategy) for cmd in (
+            "plan", "run", "validate"))):
+        assert parser.parse_args(argv).cap == 100_000, argv[0]
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 

@@ -321,7 +321,7 @@ def test_parsing_encoder_numbers_texts_that_parse_alike_once():
         enc.add(raw)
     assert enc.numbers is not enc
     assert enc.numbers == {frozenset({"USA"}): 0, frozenset({"USA", "CUBA"}): 1}
-    assert enc.codes == [0, 1, 0, 1]
+    assert (enc.codes.typecode, enc.codes.tolist()) == ("I", [0, 1, 0, 1])
     assert enc.column().values == (frozenset({"USA"}), frozenset({"USA", "CUBA"}))
 
 # Cell texts for each field: (texts the readers accept, texts they refuse).
@@ -714,8 +714,9 @@ def _distinct_titles(width):
     return records, "".join(f"R{i}\t2007\tT{i} REV\tUSA\t\n" for i in range(width))
 
 
-@pytest.mark.parametrize("width, kind", [(256, bytes), (257, array)])
-def test_codes_are_bytes_up_to_256_values_and_an_unsigned_array_beyond(width, kind, monkeypatch):
+@pytest.mark.parametrize("width, typecode", [(256, "B"), (257, "I")])
+def test_codes_are_a_byte_array_up_to_256_values_and_an_unsigned_array_beyond(width, typecode,
+                                                                             monkeypatch):
     records, text = _distinct_titles(width)
     generated = generate(CorpusProfile(seed=1, n_records=width))
     read = ingest(text)
@@ -726,12 +727,61 @@ def test_codes_are_bytes_up_to_256_values_and_an_unsigned_array_beyond(width, ki
     for corpus in (read, read_in_batches, Corpus(records), generated):
         titles = corpus.source_titles
         assert len(titles.values) == width
-        assert type(titles.codes) is kind
-        if kind is array:
-            assert titles.codes.typecode == "I"
+        assert type(titles.codes) is array and titles.codes.typecode == typecode
         # one year, one country set and no address: a byte per record each
         for column in (corpus.years, corpus.countries, corpus.addresses):
-            assert type(column.codes) is bytes and len(column.codes) == width
+            assert type(column.codes) is array and column.codes.typecode == "B"
+            assert len(column.codes) == width and column.codes.itemsize == 1
+
+
+def test_the_ingest_readers_code_arrays_are_the_columns():
+    # 300 titles, the second batch of lines widening theirs; one year, country and address set
+    reader = _Reader()
+    lines = [f"R{i:03d}\t2007\tT{i} REV\tUSA\t\n" for i in range(300)]
+    reader.read(lines[:200], 1)
+    assert reader.titles.codes.typecode == "B"
+    reader.read(lines[200:], 201)
+    encoders = (reader.years, reader.titles, reader.countries, reader.addresses)
+    buffers = [encoder.codes for encoder in encoders]
+    corpus = reader.corpus()
+    columns = (corpus.years, corpus.source_titles, corpus.countries, corpus.addresses)
+    assert [column.codes.typecode for column in columns] == ["B", "I", "B", "B"]
+    for column, codes in zip(columns, buffers):
+        assert column.codes is codes
+    assert corpus == ingest("".join(lines))
+    # an empty corpus: no line, and no value in any column
+    empty = _Reader()
+    buffers = [encoder.codes for encoder in (empty.years, empty.titles, empty.countries,
+                                             empty.addresses)]
+    corpus = empty.corpus()
+    columns = (corpus.years, corpus.source_titles, corpus.countries, corpus.addresses)
+    for column, codes in zip(columns, buffers):
+        assert column.codes is codes and column.codes.typecode == "B" and not column.codes
+    assert len(corpus) == 0 and corpus == Corpus(()) == ingest("")
+
+
+@pytest.mark.parametrize("width", [0, 3, 256, 257, 300])
+def test_encoder_column_keeps_codes_of_its_typecode_and_converts_others_once(width):
+    typecode = "B" if width <= 256 else "I"
+    enc = _Encoder()
+    for raw in range(width):  # looking a raw value up numbers it
+        enc[raw]
+    recorded = [raw % max(width, 1) for raw in range(0, 7 * width, 5)]
+    order = list(range(len(recorded)))[::-1]
+    # an array of the column's typecode is the column's own
+    enc.codes = array(typecode, recorded)
+    column = enc.column()
+    assert column.codes is enc.codes and column.values == tuple(range(width))
+    # a list, the other typecode's array and a fixture's order are converted
+    other = "I" if typecode == "B" else "L"
+    for codes in (list(recorded), array(other, recorded)):
+        enc.codes = codes
+        column = enc.column()
+        assert column.codes is not codes and column.codes.typecode == typecode
+        assert column.codes.tolist() == recorded
+    column = enc.column(order)
+    assert column.codes.typecode == typecode
+    assert column.codes.tolist() == recorded[::-1]
 
 
 def test_ids_are_a_sequence_of_strings():

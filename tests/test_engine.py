@@ -118,6 +118,10 @@ def test_count_result_expect_exact():
     assert str(CountResult.at_least_cap()) == "at least the cap"
 
 
+def test_the_default_cap_is_the_papers():
+    assert EngineConfig().cap == 100_000
+
+
 def test_engine_config_validation():
     with pytest.raises(EngineError, match="cap"):
         EngineConfig(cap=0)

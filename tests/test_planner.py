@@ -522,6 +522,13 @@ def test_plan_mode_preconditions(cuba_corpus):
     for cap in (100, 60):
         strategy = plan_auto(visible, base, SO, cap=cap)
         assert validate_direct(strategy, visible).direct_count == 910
+    # the smallest cap is 1: below it the cap is refused, at it the base is planned
+    with pytest.raises(GroupSpecError, match=r"^cap must be >= 1, got 0$"):
+        plan_auto(visible, base, SO, cap=0)
+    with pytest.raises(PlanInfeasibleError, match=r"single value class SO=.+ reaches the cap 1;"):
+        plan_auto(visible, base, SO, cap=1)
+    strategy = plan_auto(visible, parse("PY=1999"), SO, cap=1)
+    assert (len(strategy.statements), strategy.cap) == (1, 1)
 
 
 _GENERATED = generate(CorpusProfile(seed=33, n_records=3000, multi_title_prob=0.2))
