@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 from collections import Counter
@@ -743,6 +744,34 @@ def test_auto_planning_probe_counts_on_the_usa_fixture(usa_engine):
             probes.append(count.call_count)
             count.reset_mock()
     assert probes == [40, 62, 131, 370]
+
+
+# Any search that finds the longest fitting run plans the same statements, so a
+# change to how runs are searched must leave these scripts byte for byte alike.
+_AUTO_SCRIPT_SHA256 = {
+    100_000: "f8a83881a1815b5694c7f4a97c81a8782b2e3df5042a33d4ead6e66c2ddf720e",
+    50_000: "abf2ed63ff095043ee2ab9d4153ed4896a10bd12a4caca6c1eddb3a22350ada1",
+    20_000: "69be1269c82440a4dd19ca35fdd92e4cd25b33c40cdd0be6df699252bbd155be",
+    10_000: "5b68cbf8284025e1382ceb245c7b5e98a0cd3e8463c2d6a03d21c8cbe8ee4eba",
+    5_000: "432ee17bc3d31256351040177e45c8bd5fbf4c93f92081a1137e061487943515",
+}
+
+
+def _script_sha256(strategy: Strategy) -> str:
+    return hashlib.sha256(emit_strategy_script(strategy).encode()).hexdigest()
+
+
+def test_auto_plan_scripts_are_pinned(usa_engine, cuba_corpus):
+    digests = {
+        cap: _script_sha256(plan_auto(usa_engine, parse(USA_BASE), SO, cap=cap))
+        for cap in _AUTO_SCRIPT_SHA256
+    }
+    assert digests == _AUTO_SCRIPT_SHA256
+    censored = CappedEngine(cuba_corpus, EngineConfig(cap=150, count_mode=CENSORED))
+    strategy = plan_censored(censored, parse(CUBA_BASE), SO)
+    assert _script_sha256(strategy) == (
+        "62135902396c0743e4a73fea7a580ca242cf107375d9f4baf28279e5d0949bc7"
+    )
 
 
 def _plan_or_refusal(engine: CappedEngine, base) -> Strategy | str:
