@@ -20,9 +20,12 @@ Two planners build the statements:
   0..9, then any other stored first symbol by code point): each bucket
   is the longest run of symbols whose statement's count stays below the
   cap. Counts never fall as a run grows, so it finds that run in
-  O(log n) probes, not one per symbol: it gallops through run widths 1, 2,
-  4, ... to the first that does not fit, then bisects. It first probes all
-  symbols at once, so a domain below the cap costs one probe. A single
+  O(log n) probes, not one per symbol, and it guesses the run's end from
+  the counts it reads: after width 1 it tries the previous run's width,
+  then interpolates between a fitting and a failing count, or scales a
+  fitting count per symbol, with a doubling or bisecting step between
+  guesses (see ``_Packer.longest_fit``). It first probes all symbols at
+  once, so a domain below the cap costs one probe. A single
   symbol whose bucket alone reaches the cap is replaced by packed
   longer-prefix buckets via the engine's next-symbol introspection, with
   exact-title residues covered by untruncated terms; deepening recurses
@@ -361,13 +364,14 @@ class _Packer:
         even alone is deepened (every item is truncated, so it can be).
         """
         packed: list[tuple[list[Pattern], int]] = []
-        i, too_wide = 0, len(items)
+        i, too_wide, guess = 0, len(items), None
         while i < len(items):
-            width, count = self.longest_fit(items[i:], current, current_count, too_wide)
+            width, count = self.longest_fit(items[i:], current, current_count, too_wide, guess)
             run, i = current + items[i : i + width], i + width
             current, current_count, too_wide = [], 0, None
             if run:  # the next item, if any, does not fit after it: try it alone next
                 packed.append((run, count))
+                guess = width
             else:  # items[i] does not fit even alone: deepen it
                 packed.extend(self.pack(*self.expand(items[i])))
                 i += 1
@@ -381,25 +385,48 @@ class _Packer:
         current: list[Pattern],
         current_count: int,
         too_wide: int | None,
+        guess: int | None,
     ) -> tuple[int, int]:
         """The most leading ``items`` that still fit after ``current``, and their count.
 
-        A count never falls as the run grows, so gallop through widths 1, 2,
-        4, ... up to the first that does not fit, then bisect between the
-        last that did and it. ``too_wide``, if given, is a width known not
-        to fit. Every width is probed at most once, and the count returned
-        is one a probe returned (``current_count`` for width 0).
+        A count never falls as the run grows, so the widths that fit are
+        ``0..lo`` and those that do not are ``hi`` and wider, where ``hi`` starts
+        at ``too_wide``, a width known not to fit, if given, else one past the
+        last item. The first probe is width 1, so an item over the cap by itself
+        costs one probe. The next is ``guess``, the previous run's width, if
+        given. Then plain and guided steps alternate, plain first, with
+        ``guess`` standing in for the first plain step. A plain step bisects
+        once some width has failed and doubles ``lo`` before, so every two steps
+        halve the gap or double ``lo``: O(log n) probes. A guided step reads the
+        counts: it interpolates between ``lo``'s and ``hi``'s counts to a count
+        of ``cap - 1`` when both are exact, and else scales ``lo`` by the count
+        per item, at most doubling it while no width has failed. Each width is
+        clamped to lie strictly between ``lo`` and ``hi``, so no width is probed
+        twice, and the count returned is one a probe returned
+        (``current_count`` for width 0).
         """
-        lo, hi = 0, too_wide or len(items) + 1
+        lo, hi, hi_count = 0, too_wide or len(items) + 1, None
+        steps = 0  # probes since the opening one
         while hi - lo > 1:
-            width = min(max(2 * lo, 1), len(items))
-            if width >= hi:  # that wide is known not to fit: bisect
-                width = (lo + hi) // 2
+            if lo == 0:
+                width = 1
+            elif guess is not None:
+                width, guess = guess, None
+            elif steps % 2 == 0:
+                width = (lo + hi) // 2 if hi <= len(items) else 2 * lo
+            elif hi_count is not None:
+                width = lo + (self.cap - 1 - current_count) * (hi - lo) // (hi_count - current_count)
+            else:
+                width = lo * (self.cap - 1) // current_count if current_count else 2 * lo
+                if hi > len(items):
+                    width = min(width, 2 * lo)
+            width = max(lo + 1, min(width, hi - 1))
+            steps += lo > 0
             result = self.probe(current + items[:width])
             if result.fits(self.cap):
                 lo, current_count = width, result.value
             else:
-                hi = width
+                hi, hi_count = width, result.value
         return lo, current_count
 
 

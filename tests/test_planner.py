@@ -4,10 +4,11 @@ import hashlib
 import random
 import re
 from collections import Counter
+from itertools import accumulate
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from capsplit import (
@@ -15,6 +16,7 @@ from capsplit import (
     CappedEngine,
     Corpus,
     CorpusProfile,
+    CountResult,
     Diff,
     EngineConfig,
     FieldKind,
@@ -502,9 +504,9 @@ def test_galloping_finds_the_longest_run_in_few_probes(count_mode):
     buckets = dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ012345678", 1) | {"9": 3}
     engine = CountingEngine(_letters_corpus(buckets), EngineConfig(cap=36, count_mode=count_mode))
     strategy = plan_auto(engine, parse("PY=2007"), SO)
-    # all 36, then runs of 1, 2, 4, 8, 16, 32, 34 and 35 symbols, then 9 alone;
-    # one probe per symbol would take 37
-    assert engine.probes == 10
+    # all 36, then runs of 1, 18 (halfway to the known miss) and 35 (18's count
+    # per symbol scaled to the cap), then 9 alone; one probe per symbol would take 37
+    assert engine.probes == 5
     assert engine.repeated_probes() == []
     assert [print_normalized(s).count(" OR ") + 1 for s in strategy.statements] == [35, 1]
     assert print_normalized(strategy.statements[1]) == "PY=2007 AND SO=9*"
@@ -734,6 +736,47 @@ class _LinearPacker(planner._Packer):
         return packed
 
 
+class _SequencePacker(planner._Packer):
+    """A packer whose probe of ``w`` items after the opening run reads ``counts[w]``."""
+
+    def __init__(self, counts: list[int], cap: int, count_mode: str, current: list):
+        self.counts, self.cap, self.count_mode, self.current = counts, cap, count_mode, current
+        self.widths: list[int] = []
+
+    def probe(self, patterns):
+        width = len(patterns) - len(self.current)
+        self.widths.append(width)
+        count = self.counts[width]
+        censored = self.count_mode == CENSORED and count >= self.cap
+        return CountResult.at_least_cap() if censored else CountResult.exact(count)
+
+
+@given(
+    cap=st.integers(1, 300),
+    steps=st.lists(st.integers(0, 60), min_size=1, max_size=70),
+    count_mode=st.sampled_from([VISIBLE, CENSORED]),
+    data=st.data(),
+)
+def test_guided_search_finds_the_linear_scans_run_without_repeating_a_width(
+    cap, steps, count_mode, data
+):
+    current = data.draw(st.sampled_from([[], ["residue"]]))
+    first = data.draw(st.integers(0, cap - 1)) if current else 0  # an opening run fits
+    counts = list(accumulate(steps, initial=first))  # counts[w]: the run of w items
+    items = list(range(len(steps)))
+    failing = [w for w, count in enumerate(counts) if count >= cap]
+    too_wide = data.draw(st.none() | st.sampled_from(failing)) if failing else None
+    guess = data.draw(st.none() | st.integers(0, len(items) + 3))
+    packer = _SequencePacker(counts, cap, count_mode, current)
+    width, count = packer.longest_fit(items, current, first, too_wide, guess)
+    reference = max(w for w, c in enumerate(counts) if c < cap)  # the linear scan
+    assert (width, count) == (reference, counts[reference])
+    assert 0 not in packer.widths and len(set(packer.widths)) == len(packer.widths)
+    assert width == 0 or width in packer.widths
+    # plain steps alternate with the others: every two halve the gap or double the width
+    assert len(packer.widths) <= 3 + 4 * len(items).bit_length()
+
+
 def test_auto_planning_probe_counts_on_the_usa_fixture(usa_engine):
     # the whole domain is probed once, and a bucket that did not fit is not probed
     # whole again as the run of its exact residue and its children
@@ -743,7 +786,7 @@ def test_auto_planning_probe_counts_on_the_usa_fixture(usa_engine):
             plan_auto(usa_engine, parse(USA_BASE), SO, cap=cap)
             probes.append(count.call_count)
             count.reset_mock()
-    assert probes == [40, 62, 131, 370]
+    assert probes == [34, 49, 97, 244]
 
 
 # Any search that finds the longest fitting run plans the same statements, so a
@@ -782,6 +825,15 @@ def _plan_or_refusal(engine: CappedEngine, base) -> Strategy | str:
 
 
 @given(records=_RECORDS, cap=st.integers(2, 8), count_mode=st.sampled_from([VISIBLE, CENSORED]))
+# refusals where a search that skips the opening width-1 probe takes one probe too many
+@example(records=[(["J"], 2006), (["J J"], 2007), (["J J"], 2007), (["A"], 2007)], cap=2,
+         count_mode=VISIBLE)
+@example(records=[(["J"], 2006), (["J"], 2006), (["J"], 2007), (["J", "A"], 2007)], cap=2,
+         count_mode=VISIBLE)
+@example(records=[(["J"], 2006), (["J J"], 2007), (["J J"], 2007), (["A"], 2007)], cap=2,
+         count_mode=CENSORED)
+@example(records=[(["J"], 2006), (["J"], 2006), (["J"], 2007), (["J", "A"], 2007)], cap=2,
+         count_mode=CENSORED)
 def test_galloping_packs_like_linear_packing_in_fewer_probes(records, cap, count_mode):
     corpus = _records_corpus(records)
     config = EngineConfig(cap=cap, count_mode=count_mode)
