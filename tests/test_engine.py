@@ -511,6 +511,27 @@ def test_a_corpus_and_its_index_keep_no_python_object_per_record():
     assert generated_engine.count(parse("SO=A*")).value > 0
 
 
+def test_building_the_index_holds_no_array_per_term():
+    # nearly every generated record's titles are a term of their own; the build
+    # holds one int per term while it counts and places each term's codes (about
+    # 95 bytes per record here), where an array per term peaked at about 300
+    generated = generate(CorpusProfile(seed=1, n_records=50_000))
+    tracing = tracemalloc.is_tracing()
+    gc.collect()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        engine = CappedEngine(generated)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert (peak - before) / len(generated) <= 120, "traced peak bytes per record of the index build"
+    assert engine.count(parse("SO=A*")).value > 0
+
+
 def test_loading_a_corpus_file_holds_no_python_object_per_record(uk_corpus, tmp_path):
     # the peak of a load is its flat columns, a batch of lines and the texts
     # of each distinct value; the fixture's ids ascend, so the duplicate check
