@@ -27,7 +27,8 @@ gives the digits or "at least the cap" for every refusal message.
 
 Indexing is per field and built over the column's distinct values only:
 one sorted table of terms, and the codes of the values that hold each
-term in one ``array('I')``, term after term. The terms that start with a
+term in one ``array('I')``, term after term, placed there by a counting
+sort that holds one int per term while it runs. The terms that start with a
 prefix are one span of the table, found by two bisections, and their
 codes one slice; a span answers exact leaves, truncated leaves and
 next-symbol introspection alike. Its terms are the strings a value is

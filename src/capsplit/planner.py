@@ -421,7 +421,8 @@ class _Packer:
                 if hi > len(items):
                     width = min(width, 2 * lo)
             width = max(lo + 1, min(width, hi - 1))
-            steps += lo > 0
+            if lo > 0:
+                steps += 1
             result = self.probe(current + items[:width])
             if result.fits(self.cap):
                 lo, current_count = width, result.value

@@ -777,6 +777,32 @@ def test_guided_search_finds_the_linear_scans_run_without_repeating_a_width(
     assert len(packer.widths) <= 3 + 4 * len(items).bit_length()
 
 
+@pytest.mark.parametrize(
+    "counts, cap, count_mode, too_wide, guess, widths",
+    [
+        # a symbol per record: gallop 1, 2, 4, ... (a guess of the count per item
+        # never past doubling), then interpolate to 29 between 16 and 32's counts
+        (range(61), 30, VISIBLE, None, None, [1, 2, 4, 8, 16, 32, 29, 30]),
+        # two records per symbol after a known miss at the last item: the carried
+        # width, then the count per item scaled to the cap, past doubling
+        (range(0, 62, 2), 41, CENSORED, 30, 3, [1, 3, 20, 25, 21]),
+        # ten empty symbols, then five records per symbol: an empty run doubles,
+        # before a miss and after one
+        ([0] * 11 + list(range(5, 151, 5)), 50, VISIBLE, None, None,
+         [1, 2, 4, 8, 16, 32, 19, 25, 20]),
+        ([0] * 11 + list(range(5, 151, 5)), 50, CENSORED, 40, None, [1, 20, 2, 11, 19]),
+    ],
+    ids=["interpolate", "extrapolate", "empty-run", "empty-run-after-a-miss"],
+)
+def test_guided_search_probes_these_widths(counts, cap, count_mode, too_wide, guess, widths):
+    counts = list(counts)
+    packer = _SequencePacker(counts, cap, count_mode, [])
+    items = list(range(len(counts) - 1))
+    width, count = packer.longest_fit(items, [], 0, too_wide, guess)
+    assert packer.widths == widths
+    assert count == counts[width] < cap <= counts[width + 1]
+
+
 def test_auto_planning_probe_counts_on_the_usa_fixture(usa_engine):
     # the whole domain is probed once, and a bucket that did not fit is not probed
     # whole again as the run of its exact residue and its children
