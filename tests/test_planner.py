@@ -851,7 +851,7 @@ def _plan_or_refusal(engine: CappedEngine, base) -> Strategy | str:
 
 
 @given(records=_RECORDS, cap=st.integers(2, 8), count_mode=st.sampled_from([VISIBLE, CENSORED]))
-# refusals where a search that skips the opening width-1 probe takes one probe too many
+# two refusal plans on which an earlier count-guided search broke the bound by one probe
 @example(records=[(["J"], 2006), (["J J"], 2007), (["J J"], 2007), (["A"], 2007)], cap=2,
          count_mode=VISIBLE)
 @example(records=[(["J"], 2006), (["J"], 2006), (["J"], 2007), (["J", "A"], 2007)], cap=2,

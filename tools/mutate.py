@@ -155,6 +155,8 @@ def mutated_source(source: str, index: int) -> str:
 
 def run_tests(copy: Path, tests: list[str], timeout: float) -> str:
     """'passed', 'failed' or 'timeout'; the whole process group is killed at the limit."""
+    # no .pyc: a mutant of the same size written within a second of the last
+    # one would otherwise load the last one's cached bytecode
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     proc = subprocess.Popen(command, cwd=copy, env=env, stdout=subprocess.DEVNULL,
