@@ -12,6 +12,10 @@ Commands:
 Exit statuses: 0 success (verdict Exact), 1 verdict failure, 2 usage error,
 3 data error, 4 infeasible plan or cap exceeded.
 
+``plan``, ``run`` and ``validate`` are one body, ``_cmd_strategy``. Every
+command writes through ``corpus._write_utf8``: UTF-8 with LF line ends, to
+``--out`` or to standard output, whatever the locale.
+
 The strategy script and the key=value report are byte-deterministic so
 they can be diffed and parsed; report integers never carry digit grouping.
 """
@@ -22,7 +26,6 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, replace
-from typing import Callable
 
 from .corpus import (
     DEFAULT_ADDRESS_POOLS,
@@ -31,12 +34,12 @@ from .corpus import (
     CorpusProfile,
     _ascii_float,
     _ascii_int,
-    _write_corpus,
+    _chunks,
+    _write_utf8,
     build_fixture,
     generate,
     load_corpus,
     normalize_text,
-    save_corpus,
 )
 from .engine import CapExceededError, CappedEngine, EngineConfig, EngineError
 from .planner import (
@@ -232,14 +235,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _write_out(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _parse_countries(text: str) -> dict[str, float]:
     weights: dict[str, float] = {}
     for part in text.split(","):
@@ -287,16 +282,13 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         if overrides:
             profile = replace(profile, **overrides)
         corpus = generate(profile)
-    if args.out:
-        save_corpus(corpus, args.out)
-    else:
-        _write_corpus(corpus, sys.stdout)
+    _write_utf8(_chunks(corpus), args.out or None)
     return EXIT_OK
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
-    print(f"{len(corpus)} records")
+    _write_utf8([f"{len(corpus)} records\n"])
     return EXIT_OK
 
 
@@ -308,43 +300,32 @@ def _load_engine(args: argparse.Namespace) -> CappedEngine:
 def _cmd_count(args: argparse.Namespace) -> int:
     query = parse(args.query)  # a bad query is a usage error, whatever the corpus
     result = _load_engine(args).count(query)
-    print(result.value if result.is_exact else f">={args.cap}")
+    _write_utf8([f"{result.value}\n" if result.is_exact else f">={args.cap}\n"])
     return EXIT_OK
 
 
-def _planner(args: argparse.Namespace) -> Callable[[CappedEngine], Strategy]:
-    """Parse ``--base`` and ``--groups`` into a planner, before any corpus is loaded."""
+def _cmd_strategy(args: argparse.Namespace) -> int:
+    """``plan``, ``run`` and ``validate``: plan once, then write the script or the report.
+
+    ``--base`` and ``--groups`` are read before the corpus loads, so a bad one
+    is a usage error whatever the corpus.
+    """
     base = parse(args.base)
     check_base(base)
+    # argparse lets exactly one of --groups, --auto through
+    groups = None if args.groups is None else parse_group_spec(args.groups)
+    engine = _load_engine(args)
     field = FieldKind.SO  # the source title, as the paper partitions
-    if args.groups is not None:  # argparse lets exactly one of --groups, --auto through
-        groups = parse_group_spec(args.groups)
-        return lambda engine: plan_prescribed(engine, base, field, groups)
-    return lambda engine: plan_auto(engine, base, field)
-
-
-def _print_warnings(strategy: Strategy) -> None:
+    strategy = (plan_auto(engine, base, field) if groups is None
+                else plan_prescribed(engine, base, field, groups))
     for warning in strategy.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-
-
-def _cmd_plan(args: argparse.Namespace) -> int:
-    plan = _planner(args)
-    strategy = plan(_load_engine(args))
-    _print_warnings(strategy)
-    _write_out(emit_strategy_script(strategy), args.out)
-    return EXIT_OK
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    """``run`` and ``validate``: the latter also compares against the direct count."""
-    plan = _planner(args)
-    engine = _load_engine(args)
-    strategy = plan(engine)
-    _print_warnings(strategy)
+    if args.command == "plan":
+        _write_utf8([emit_strategy_script(strategy)], args.out or None)
+        return EXIT_OK
     execute = validate_direct if args.command == "validate" else run_strategy
     report = execute(strategy, engine)
-    _write_out(emit_report(report), args.out)
+    _write_utf8([emit_report(report)], args.out or None)
     return EXIT_OK if report.verdict is Verdict.EXACT else EXIT_VERDICT
 
 
@@ -352,9 +333,9 @@ _COMMANDS = {
     "gen": _cmd_gen,
     "ingest": _cmd_ingest,
     "count": _cmd_count,
-    "plan": _cmd_plan,
-    "run": _cmd_run,
-    "validate": _cmd_run,
+    "plan": _cmd_strategy,
+    "run": _cmd_strategy,
+    "validate": _cmd_strategy,
 }
 
 

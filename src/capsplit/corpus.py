@@ -64,7 +64,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import add, eq, lt, not_
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator
 
 # Canonical symbol order for title initials: letters first, then digits.
 SYMBOLS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
@@ -685,10 +685,25 @@ def serialize(corpus: Corpus) -> str:
     return "".join(_chunks(corpus))
 
 
-def _write_corpus(corpus: Corpus, fh: TextIO) -> None:
-    """Write ``serialize(corpus)`` to ``fh``, ``_BATCH_LINES`` lines at a time."""
-    for chunk in _chunks(corpus):
-        fh.write(chunk)
+def _write_utf8(chunks: Iterable[str], path: str | None = None) -> None:
+    """Write ``chunks`` in UTF-8 to ``path``, or to standard output if it is None.
+
+    Every file and command output leaves here, a chunk at a time, encoded as
+    it is: line ends stay LF and the locale's encoding is never used.
+    Standard output's bytes are written beneath its flushed text layer; a
+    stream with no bytes beneath it, such as an ``io.StringIO``, takes the text.
+    """
+    if path is not None:
+        with open(path, "wb") as fh:
+            fh.writelines(map(str.encode, chunks))
+        return
+    sys.stdout.flush()
+    out = getattr(sys.stdout, "buffer", None)
+    if out is None:
+        sys.stdout.writelines(chunks)
+    else:
+        out.writelines(map(str.encode, chunks))
+        out.flush()
 
 
 def load_corpus(path: str) -> Corpus:
@@ -721,8 +736,7 @@ def _not_utf8(path: str) -> str:
 
 def save_corpus(corpus: Corpus, path: str) -> None:
     """Write ``serialize(corpus)`` to ``path``."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        _write_corpus(corpus, fh)
+    _write_utf8(_chunks(corpus), path)
 
 
 # ---------------------------------------------------------------------------

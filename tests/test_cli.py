@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import re
 import shlex
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,7 @@ from capsplit import (
     parse_group_spec,
     parse_strategy_script,
     plan_prescribed,
+    save_corpus,
 )
 from capsplit.cli import build_arg_parser, main
 
@@ -38,6 +41,10 @@ def test_gen_is_byte_deterministic(tmp_path):
         assert main(["gen", "--seed", "42", "--n", "500", "--out", str(path)]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert a.read_bytes().count(b"\r") == 0  # LF endings only
+    # with no generator flag, gen writes the default profile: seed 0, 1,000 records
+    assert main(["gen", "--out", str(a)]) == 0
+    save_corpus(generate(CorpusProfile(seed=0, n_records=1000)), str(b))
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_gen_profile_file_with_overrides(tmp_path, capsys):
@@ -231,6 +238,10 @@ def test_count_censored_prints_floor(cuba_file, capsys):
     args = ["count", "--corpus", cuba_file, "--cap", "500", "--mode", "censored"]
     assert main(args + ["PY=2007 AND CU=CUBA"]) == 0
     assert capsys.readouterr().out.strip() == ">=500"
+    # 1 is the least cap --cap takes
+    args = ["count", "--corpus", cuba_file, "--cap", "1", "--mode", "censored"]
+    assert main(args + ["PY=2007 AND CU=CUBA"]) == 0
+    assert capsys.readouterr().out.strip() == ">=1"
 
 
 def test_count_bad_query_is_usage_error(cuba_file, capsys):
@@ -387,6 +398,16 @@ def test_plan_script_facsimile_and_round_trip(cuba_file, tmp_path, capsys):
     assert lines[-1] == "15. #7 NOT #8"
     # the groups name every record of the base, so nothing is warned
     assert capsys.readouterr().err == ""
+
+
+def test_plan_writes_its_script_to_a_stdout_with_no_bytes_beneath(cuba_file, tmp_path):
+    # an io.StringIO has no buffer to write bytes to, so it takes the text itself
+    out = tmp_path / "s.txt"
+    args = ["plan", "--corpus", cuba_file, "--base", CUBA_BASE, "--auto", "--cap", "150"]
+    assert main(args + ["--out", str(out)]) == 0
+    with redirect_stdout(io.StringIO()) as stdout:
+        assert main(args) == 0
+    assert stdout.getvalue() == out.read_text(encoding="utf-8")
 
 
 def test_plan_and_validate_a_spec_that_leaves_records_out(cuba_file, tmp_path, capsys):
@@ -612,3 +633,26 @@ def test_python_m_runs_the_command_without_warnings(module):
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
     assert "usage: capsplit" in done.stdout
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+def test_python_m_writes_utf8_to_a_stdout_of_any_encoding(encoding, tmp_path):
+    # a corpus and a script that are not ASCII reach standard output as the
+    # UTF-8 bytes that --out writes, whatever encoding standard output has
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONIOENCODING": encoding, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    corpus = tmp_path / "c.tsv"
+    for argv in (["gen", "--n", "50", "--seed", "1", "--countries", "ÉIRE,ČESKO"],
+                 ["plan", "--corpus", str(corpus), "--base", "CU=É*", "--auto", "--cap", "10"]):
+        out = tmp_path / f"{argv[0]}.out"
+        done = subprocess.run([sys.executable, "-m", "capsplit", *argv, "--out", str(out)],
+                              env=env, capture_output=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, b"")
+        done = subprocess.run([sys.executable, "-m", "capsplit", *argv], env=env,
+                              capture_output=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout == out.read_bytes()
+        assert not done.stdout.isascii()
+        if argv[0] == "gen":
+            corpus.write_bytes(done.stdout)

@@ -108,6 +108,8 @@ def test_censored_count_never_reveals_cap_or_more(corpus):
 
 def test_count_result_expect_exact():
     assert CountResult.exact(7).expect_exact() == 7
+    assert CountResult.exact(0).is_exact
+    assert not CountResult.at_least_cap().is_exact
     with pytest.raises(EngineError, match="censored"):
         CountResult.at_least_cap().expect_exact()
     # the one cap rule: exact and strictly below the cap
@@ -530,6 +532,28 @@ def test_building_the_index_holds_no_array_per_term():
             tracemalloc.stop()
     assert (peak - before) / len(generated) <= 120, "traced peak bytes per record of the index build"
     assert engine.count(parse("SO=A*")).value > 0
+
+
+def test_building_a_leaf_holds_one_bit_per_record(uk_corpus):
+    # a leaf of the SO field, whose codes outnumber a byte, sets bits in a
+    # buffer of one bit per record, then reads it as one int: about 0.43 traced
+    # peak bytes per record, where a buffer of a byte per record would hold 8
+    engine = CappedEngine(uk_corpus)
+    tracing = tracemalloc.is_tracing()
+    gc.collect()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        bits = engine._leaf(Term(FieldKind.SO, Pattern("A", truncated=True)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert uk_corpus.source_titles.codes.typecode == "I"
+    assert bits != 0
+    assert (peak - before) / len(uk_corpus) < 1, "traced peak bytes per record of one leaf"
 
 
 def test_loading_a_corpus_file_holds_no_python_object_per_record(uk_corpus, tmp_path):

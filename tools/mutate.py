@@ -73,6 +73,13 @@ EQUIVALENT: dict[tuple[str, str, str, str], str] = {
      "0 -> 1"): _EMPTY_OPENING_RUN,
     ("src/capsplit/planner.py", "_Packer.longest_fit", "steps += 1", "+ -> -"):
         "only the parity of steps is read, and -k has the parity of k",
+    ("src/capsplit/engine.py", "_FieldIndex.leaf", "buf = bytearray((self._size + 7) >> 3)",
+     "7 -> 8"): "it adds at most one zero byte, and a zero-padded little-endian buffer "
+                "reads as the same int",
+    ("src/capsplit/engine.py", "_term_table",
+     'starts = array("I", accumulate(map(free.__getitem__, terms), initial=0))', "0 -> 1"):
+        "every term's slice moves up one slot together, past one unused slot, so every "
+        "leaf reads the same codes",
 }
 
 
