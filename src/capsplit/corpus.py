@@ -689,20 +689,22 @@ def _write_utf8(chunks: Iterable[str], path: str | None = None) -> None:
     """Write ``chunks`` in UTF-8 to ``path``, or to standard output if it is None.
 
     Every file and command output leaves here, a chunk at a time, encoded as
-    it is: line ends stay LF and the locale's encoding is never used.
+    it is: line ends stay LF and the locale's encoding is never used. A byte
+    of a command-line argument that was not UTF-8 is written back as it came.
     Standard output's bytes are written beneath its flushed text layer; a
     stream with no bytes beneath it, such as an ``io.StringIO``, takes the text.
     """
+    encoded = (chunk.encode("utf-8", "surrogateescape") for chunk in chunks)
     if path is not None:
         with open(path, "wb") as fh:
-            fh.writelines(map(str.encode, chunks))
+            fh.writelines(encoded)
         return
     sys.stdout.flush()
     out = getattr(sys.stdout, "buffer", None)
     if out is None:
         sys.stdout.writelines(chunks)
     else:
-        out.writelines(map(str.encode, chunks))
+        out.writelines(encoded)
         out.flush()
 
 

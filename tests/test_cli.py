@@ -410,6 +410,14 @@ def test_plan_writes_its_script_to_a_stdout_with_no_bytes_beneath(cuba_file, tmp
     assert stdout.getvalue() == out.read_text(encoding="utf-8")
 
 
+def test_plan_writes_an_argument_byte_that_is_not_utf8_back_as_it_came(cuba_file, tmp_path):
+    # the interpreter reads such a byte of argv as a lone surrogate
+    out = tmp_path / "s.txt"
+    args = ["plan", "--corpus", cuba_file, "--base", "PY=2007 AND SO=\udcff*", "--auto"]
+    assert main(args + ["--out", str(out)]) == 0
+    assert out.read_bytes().startswith(b"1. PY=2007 AND SO=\xff* AND (SO=A*")
+
+
 def test_plan_and_validate_a_spec_that_leaves_records_out(cuba_file, tmp_path, capsys):
     # SO=JO* AND/NOT AD=HAVANA drops the other J titles
     leaky = REFERENCE_GROUPS_CUBA.replace("J/AD=HAVANA", "JO/AD=HAVANA")
