@@ -26,11 +26,11 @@ has half a million records but one year, tens of thousands of distinct
 titles and a few dozen distinct country and address sets. One encoder
 fills every column, parsing each distinct raw value once. No field keeps
 a Python object per record: a column's numbers are one ``array`` (``'B'``
-up to 256 values, ``'I'`` beyond), and the ids are one tab-joined ``str``
-with an ``array('I')`` of where each starts (``Ids``). Every builder
-fills these buffers directly, a batch at a time where it reads or numbers
-ids, and its code arrays become the columns with no copy. ``serialize``
-writes a batch's ids from their joined text without splitting it. ``Record``
+up to 256 values, ``'I'`` beyond), and the ids are kept as the batches
+they were read or numbered in, one tab-joined ``str`` each (``Ids``).
+Every builder fills these buffers directly, and its batches and code
+arrays become the corpus with no copy or join. ``serialize`` writes each
+batch's ids from their joined text without splitting it. ``Record``
 stays the value type of one record: ``Corpus(records)`` encodes records,
 and iterating a corpus builds them back on demand. ``ingest`` reads text a
 bounded batch of lines at a time and fills the columns a column at a
@@ -63,7 +63,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import add, eq, lt, not_
+from operator import eq, lt, not_
 from typing import Iterable, Iterator
 
 # Canonical symbol order for title initials: letters first, then digits.
@@ -131,13 +131,32 @@ def _too_long(year: int) -> bool:
     return False
 
 
+def _surrogate_at(text: str) -> int | None:
+    """The offset of the first lone surrogate in ``text``, or None.
+
+    Python reads a byte of argv that is not UTF-8, and a JSON ``\\udcff``
+    escape, as a lone surrogate; no UTF-8 text holds one, so no corpus can
+    store it and no writer can write it.
+    """
+    if text.isascii():
+        return None
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        return exc.start
+    return None
+
+
 def _check_id(text: str) -> str:
-    """Normalize a record id and check that it is one token free of ``#`` and ``|``."""
+    """Normalize a record id and check that it is one token of UTF-8 text free of ``#``
+    and ``|``."""
     rid = normalize_text(text)
     if not rid or " " in rid:
         raise CorpusError(f"record id must be a non-empty token, got {text!r}")
     if rid.startswith("#") or "|" in rid:
         raise CorpusError(f"record id {rid!r} uses a reserved character")
+    if _surrogate_at(rid) is not None:
+        raise CorpusError(f"record id {rid!r} holds a lone surrogate, which is not UTF-8 text")
     return rid
 
 
@@ -189,80 +208,71 @@ class Column:
         return map(self.values.__getitem__, self.codes)
 
 
-# byte value -> the offsets of its set bits, lowest first
-_SET_BITS = tuple(tuple(bit for bit in range(8) if byte >> bit & 1) for byte in range(256))
 # a binary digit -> a flag that ``itertools.compress`` reads
 _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
 class Ids(Sequence):
-    """A corpus's record ids, in order, in two flat buffers.
+    """A corpus's record ids, in order, as the batches they were built or read in.
 
-    The ids are joined by tabs into one ``str``; ``_starts[i]`` is where id
-    ``i`` starts, and one more entry is where an id after the last would
-    start. An id holds no whitespace, so a tab cannot occur inside one.
-    Indexing and iteration give ``str``s; iteration splits a batch of ids
-    at a time. The sequence equals any sequence of the same ids, and, like
-    a list, it is unhashable.
+    Each batch is one ``str`` of at most ``_BATCH_LINES`` ids joined by tabs,
+    and ``_ends[b]`` is the number of ids in batches ``0..b``. A batch that
+    ``ingest`` read holds fewer ids where comment lines took some of its
+    lines. An id holds no whitespace, so a tab cannot occur inside one.
+    Indexing splits the one batch that holds the id; iteration splits a
+    batch at a time. The sequence equals any sequence of the same ids,
+    however they are batched, and, like a list, it is unhashable.
     """
 
-    __slots__ = ("_text", "_starts")
+    __slots__ = ("_batches", "_ends")
 
     def __init__(self, ids: Iterable[str]) -> None:
-        writer = _IdWriter()
-        writer.add(ids)
-        self._text, self._starts = writer.buffers()
+        self._batches: list[str] = []
+        self._ends: list[int] = []
+        ids = iter(ids)
+        while batch := list(islice(ids, _BATCH_LINES)):
+            self._add(batch)
+
+    def _add(self, batch: list[str]) -> None:
+        """Append a batch of at least one and at most ``_BATCH_LINES`` checked ids."""
+        self._batches.append("\t".join(batch))
+        self._ends.append(len(self) + len(batch))
 
     def __len__(self) -> int:
-        return len(self._starts) - 1
+        return self._ends[-1] if self._ends else 0
 
     def __getitem__(self, index: int) -> str:
-        n = len(self)
         i = operator.index(index)
         if i < 0:
-            i += n
-        if not 0 <= i < n:
+            i += len(self)
+        if not 0 <= i < len(self):
             raise IndexError("id index out of range")
-        return self._text[self._starts[i]:self._starts[i + 1] - 1]
+        b = bisect(self._ends, i)
+        return self._batches[b].split("\t")[i - (self._ends[b - 1] if b else 0)]
 
     def __iter__(self) -> Iterator[str]:
-        return chain.from_iterable(map(str.split, self.batches(), repeat("\t")))
-
-    def batches(self) -> Iterator[str]:
-        """The ids ``_BATCH_LINES`` at a time, each batch's joined by tabs."""
-        return map(self._joined, range(0, len(self), _BATCH_LINES))
-
-    def _joined(self, lo: int) -> str:
-        """The ids from ``lo`` on, at most ``_BATCH_LINES`` of them, joined by tabs."""
-        hi = min(lo + _BATCH_LINES, len(self))
-        return self._text[self._starts[lo]:self._starts[hi] - 1]
+        return chain.from_iterable(map(str.split, self._batches, repeat("\t")))
 
     def select(self, bits: int) -> set[str]:
         """The set of the ids whose bits are set in ``bits``, bit ``i`` standing for id ``i``.
 
-        Where more than a quarter of a batch's ids are selected, the batch is
-        split at once and filtered; elsewhere each selected id is sliced from
-        the text by its offsets, and a batch with none is skipped, so the cost
-        follows the ids selected, not the corpus size.
+        Each batch with a set bit is split and filtered by its bits; a batch
+        with none is skipped, so the cost follows the batches touched.
         """
-        data = bits.to_bytes((bits.bit_length() + 7) >> 3, "little")
-        text, starts, found = self._text, self._starts, set()
-        for lo in range(0, len(data), _BATCH_LINES >> 3):
-            # byte i holds the bits of ids 8i..8i+7
-            chunk = data[lo:lo + (_BATCH_LINES >> 3)]
-            word = int.from_bytes(chunk, "little")
-            if 4 * word.bit_count() > min(_BATCH_LINES, len(self) - 8 * lo):
-                flags = format(word, "b")[::-1].encode("ascii").translate(_BIT_FLAGS)
-                found.update(compress(self._joined(8 * lo).split("\t"), flags))
-            elif word:
-                positions = [8 * i + bit for i in compress(range(lo, lo + len(chunk)), chunk)
-                             for bit in _SET_BITS[data[i]]]
-                found.update([text[starts[pos]:starts[pos + 1] - 1] for pos in positions])
+        flags = format(bits, "b")[::-1].encode("ascii").translate(_BIT_FLAGS)
+        found: set[str] = set()
+        for batch, lo, hi in zip(self._batches, [0, *self._ends], self._ends):
+            if 1 in flags[lo:hi]:
+                found.update(compress(batch.split("\t"), flags[lo:hi]))
         return found
+
+    def _text(self) -> str:
+        """Every id joined by tabs, the same text however the ids are batched."""
+        return "\t".join(self._batches)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Ids):  # a tab cannot occur inside an id
-            return self._text == other._text
+            return self._text() == other._text()
         if not isinstance(other, Sequence) or isinstance(other, str):
             return NotImplemented
         return len(self) == len(other) and all(map(eq, self, other))
@@ -271,31 +281,6 @@ class Ids(Sequence):
 
     def __repr__(self) -> str:
         return f"Ids({list(self)!r})"
-
-
-class _IdWriter:
-    """Fills an ``Ids``'s buffers a batch of ids at a time."""
-
-    def __init__(self) -> None:
-        self.chunks: list[str] = []  # each batch's ids joined by tabs
-        self.starts = array("I", [0])
-
-    def add(self, ids: Iterable[str]) -> None:
-        ids = iter(ids)
-        while batch := list(islice(ids, _BATCH_LINES)):
-            self.chunks.append("\t".join(batch))
-            # each id starts one past the tab that ends the one before it
-            self.starts.extend(accumulate(map(add, map(len, batch), repeat(1)),
-                                          initial=self.starts.pop()))
-
-    def buffers(self) -> tuple[str, array]:
-        """The text and the starts of the ids added so far."""
-        return "\t".join(self.chunks), self.starts
-
-    def ids(self) -> Ids:
-        flat = object.__new__(Ids)
-        flat._text, flat._starts = self.buffers()
-        return flat
 
 
 class _Encoder(dict):
@@ -428,7 +413,7 @@ class Corpus:
         )
 
     def __hash__(self) -> int:
-        return hash(self.ids._text)
+        return hash(self.ids._text())
 
 
 def _numbered(years: Column, titles: Column, countries: Column,
@@ -507,9 +492,10 @@ def ingest(source: str | Iterable[str]) -> Corpus:
 class _Reader:
     """The columns ``ingest`` fills, one batch of lines at a time.
 
-    The ids go to an ``_IdWriter``, and each field's codes to an ``array('B')``
-    that is widened to ``array('I')`` once the field has more than 256 values,
-    so no column keeps a Python object per record, and each array is its column.
+    Each batch's ids go to an ``Ids`` as one batch, and each field's codes to an
+    ``array('B')`` that is widened to ``array('I')`` once the field has more than
+    256 values, so no column keeps a Python object per record, and the ``Ids`` and
+    each array are the corpus's own.
 
     Ids that strictly ascend cannot repeat, so while they do only ``last``,
     the last id read, is kept for the duplicate check. The first batch out
@@ -518,7 +504,7 @@ class _Reader:
     """
 
     def __init__(self) -> None:
-        self.ids = _IdWriter()
+        self.ids = Ids(())
         self.last = ""  # below every id, since none is empty
         self.seen: set[str] | None = None  # built when the ids first break ascending order
         self.comments: list[int] = []  # the line numbers of comment lines, ascending
@@ -566,12 +552,12 @@ class _Reader:
                 self.last = ids[-1]
             else:
                 if self.seen is None:
-                    self.seen = set(self.ids.ids())
+                    self.seen = set(self.ids)
                 fresh = set(ids)
                 if len(fresh) < len(ids) or not self.seen.isdisjoint(fresh):
-                    raise self._repeated(list(self.ids.ids()) + ids, comments)
+                    raise self._repeated(list(self.ids) + ids, comments)
                 self.seen |= fresh
-            self.ids.add(ids)
+            self.ids._add(ids)
             for encoder, codes in ((self.years, years), *fields):
                 if encoder.codes.typecode == "I":
                     encoder.codes.fromlist(codes)
@@ -593,11 +579,11 @@ class _Reader:
 
     def corpus(self) -> Corpus:
         """The corpus of the lines read; no line is read after it."""
-        self.seen = None  # an unordered file's id strings go before the ids' buffers are joined
+        self.seen = None  # an unordered file's id strings go before the columns are built
         encoders = (self.years, self.titles, self.countries, self.addresses)
         for encoder in encoders:  # a column reads only the parsed values, not the raw texts
             encoder.clear()
-        return Corpus._of(self.ids.ids(), *(encoder.column() for encoder in encoders))
+        return Corpus._of(self.ids, *(encoder.column() for encoder in encoders))
 
 
 def _refuse_blank(lines: list[str]) -> None:
@@ -610,12 +596,13 @@ def _batch_ids(texts: list[str]) -> list[str]:
     """``_check_id`` of every id text, raising the fault of the first bad one.
 
     The common case is checked as one string: texts that upper-case to one
-    token each, with no ``|`` and none led by ``#``, are their own ids.
-    Otherwise each text is read by ``_check_id``, the one id rule.
+    token each, with no ``|``, none led by ``#`` and no lone surrogate, are
+    their own ids. Otherwise each text is read by ``_check_id``, the one id rule.
     """
     text = "\t".join(texts).upper()
     ids = text.split("\t")
-    if text.split() != ids or "|" in text or text.startswith("#") or "\t#" in text:
+    if (text.split() != ids or "|" in text or text.startswith("#") or "\t#" in text
+            or _surrogate_at(text) is not None):
         return list(map(_check_id, texts))
     return ids
 
@@ -639,8 +626,8 @@ def _parse_field(tag: str, values: str | Iterable[str],
     """Read one field's values: its text, split on ``|``, or (``text=False``) a collection.
 
     Every entry point reads SO, CU and AD values here. Each value is
-    normalized; none may be empty or hold a reserved character, and only AD
-    may have none. A bare string given for a collection is refused: iterating
+    normalized; none may be empty or hold a reserved character or a lone
+    surrogate, and only AD may have none. A bare string given for a collection is refused: iterating
     it would make each character a value.
     """
     what, container = _FIELDS[tag]
@@ -658,11 +645,13 @@ def _parse_field(tag: str, values: str | Iterable[str],
     for value in values:
         if bad := _VALUE_RESERVED.intersection(value):
             raise CorpusError(f"{what} {value!r} contains reserved character {sorted(bad)[0]!r}")
+        if _surrogate_at(value) is not None:
+            raise CorpusError(f"{what} {value!r} holds a lone surrogate, which is not UTF-8 text")
     return container(values)
 
 
 def _chunks(corpus: Corpus) -> Iterator[str]:
-    """The on-disk text of ``corpus``: its header line, then ``_BATCH_LINES`` lines at a time."""
+    """The on-disk text of ``corpus``: its header line, then one chunk per batch of its ids."""
     # each distinct value is written once, the address with its line break;
     # sets serialize sorted
     py = [str(year) for year in corpus.years.values]
@@ -673,11 +662,11 @@ def _chunks(corpus: Corpus) -> Iterator[str]:
         corpus.years.codes, corpus.source_titles.codes, corpus.countries.codes,
         corpus.addresses.codes))
     yield FILE_HEADER + "\n"
-    for ids in corpus.ids.batches():
+    for ids in corpus.ids._batches:
         # the tab after each id, the last one's added, is where the rest of its line goes;
         # the ids are not split, and a "%" in one is escaped
         lines = ids.replace("%", "%%").replace("\t", "\t%s") + "\t%s"
-        yield lines % tuple(islice(rests, _BATCH_LINES))
+        yield lines % tuple(islice(rests, ids.count("\t") + 1))
 
 
 def serialize(corpus: Corpus) -> str:
@@ -689,12 +678,12 @@ def _write_utf8(chunks: Iterable[str], path: str | None = None) -> None:
     """Write ``chunks`` in UTF-8 to ``path``, or to standard output if it is None.
 
     Every file and command output leaves here, a chunk at a time, encoded as
-    it is: line ends stay LF and the locale's encoding is never used. A byte
-    of a command-line argument that was not UTF-8 is written back as it came.
-    Standard output's bytes are written beneath its flushed text layer; a
+    it is: line ends stay LF and the locale's encoding is never used. No text
+    that UTF-8 cannot write gets this far: ids, values and query patterns with
+    a lone surrogate are refused where they enter. Standard output's bytes are written beneath its flushed text layer; a
     stream with no bytes beneath it, such as an ``io.StringIO``, takes the text.
     """
-    encoded = (chunk.encode("utf-8", "surrogateescape") for chunk in chunks)
+    encoded = (chunk.encode("utf-8") for chunk in chunks)
     if path is not None:
         with open(path, "wb") as fh:
             fh.writelines(encoded)

@@ -56,8 +56,8 @@ statement's immutable int.
 Next-symbol introspection hops from the span of one child symbol to the
 next, so it reads one stored term per child, not every term under the
 prefix. ``retrieve`` hands a result's bitset to ``Ids.select``, which
-skips every batch of ids without a set bit, so its cost follows the
-result size, not the corpus size.
+splits each batch of ids with a set bit and skips the rest, so its cost
+follows the batches the result touches, not the number of hits.
 """
 
 from __future__ import annotations

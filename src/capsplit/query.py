@@ -53,7 +53,7 @@ from enum import Enum
 from itertools import compress, zip_longest
 from typing import Callable, Collection, Iterator, Mapping, Sequence, Set, TypeVar, Union
 
-from .corpus import Column, Corpus, _PATTERN_RESERVED, _ascii_int, normalize_text
+from .corpus import Column, Corpus, _PATTERN_RESERVED, _ascii_int, _surrogate_at, normalize_text
 
 
 class QueryError(ValueError):
@@ -92,6 +92,8 @@ class Pattern:
         bad = _PATTERN_RESERVED.intersection(text)
         if bad:
             raise QueryError(f"pattern {text!r} contains reserved character {sorted(bad)[0]!r}")
+        if _surrogate_at(text) is not None:
+            raise QueryError(f"pattern {text!r} holds a lone surrogate, which is not UTF-8 text")
         words = text.split(" ")
         for word in words[:-1] if self.truncated else words:
             if word in _KEYWORDS:
@@ -210,8 +212,12 @@ def _scan(text: str) -> list[tuple[str, str, int]]:
     """The ``(kind, text, offset)`` tokens of ``text``, then an ``end`` token at its length.
 
     A kind is ``(``, ``)`` or ``=``; ``#`` for a statement reference;
-    an upper-cased keyword, which is then its text too; or ``word``.
+    an upper-cased keyword, which is then its text too; or ``word``. A lone
+    surrogate, which no stored value holds, is refused at its offset.
     """
+    at = _surrogate_at(text)
+    if at is not None:
+        raise QueryError(f"query holds a lone surrogate {text[at]!r}, which is not UTF-8 text", at)
     tokens = []
     for match in _TOKEN.finditer(text):
         token, offset = match.group(), match.start()

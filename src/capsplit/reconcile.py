@@ -15,7 +15,8 @@ complete retrieval total two ways:
 The report is one function of the session's counts: ``_session`` makes
 every engine call, and ``_reconcile`` builds every row, running sum,
 total, cross-check and verdict from the counts alone. A statement that
-does not fit the cap ends the session with its rows and CapViolation.
+does not fit the cap of the engine it runs on ends the session with its
+rows and CapViolation, whatever cap the plan was made for.
 
 Every partition statement is sub-cap and therefore materializable, so the
 runner also takes the union, the records shared by two or more sections
@@ -110,10 +111,11 @@ def validate_direct(strategy: Strategy, engine: CappedEngine) -> RunReport:
 def _session(strategy: Strategy, engine: CappedEngine) -> tuple:
     """Register the strategy's statements, overlap statement and exclusions, and return
     their counts (None where censored) and the statements' coverage; a statement that
-    does not fit the cap ends the session with no overlap, exclusions or coverage."""
+    does not fit the engine's cap, whatever cap the plan was made for, ends the session
+    with no overlap, exclusions or coverage."""
     engine.clear_statements()
     counts = [engine.register(query).value for query in strategy.statements]
-    if not all(CountResult(count).fits(strategy.cap) for count in counts):
+    if not all(CountResult(count).fits(engine.config.cap) for count in counts):
         return counts, None, [], None
     overlap = engine.register(strategy.overlap_stmt).value
     exclusions = [engine.register(query).value for query in strategy.exclusion_stmts]

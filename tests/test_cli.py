@@ -410,12 +410,34 @@ def test_plan_writes_its_script_to_a_stdout_with_no_bytes_beneath(cuba_file, tmp
     assert stdout.getvalue() == out.read_text(encoding="utf-8")
 
 
-def test_plan_writes_an_argument_byte_that_is_not_utf8_back_as_it_came(cuba_file, tmp_path):
-    # the interpreter reads such a byte of argv as a lone surrogate
+def test_plan_refuses_an_argument_byte_that_is_not_utf8(cuba_file, tmp_path, capsys):
+    # the interpreter reads such a byte of argv as a lone surrogate, which no stored value holds
     out = tmp_path / "s.txt"
     args = ["plan", "--corpus", cuba_file, "--base", "PY=2007 AND SO=\udcff*", "--auto"]
-    assert main(args + ["--out", str(out)]) == 0
-    assert out.read_bytes().startswith(b"1. PY=2007 AND SO=\xff* AND (SO=A*")
+    assert main(args + ["--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr() == ("", "error: query holds a lone surrogate '\\udcff', which is "
+                                       "not UTF-8 text (offset 15)\n")
+
+
+def test_count_refuses_an_argument_byte_that_is_not_utf8(cuba_file):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-m", "capsplit", "count", "--corpus", cuba_file,
+                           b"SO=\xff*"], env=env, capture_output=True, timeout=60)
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr == (b"error: query holds a lone surrogate '\\udcff', which is not UTF-8 "
+                           b"text (offset 3)\n")
+
+
+def test_gen_refuses_a_country_that_is_not_utf8(tmp_path, capsys):
+    out = tmp_path / "c.tsv"
+    argv = ["gen", "--n", "20", "--seed", "1", "--countries", "\udcff", "--out", str(out)]
+    assert main(argv) == 3
+    assert not out.exists()
+    assert capsys.readouterr().err == ("error: profile country '\\udcff': country '\\udcff' "
+                                       "holds a lone surrogate, which is not UTF-8 text\n")
 
 
 def test_plan_and_validate_a_spec_that_leaves_records_out(cuba_file, tmp_path, capsys):

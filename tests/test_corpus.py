@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import json
 import math
 import random
 import sys
@@ -9,7 +10,7 @@ import weakref
 from array import array
 from collections import Counter
 from functools import partial
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 from operator import lt
 
 import pytest
@@ -615,9 +616,17 @@ _RECORD_FIELDS = {"SO": "source_titles", "CU": "countries", "AD": "addresses"}
         ("AD", "MIT*", ("MIT*",), "address 'MIT*' contains reserved character '*'"),
         ("SO", "", (), "empty SO field"),
         ("CU", "", (), "empty CU field"),
+        # a lone surrogate is how Python reads a byte of argv that is not UTF-8
+        ("SO", "A\udcff REV", ("A\udcff REV",),
+         "source title 'A\\udcff REV' holds a lone surrogate, which is not UTF-8 text"),
+        ("CU", "US\udcffA", ("US\udcffA",),
+         "country 'US\\udcffA' holds a lone surrogate, which is not UTF-8 text"),
+        ("AD", "MIT\ud800", ("MIT\ud800",),
+         "address 'MIT\\ud800' holds a lone surrogate, which is not UTF-8 text"),
     ],
     ids=["so-string", "ad-string", "cu-empty-value", "ad-empty-value", "so-reserved",
-         "cu-reserved", "ad-reserved", "so-empty", "cu-empty"],
+         "cu-reserved", "ad-reserved", "so-empty", "cu-empty", "so-surrogate", "cu-surrogate",
+         "ad-surrogate"],
 )
 def test_bad_field_value_gives_one_message_at_every_entry_point(tag, text, values, body):
     if text is not None:
@@ -643,6 +652,33 @@ def test_bad_field_value_gives_one_message_at_every_entry_point(tag, text, value
     with pytest.raises(CorpusError) as err:
         generate(profile)
     assert str(err.value) == f"profile country {country!r}: {body}"
+
+
+def test_an_id_with_a_lone_surrogate_is_refused_at_every_door():
+    message = "record id 'R\\udcff2' holds a lone surrogate, which is not UTF-8 text"
+    # the second line's id fails the batch's one-string check and is read by _check_id
+    with pytest.raises(CorpusError) as err:
+        ingest("R1\t2007\tA REV\tUSA\t\nr\udcff2\t2007\tA REV\tUSA\t\n")
+    assert str(err.value) == f"line 2: {message}"
+    with pytest.raises(CorpusError) as err:
+        Record("r\udcff2", 2007, ("A REV",), ("USA",), ())
+    assert str(err.value) == message
+    # a surrogate pair written as two code points is no UTF-8 text either
+    with pytest.raises(CorpusError, match="lone surrogate"):
+        Record("R\ud83d\ude00", 2007, ("A REV",), ("USA",), ())
+    assert Record("R\U0001f600", 2007, ("A REV",), ("USA",), ()).id == "R\U0001f600"
+
+
+@pytest.mark.parametrize("profile, message", [
+    ('{"seed": 1, "n_records": 5, "country_weights": {"\\udcff": 1}}',
+     "profile country '\\udcff': country '\\udcff' holds a lone surrogate, which is not UTF-8 text"),
+    ('{"seed": 1, "n_records": 5, "address_pools": {"USA": ["MIT \\udcff"]}}',
+     "profile country 'USA': address 'MIT \\udcff' holds a lone surrogate, which is not UTF-8 text"),
+], ids=["country", "address"])
+def test_a_json_profile_escape_of_a_lone_surrogate_is_refused(profile, message):
+    with pytest.raises(CorpusError) as err:
+        CorpusProfile.from_dict(json.loads(profile))
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize(
@@ -826,6 +862,53 @@ def test_corpora_built_every_way_are_equal_and_hash_alike():
         assert corpus.ids == read.ids
     assert type(of_tuple.ids) is Ids
     assert read != Corpus(records[:-1])
+
+
+# Data (D) and comment (C) lines of a file read eight lines at a time: comment
+# lines leave batches of 7, 6, 0, 8, 5, 1, 8 and 3 ids, and the batches of
+# every other build of the same records fall elsewhere.
+_COMMENTED_LAYOUT = ("DDDDDDDC" "DCDDCDDD" "CCCCCCCC" "DDDDDDDD" "CDDCDDDC" "CCCCCCCD"
+                     "DDDDDDDD" "DDD")
+
+
+def _commented_lines() -> list[str]:
+    data = (f"R{i:02d}\t{2007 + i % 2}\tT{i % 5} REV\tUSA\t\n" for i in range(99))
+    return [f"# note {k}\n" if kind == "C" else next(data)
+            for k, kind in enumerate(_COMMENTED_LAYOUT)]
+
+
+def _id_batch_starts(lines: list[str], batch: int) -> list[int]:
+    """The index of the first id of each batch of ``batch`` lines, past the first."""
+    data = list(accumulate((not line.startswith("#") for line in lines), initial=0))
+    return sorted(set(data[batch:len(lines):batch]) - {0, data[-1]})
+
+
+def test_ids_in_batches_cut_short_by_comment_lines(monkeypatch):
+    monkeypatch.setattr(capsplit.corpus, "_BATCH_LINES", 8)
+    lines = _commented_lines()
+    expected = [line.split("\t")[0] for line in lines if not line.startswith("#")]
+    n = len(expected)
+    corpus = ingest("".join(lines))
+    ids = corpus.ids
+    assert len(ids) == n
+    assert [ids[i] for i in range(n)] == expected == [ids[i] for i in range(-n, 0)]
+    for index in (n, -n - 1):
+        with pytest.raises(IndexError):
+            ids[index]
+    assert list(ids) == expected and ids == expected
+    starts = _id_batch_starts(lines, 8)
+    assert starts == [7, 13, 21, 26, 27, 35]
+    for positions in ([], *([b - 1, b] for b in starts), [0, n - 1], range(n)):
+        assert ids.select(sum(1 << pos for pos in positions)) == {expected[pos] for pos in positions}
+    text = serialize(corpus)
+    assert text == FILE_HEADER + "\n" + "".join(line for line in lines if line[0] != "#")
+    columns = (corpus.years, corpus.source_titles, corpus.countries, corpus.addresses)
+    for other in (ingest(text), Corpus(corpus), Corpus._of(tuple(expected), *columns)):
+        assert other == corpus and corpus == other
+        assert hash(other) == hash(corpus)
+        assert other.ids == ids and list(other.ids) == expected
+        assert serialize(other) == text
+    assert corpus != Corpus._of(expected[::-1], *columns)
 
 
 @pytest.mark.parametrize("ids, read", [

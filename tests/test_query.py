@@ -132,6 +132,26 @@ def test_parse_errors_carry_offsets(text, fragment, offset):
     assert err.value.position == offset
 
 
+@pytest.mark.parametrize("text, offset", [
+    ("SO=\udcff*", 3), ("PY=2007 AND SO=A\udcff", 16), ("S\udcffO=A", 1), ("CU=(A OR \udcff)", 9),
+])
+def test_parse_refuses_a_lone_surrogate_at_its_offset(text, offset):
+    # Python reads a byte of argv that is not UTF-8 as a lone surrogate
+    with pytest.raises(QueryError) as err:
+        parse(text)
+    assert err.value.position == offset
+    assert str(err.value) == (f"query holds a lone surrogate '\\udcff', which is not UTF-8 text "
+                              f"(offset {offset})")
+
+
+def test_pattern_refuses_a_lone_surrogate_without_an_offset():
+    with pytest.raises(QueryError) as err:
+        Pattern("A\udcff", truncated=True)
+    assert err.value.position is None
+    assert str(err.value) == "pattern 'A\\udcff' holds a lone surrogate, which is not UTF-8 text"
+    assert Pattern("\u00c9COLE").text == "\u00c9COLE"
+
+
 _SOUP_TOKENS = st.sampled_from([
     "(", ")", "=", "#", "#0", "#1", "#12", "#²", "#1²", "AND", "and", "OR", "or", "Not",
     "PY", "py", "CU", "SO", "AD", "XX", "A", "B*", "*", "A*B", "2007", "NORTH", "ß", "AND*",

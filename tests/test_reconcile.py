@@ -209,6 +209,27 @@ def test_cap_violation_in_censored_mode_hides_count():
     assert report.per_statement[0].count is None
 
 
+@pytest.mark.parametrize("mode", ["visible", CENSORED])
+def test_a_plan_is_judged_by_the_cap_of_the_engine_it_runs_on(cuba_corpus, mode):
+    # planned at cap 500, run through a cap-200 interface: two statements do not fit it
+    strategy = plan_auto(CappedEngine(cuba_corpus, EngineConfig(cap=500)), parse(CUBA_BASE), SO)
+    engine = CappedEngine(cuba_corpus, EngineConfig(cap=200, count_mode=mode))
+    report = run_strategy(strategy, engine)
+    assert report.verdict is Verdict.CAP_VIOLATION
+    counts = [417, 498, 21] if mode == "visible" else [None, None, 21]
+    assert [row.count for row in report.per_statement] == counts
+    assert report.method_b_total is None and report.per_exclusion == ()
+
+
+def test_a_plan_made_below_the_engine_cap_runs_exact(cuba_corpus):
+    engine = CappedEngine(cuba_corpus, EngineConfig(cap=500))
+    strategy = plan_auto(engine, parse(CUBA_BASE), SO, cap=200)
+    assert strategy.cap == 200
+    report = validate_direct(strategy, engine)
+    assert report.verdict is Verdict.EXACT
+    assert report.method_b_total == report.direct_count == 910
+
+
 def test_censored_overlap_count_falls_back_to_materialized_sections():
     # three-way ring of dual-title records: every statement is sub-cap but
     # the overlap statement itself is not

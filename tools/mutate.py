@@ -80,6 +80,18 @@ EQUIVALENT: dict[tuple[str, str, str, str], str] = {
      'starts = array("I", accumulate(map(free.__getitem__, terms), initial=0))', "0 -> 1"):
         "every term's slice moves up one slot together, past one unused slot, so every "
         "leaf reads the same codes",
+    **{("src/capsplit/query.py", function, line, "0 -> 1"):
+       "a token's kind and text are the same string for '(', ')', '=' and a keyword, and no "
+       "other token's text is one of them, so reading the text decides as the kind does"
+       for function, line in (
+           ("parse", 'while tokens[i][0] == "(":'),
+           ("parse", 'elif kind == "word" and tokens[i + 1][0] == "=":'),
+           ("_value", 'group = tokens[i][0] == "("'),
+           ("_value", 'if tokens[i][0] == ")":'),
+           ("_value", 'if tokens[i][0] != "OR":'))},
+    ("src/capsplit/query.py", "_print_operator", "if len(left) >= len(right):", ">= -> >"):
+        "operands of equal length only change which deque takes the other's pieces; "
+        "the printed text is the same",
 }
 
 
