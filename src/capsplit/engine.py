@@ -25,28 +25,44 @@ may have to probe.
 the cap) that the engine, planner and runner ask; ``str`` of a count
 gives the digits or "at least the cap" for every refusal message.
 
+The engine numbers its bits in source-title order, not in corpus order.
+Each distinct SO value is ordered by its *key*, its lowest title in SO's
+sorted term table, and the records are numbered by their value in that
+order, and in corpus order within a value. The numbering is a counting
+sort: one pass counts each value's records, one places them. So the
+records of the values whose keys lie in one span of titles, which is what
+an SO prefix or title names, are one contiguous run of bits, built in C as
+``((1 << (b - a)) - 1) << a``. A record found through a title of the span
+that is not its value's key, with a key before the span, adds its own bit
+below that run; only records with more than one title do. Counts,
+``coverage`` and the session's ints do not depend on the bit order.
+
 Indexing is per field and built over the column's distinct values only:
 one sorted table of terms, and the codes of the values that hold each
 term in one ``array('I')``, term after term, placed there by a counting
 sort that holds one int per term while it runs. The terms that start with a
-prefix are one span of the table, found by two bisections, and their
-codes one slice; a span answers exact leaves, truncated leaves and
-next-symbol introspection alike. Its terms are the strings a value is
-found through, as ``query.field_strings`` states them, read once per
-distinct value however many records share it. How a leaf's bitset is
-made from those value codes follows from the typecode of the column's
-code array, which ``corpus`` chooses. Codes of typecode ``'B'`` (a
-paper-scale corpus's years, country and address sets) are reversed into
-``bytes`` in one slice; a leaf is one ``translate`` of them to ``0``/``1``
-digits, read by ``int(..., 2)``, which is linear and has no digit limit.
-For ``'I'`` codes (source titles) the index keeps one ``array('I')`` of
-record positions, grouped by value code by a counting sort, and one of
-where each code's group starts, so it holds no Python object per record.
-A leaf sets the bits of its codes' positions in a little-endian byte
-buffer of one bit per record, which ``int.from_bytes`` reads as the int.
+prefix are one span of the table, found by two bisections; a span answers
+exact leaves, truncated leaves and next-symbol introspection alike. Its
+terms are the strings a value is found through, as
+``query.field_strings`` states them, read once per distinct value however
+many records share it. SO's index keeps, per term, the first bit of its
+key run and the bits of the records found through it whose keys sort
+before it, and drops the codes once one walk has read them. Every other
+field's leaf is made from the codes of its span and the column's codes
+in engine order. Codes of typecode ``'B'`` (a
+paper-scale corpus's years, country and address sets) ride through SO's
+placing pass as the bytes of one word per record, so they come out in
+engine order at no extra pass, and are kept reversed as ``bytes``; a leaf
+is one ``translate`` of them to ``0``/``1`` digits, read by
+``int(..., 2)``, which is linear and has no digit limit. For ``'I'`` codes
+the index keeps one ``array('I')`` of engine bits, grouped by value code
+by a counting sort, and one of where each code's group starts, so it holds
+no Python object per record. A leaf sets the bits of its codes' groups in
+a little-endian byte buffer of one bit per record, which
+``int.from_bytes`` reads as the int.
 
 A query is evaluated by ``query.fold``, the one walk of a query tree.
-Every result is a Python ``int`` used as a bitset over record positions:
+Every result is a Python ``int`` used as a bitset over engine bits:
 AND, OR and NOT are ``&``, ``|`` and ``& ~``, and a count is
 ``int.bit_count()``. Each distinct ``Term`` leaf is turned into a bitset
 once and kept. A leaf cannot go stale, so that cache is bounded by the
@@ -55,9 +71,11 @@ are recomputed on every query, and the session list holds each
 statement's immutable int.
 Next-symbol introspection hops from the span of one child symbol to the
 next, so it reads one stored term per child, not every term under the
-prefix. ``retrieve`` hands a result's bitset to ``Ids.select``, which
-splits each batch of ids with a set bit and skips the rest, so its cost
-follows the batches the result touches, not the number of hits.
+prefix. ``retrieve`` maps a result's engine bits to corpus positions
+through ``order``, one ``array('I')`` of the corpus position of each
+engine bit, placed by a second placing pass on first use, since no count
+needs it; then ``Ids.select`` splits each batch of ids with a set bit and
+skips the rest, so its cost follows the batches the result touches.
 """
 
 from __future__ import annotations
@@ -66,10 +84,11 @@ from bisect import bisect_left, bisect_right
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from functools import cached_property
+from itertools import accumulate, chain, pairwise
 from typing import Collection, Iterable, Sequence
 
-from .corpus import Column, Corpus
+from .corpus import _BIT_FLAGS, Corpus
 from .query import And, Diff, FieldKind, Or, Pattern, Query, SetRef, Term, field_strings, fold
 
 VISIBLE = "visible"
@@ -139,7 +158,23 @@ class CappedEngine:
         self.corpus = corpus
         self.config = config or EngineConfig()
         self._ids = corpus.ids
-        self._index = {field: _FieldIndex(*field_strings(corpus, field)) for field in FieldKind}
+        fields = {field: field_strings(corpus, field) for field in FieldKind}
+        titles, title_strings = fields.pop(FieldKind.SO)
+        self._titles = _TitleIndex(title_strings, titles.codes)
+        self._index: dict[FieldKind, _FieldIndex] = {FieldKind.SO: self._titles}
+        # the narrow columns ride through one placing pass, as the bytes of one word per
+        # record: PY, CU and AD are at most three, and a word has four
+        narrow = [field for field, (column, _) in fields.items() if column.codes.typecode == "B"]
+        words = bytearray(4 * len(corpus))
+        for k, field in enumerate(narrow):
+            words[k::4] = fields[field][0].codes
+        placed = self._titles.placed(memoryview(words).cast("I")).tobytes() if narrow else b""
+        for field, (column, strings) in fields.items():
+            if field in narrow:
+                codes = placed[narrow.index(field)::4]
+            else:
+                codes = array("I", map(column.codes.__getitem__, self._order))
+            self._index[field] = _CodeIndex(strings, codes)
         self._leaves: dict[Term, int] = {}
         self._statements: list[int] = []  # #k is self._statements[k - 1]
 
@@ -150,7 +185,7 @@ class CappedEngine:
 
     def retrieve(self, query: Query) -> set[str]:
         """Materialize the result iff its cardinality is strictly below the cap."""
-        return self._ids.select(self._below_cap(query))
+        return self._ids.select(self._by_position(self._below_cap(query)))
 
     def coverage(self, queries: Iterable[Query]) -> list[int]:
         """How many records at least k of the queries match, for k = 1, 2, ...
@@ -197,6 +232,32 @@ class CappedEngine:
         """
         return self._index[field].children(prefix.upper())
 
+    @cached_property
+    def _order(self) -> array:
+        """The corpus position of each engine bit, placed on first use.
+
+        Only ``retrieve`` and the build of a column of typecode ``'I'``
+        outside SO read it; a count, a plan or a run never does.
+        """
+        return self._titles.placed(range(len(self._ids)))
+
+    def _by_position(self, bits: int) -> int:
+        """The bitset over corpus positions of a bitset over engine bits: engine bit i
+        is the record at position ``_order[i]``.
+
+        ``bytes.find`` hops from one set bit's flag to the next, so a sparse
+        result, as a sub-cap one is, costs little more than its hits.
+        """
+        flags = format(bits, "b")[::-1].encode("ascii").translate(_BIT_FLAGS)
+        buf = bytearray((len(self._ids) + 7) >> 3)
+        order = self._order
+        i = flags.find(1)
+        while i >= 0:
+            pos = order[i]
+            buf[pos >> 3] |= 1 << (pos & 7)
+            i = flags.find(1, i + 1)
+        return int.from_bytes(buf, "little")
+
     # -- evaluation ---------------------------------------------------------
 
     def _to_count(self, n: int) -> CountResult:
@@ -238,31 +299,24 @@ def _combine(node: And | Or | Diff, left: int, right: int) -> int:
 
 
 class _FieldIndex:
-    """One field's index: a sorted term table, and the bitset of a span of its terms.
+    """One field's sorted term table, and the bitset of a span of its terms over engine bits.
 
-    ``terms`` lists every term of ``query.field_strings`` once, sorted, and
-    ``_codes`` the codes of the distinct values found through each, term
-    after term, ``terms[i]``'s from ``_term_starts[i]`` to ``_term_starts[i + 1]``,
-    so the span of terms that ``_span`` finds is one slice. A value found
-    through two terms of a span is met twice there, which only sets its
-    bits twice. Column codes of typecode ``'B'`` are kept as ``bytes``, last
-    record first (one slice), so that ``translate`` with a table that maps
-    each matching code to ``1`` and every other to ``0`` writes the bitset
-    in base 2. Codes of typecode ``'I'`` give one ``array('I')`` of record
-    positions, grouped by value code and ascending within a code, and one
-    ``array('I')`` of where each code's group starts, instead. A leaf then
-    sets the bits of its codes' positions one by one
-    in a little-endian byte buffer that ``int.from_bytes`` reads.
+    ``terms`` lists every term of ``query.field_strings`` once, sorted, so
+    the terms that start with a prefix are one span, found by ``_span``. A
+    leaf is the bitset of such a span (of its first term alone, if that
+    term equals an exact leaf's text), and a subclass's ``_bits`` builds
+    it. The engine numbers its bits in source-title order, not in corpus
+    order: each SO value is ordered by its lowest title (its *key*), and
+    the records by their value. ``_TitleIndex``, SO's index, sets that
+    order, and a leaf of it is one run of bits plus the bits of records
+    found through a second title. ``_CodeIndex`` serves every other field
+    from its column's codes, taken in engine order once, at build.
+    ``retrieve`` maps engine bits back to corpus positions through the
+    engine's ``_order``.
     """
 
-    def __init__(self, column: Column, strings: Sequence[Collection[str]]) -> None:
-        self.terms, self._term_starts, self._codes = _term_table(strings)
-        self._size = len(column.codes)
-        if column.codes.typecode == "B":
-            self._reversed_codes = column.codes[::-1].tobytes()
-        else:
-            self._reversed_codes = None
-            self._starts, self._positions = _grouped(column.codes, len(column.values))
+    def __init__(self, terms: list[str]) -> None:
+        self.terms = terms
 
     def _span(self, prefix: str, lo: int = 0, hi: int | None = None) -> tuple[int, int]:
         """The bounds of the terms in ``lo:hi`` that start with ``prefix``: from the first
@@ -277,20 +331,11 @@ class _FieldIndex:
         lo, hi = self._span(pattern.text)
         if not pattern.truncated:  # a term equal to the text sorts first in its span
             hi = lo + 1 if lo < hi and self.terms[lo] == pattern.text else lo
-        codes = self._codes[self._term_starts[lo]:self._term_starts[hi]]
-        if self._reversed_codes is not None:
-            table = bytearray(b"0" * 256)
-            for code in codes:
-                table[code] = 49  # ord("1")
-            # base 2 has no digit limit; an empty corpus reads as "0"
-            return int(self._reversed_codes.translate(table) or b"0", 2)
-        # little-endian bytes: position p is bit p & 7 of byte p >> 3
-        buf = bytearray((self._size + 7) >> 3)
-        positions, starts = self._positions, self._starts
-        for code in codes:
-            for pos in positions[starts[code]:starts[code + 1]]:
-                buf[pos >> 3] |= 1 << (pos & 7)
-        return int.from_bytes(buf, "little")
+        return self._bits(lo, hi)
+
+    def _bits(self, lo: int, hi: int) -> int:
+        """The bitset of the records found through ``terms[lo:hi]``."""
+        raise NotImplementedError
 
     def children(self, prefix: str) -> set[str]:
         """The characters that follow ``prefix`` in the terms, one hop per character."""
@@ -306,6 +351,119 @@ class _FieldIndex:
         return children
 
 
+class _TitleIndex(_FieldIndex):
+    """SO's index, which sets the engine order: a leaf is one run of bits plus a few stray bits.
+
+    A value's *key* is its lowest title, and the values are ordered by key,
+    then by code; the records are numbered by their value in that order,
+    and in corpus order within a value. ``_first_bits[code]`` is the first
+    bit of value ``code``'s records, which run on for as many bits as the
+    value has records, and ``_key_bits[t]`` is the first bit of the values
+    whose keys are not below ``terms[t]``. So the values whose keys lie in a
+    span of terms hold one run of bits, built in C as
+    ``((1 << (b - a)) - 1) << a``. A value found through a term of the span
+    that is not its key, and whose key sorts before the span, adds its bits
+    outside that run: ``_extras`` holds, term after term, the bits of the
+    values found through each term whose keys sort before it,
+    ``terms[t]``'s from ``_extra_starts[t]`` to ``_extra_starts[t + 1]``. A
+    span's extras are those of its terms' bits below its run, and only
+    records with more than one title give any, so a leaf's int ends where
+    its run ends.
+    """
+
+    def __init__(self, strings: Sequence[Collection[str]], codes: array) -> None:
+        terms, term_starts, term_codes = _term_table(strings)
+        super().__init__(terms)
+        counts = _counts(codes, len(strings))
+        unplaced = len(codes)  # above every first bit
+        first_bits = array("I", [unplaced]) * len(strings)
+        key_bits, extras, extra_starts = array("I"), array("I"), array("I", [0])
+        bit = 0
+        for start, end in pairwise(term_starts):
+            # the terms ascend, so a value is first met under its key
+            key_bits.append(bit)
+            low = bit
+            for code in term_codes[start:end]:
+                first = first_bits[code]
+                if first == unplaced:
+                    first_bits[code] = bit
+                    bit += counts[code]
+                elif first < low:  # a key before this term; a repeated title is not
+                    size = counts[code]
+                    if size == 1:  # most such values hold one record; append is cheaper
+                        extras.append(first)
+                    else:
+                        extras.extend(range(first, first + size))
+            extra_starts.append(len(extras))
+        key_bits.append(bit)
+        self._key_bits, self._extras, self._extra_starts = key_bits, extras, extra_starts
+        self._first_bits, self._codes = first_bits, codes
+
+    def placed(self, items: Iterable[int]) -> array:
+        """One ``'I'`` item per record, given in corpus order, in engine order.
+
+        The placing pass of the counting sort that numbers the records:
+        each record's item goes to the next free bit of its value's run.
+        """
+        return _placed(self._codes, self._first_bits.tolist(), items)
+
+    def _bits(self, lo: int, hi: int) -> int:
+        a, b = self._key_bits[lo], self._key_bits[hi]
+        bits = ((1 << (b - a)) - 1) << a
+        extras = self._extras[self._extra_starts[lo]:self._extra_starts[hi]]
+        if extras:
+            # little-endian bytes below the run: bit p is bit p & 7 of byte p >> 3
+            buf = bytearray((a + 7) >> 3)
+            for pos in filter(a.__gt__, extras):
+                buf[pos >> 3] |= 1 << (pos & 7)
+            bits |= int.from_bytes(buf, "little")
+        return bits
+
+
+class _CodeIndex(_FieldIndex):
+    """A field other than SO: the codes of the values found through each term, and its column.
+
+    ``_term_codes`` holds those codes term after term, ``terms[i]``'s from
+    ``_term_starts[i]`` to ``_term_starts[i + 1]``, so a span of terms is one
+    slice. A value found through two terms of a span is met twice there,
+    which only sets its bits twice. The column's codes come in engine
+    order. Narrow codes (``bytes``, one per record) are kept last record
+    first, so that ``translate`` with a table that maps each matching code
+    to ``1`` and every other to ``0`` writes the bitset in base 2. Codes of
+    typecode ``'I'`` give one ``array('I')`` of engine bits, grouped by
+    value code and ascending within a code, and one ``array('I')`` of where
+    each code's group starts, instead. A leaf then sets the bits of its
+    codes' groups one by one in a little-endian byte buffer that
+    ``int.from_bytes`` reads.
+    """
+
+    def __init__(self, strings: Sequence[Collection[str]], codes: bytes | array) -> None:
+        terms, self._term_starts, self._term_codes = _term_table(strings)
+        super().__init__(terms)
+        self._size = len(codes)
+        if isinstance(codes, bytes):
+            self._reversed_codes = codes[::-1]
+        else:
+            self._reversed_codes = None
+            self._starts, self._positions = _grouped(codes, len(strings))
+
+    def _bits(self, lo: int, hi: int) -> int:
+        codes = self._term_codes[self._term_starts[lo]:self._term_starts[hi]]
+        if self._reversed_codes is not None:
+            table = bytearray(b"0" * 256)
+            for code in codes:
+                table[code] = 49  # ord("1")
+            # base 2 has no digit limit; an empty corpus reads as "0"
+            return int(self._reversed_codes.translate(table) or b"0", 2)
+        # little-endian bytes: bit p is bit p & 7 of byte p >> 3
+        buf = bytearray((self._size + 7) >> 3)
+        positions, starts = self._positions, self._starts
+        for code in codes:
+            for pos in positions[starts[code]:starts[code + 1]]:
+                buf[pos >> 3] |= 1 << (pos & 7)
+        return int.from_bytes(buf, "little")
+
+
 def _term_table(strings: Sequence[Collection[str]]) -> tuple[list[str], array, array]:
     """The sorted terms of ``strings``, where each term's codes start, and the codes.
 
@@ -314,11 +472,13 @@ def _term_table(strings: Sequence[Collection[str]]) -> tuple[list[str], array, a
     terms, so one term's codes ascend. It holds one int per term, not one
     array per term.
     """
-    free = Counter(chain.from_iterable(strings))
-    terms = sorted(free)
-    starts = array("I", accumulate(map(free.__getitem__, terms), initial=0))
-    # dict.update sets each term's first slot in place (Counter.update would add)
-    dict.update(free, zip(terms, starts))
+    sizes = Counter(chain.from_iterable(strings))
+    terms = sorted(sizes)
+    starts = array("I", accumulate(map(sizes.__getitem__, terms), initial=0))
+    # each term's next free slot, in a plain dict: CPython specializes item access on
+    # a dict, not on a Counter; the Counter goes first, so only one is held at a time
+    del sizes
+    free = dict(zip(terms, starts))
     codes = array("I", bytes(4 * starts[-1]))
     for code, value_terms in enumerate(strings):
         for term in value_terms:
@@ -335,14 +495,24 @@ def _grouped(codes: array, width: int) -> tuple[array, array]:
     position is placed at the next free slot of its code's group, so the
     positions of one code ascend.
     """
+    starts = array("I", accumulate(_counts(codes, width), initial=0))
+    return starts, _placed(codes, starts.tolist(), range(len(codes)))
+
+
+def _counts(codes: array, width: int) -> list[int]:
+    """How many of ``codes`` hold each of the ``width`` codes."""
     counts = [0] * width
     for code in codes:  # a list counts an array's codes in half the time of a Counter
         counts[code] += 1
-    starts = array("I", accumulate(counts, initial=0))
-    free = starts.tolist()
-    positions = array("I", bytes(4 * len(codes)))
-    for pos, code in enumerate(codes):
+    return counts
+
+
+def _placed(codes: array, free: list[int], items: Iterable[int]) -> array:
+    """The placing pass of a counting sort: item i goes to slot ``free[codes[i]]``, which
+    then moves on one, so ``free`` must start at the first slot of each code's group."""
+    placed = array("I", bytes(4 * len(codes)))
+    for code, item in zip(codes, items):
         slot = free[code]
-        positions[slot] = pos
+        placed[slot] = item
         free[code] = slot + 1
-    return starts, positions
+    return placed

@@ -35,6 +35,7 @@ from capsplit import (
     print_normalized,
     save_corpus,
 )
+from capsplit.engine import _TitleIndex
 from capsplit.query import And, Diff, Or
 
 from helpers import brute_eval, make_record
@@ -166,7 +167,9 @@ def test_retrieve_maps_each_set_bit_to_its_id(marks, edges, mode):
     query = parse("SO=A*")
     hits = engine._eval(query)
     ids = corpus.ids
-    assert engine.retrieve(query) == {ids[p] for p in range(n) if hits >> p & 1}
+    # engine bit p stands for the record at corpus position engine._order[p]
+    assert sorted(engine._order) == list(range(n))
+    assert engine.retrieve(query) == {ids[engine._order[p]] for p in range(n) if hits >> p & 1}
     assert engine.retrieve(query) == {f"R{p:02d}" for p in marked}
 
 
@@ -405,10 +408,12 @@ def test_leaf_bitset_has_one_bit_per_posting(n):
     titles = ["A REV" if p in marked else "B REV" for p in range(n)]
     corpus = Corpus(tuple(make_record(f"R{p:03d}", (t,)) for p, t in enumerate(titles)))
     engine = CappedEngine(corpus)
+    bit = {pos: i for i, pos in enumerate(engine._order)}  # corpus position -> engine bit
+    assert sorted(bit) == list(range(n))
     for text, postings in (("A", marked), ("B", set(range(n)) - marked)):
         bits = engine._leaf(Term(FieldKind.SO, Pattern(text, truncated=True)))
-        assert bits == sum(1 << p for p in postings)
-    assert engine._leaf(Term(FieldKind.SO, Pattern("A REV"))) == sum(1 << p for p in marked)
+        assert bits == sum(1 << bit[p] for p in postings)
+    assert engine._leaf(Term(FieldKind.SO, Pattern("A REV"))) == sum(1 << bit[p] for p in marked)
     assert engine._leaf(Term(FieldKind.SO, Pattern("Q", truncated=True))) == 0
 
 
@@ -455,8 +460,12 @@ def test_leaves_agree_with_the_oracle_on_both_sides_of_the_bytes_rule(field, n_v
     engine, oracle = CappedEngine(corpus), Oracle(corpus)
     column = {"PY": corpus.years, "CU": corpus.countries, "SO": corpus.source_titles}[field]
     assert len(column.values) == min(n_values, n_records)
-    narrow = engine._index[FieldKind[field]]._reversed_codes is not None
-    assert narrow == (len(column.values) <= 256)
+    index = engine._index[FieldKind[field]]
+    if field == "SO":  # SO's leaves are runs of the engine's bits, however many values it has
+        assert isinstance(index, _TitleIndex)
+    else:
+        narrow = index._reversed_codes is not None
+        assert narrow == (len(column.values) <= 256)
     records = tuple(corpus)  # built once for the brute force
     for kind, strings in _stored_strings(corpus).items():
         terms = {Term(kind, Pattern(text)) for text in strings}
@@ -474,6 +483,143 @@ def test_leaves_agree_with_the_oracle_on_both_sides_of_the_bytes_rule(field, n_v
         assert engine.retrieve(query) == oracle.evaluate(query), text
     if field == "SO":  # every record is found through both its titles, and counted once
         assert engine.count(parse("SO=J*")) == CountResult.exact(n_records)
+
+
+# -- the engine order: an SO leaf is a run of bits --------------------------------
+
+
+def _engine_bits(engine: CappedEngine, ids: set[str]) -> int:
+    """The bitset of the records with these ids, in the engine's bit order."""
+    position = {rid: pos for pos, rid in enumerate(engine.corpus.ids)}
+    bit = {pos: i for i, pos in enumerate(engine._order)}
+    return sum(1 << bit[position[rid]] for rid in ids)
+
+
+def _assert_so_leaves_equal_the_oracle(corpus: Corpus) -> None:
+    """Every exact title leaf and every truncated prefix leaf of SO, against the oracle."""
+    engine, oracle = CappedEngine(corpus, EngineConfig(cap=len(corpus) + 1)), Oracle(corpus)
+    titles = {title for rec in corpus for title in rec.source_titles}
+    patterns = {Pattern(title) for title in titles}
+    patterns |= {Pattern(title[:cut], truncated=True)
+                 for title in titles for cut in range(1, len(title) + 1) if title[:cut].strip()}
+    for pattern in patterns:
+        term = Term(FieldKind.SO, pattern)
+        expected = oracle.evaluate(term)
+        assert engine._leaf(term) == _engine_bits(engine, expected), term
+        assert engine.retrieve(term) == expected, term
+
+
+def test_records_are_numbered_by_their_lowest_title():
+    # R1's key is "A REV", so SO=J* and SO=J REV find it only through its second
+    # title: its bit lies below J's run, as an extra
+    corpus = Corpus((
+        make_record("R0", ("J REV",)),
+        make_record("R1", ("A REV", "J REV")),
+        make_record("R2", ("B REV",)),
+        make_record("R3", ("J REV",)),
+    ))
+    engine = CappedEngine(corpus)
+    assert list(engine._order) == [1, 2, 0, 3]
+    for text in ("J", "J R"):
+        assert engine._leaf(Term(FieldKind.SO, Pattern(text, truncated=True))) == 0b1101, text
+    assert engine._leaf(Term(FieldKind.SO, Pattern("J REV"))) == 0b1101
+    assert engine.retrieve(parse("SO=J REV")) == {"R0", "R1", "R3"}
+    assert engine.retrieve(parse("SO=A*")) == {"R1"}
+    assert engine.count(parse("SO=A* OR SO=J*")) == CountResult.exact(3)
+    _assert_so_leaves_equal_the_oracle(corpus)
+
+
+def test_a_value_holding_one_title_twice_gives_no_extra():
+    # "J REV|J REV" is met twice under its own key; only a title past the key is an extra
+    corpus = Corpus((
+        make_record("R0", ("J REV", "J REV")),
+        make_record("R1", ("A REV",)),
+        make_record("R2", ("J REV",)),
+    ))
+    engine = CappedEngine(corpus)
+    assert len(engine._index[FieldKind.SO]._extras) == 0
+    assert engine.retrieve(parse("SO=J*")) == {"R0", "R2"}
+    assert engine.count(parse("SO=A* OR SO=J REV")) == CountResult.exact(3)
+    _assert_so_leaves_equal_the_oracle(corpus)
+    # a repeated title past the key is met twice as an extra, which sets its bit twice
+    twice = Corpus((*corpus, make_record("R3", ("J REV", "A REV", "J REV"))))
+    assert CappedEngine(twice).retrieve(parse("SO=J REV")) == {"R0", "R2", "R3"}
+    _assert_so_leaves_equal_the_oracle(twice)
+
+
+@pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 300])
+@pytest.mark.parametrize("tail", [0, 2])
+def test_extra_bits_on_both_sides_of_a_byte_boundary(n, tail):
+    # record p's only key is its own title, so it holds engine bit p; the marked
+    # records are also found through "Z REV", below the run of the tail records
+    # whose key it is: extras at bits 0, 7, 8 and n - 1 of the buffer below that run
+    marked = {p for p in (0, 7, 8, n - 1) if 0 <= p < n}
+    records = [make_record(f"R{p:03d}", (f"A{p:03d} REV",) + (("Z REV",) if p in marked else ()))
+               for p in range(n)]
+    records += [make_record(f"T{k}", ("Z REV",)) for k in range(tail)]
+    engine = CappedEngine(Corpus(tuple(records)))
+    assert list(engine._order) == list(range(n + tail))
+    expected = sum(1 << p for p in marked) | ((1 << tail) - 1) << n
+    for pattern in (Pattern("Z", truncated=True), Pattern("Z REV")):
+        assert engine._leaf(Term(FieldKind.SO, pattern)) == expected
+    assert engine.retrieve(parse("SO=Z*")) == \
+        {f"R{p:03d}" for p in marked} | {f"T{k}" for k in range(tail)}
+
+
+@pytest.mark.parametrize("titles", [
+    # spans that start or end where one key's values end and the next key's begin
+    [("JA",), ("JB", "JA"), ("JB",), ("JC",), ("K",), ("A", "JC"), ("JA", "K")],
+    [("JA", "JB"), ("JB", "JC"), ("JC", "JA"), ("JB",), ("JA JA",), ("J",)],
+])
+def test_leaves_whose_spans_start_or_end_on_a_key_boundary(titles):
+    corpus = Corpus(tuple(make_record(f"R{i}", value) for i, value in enumerate(titles)))
+    _assert_so_leaves_equal_the_oracle(corpus)
+
+
+def test_an_empty_corpus_has_empty_leaves_and_retrieves_nothing():
+    engine = CappedEngine(Corpus(()))
+    assert len(engine._order) == 0
+    for text in ("SO=A*", "SO=A REV", "PY=2007", "CU=USA", "AD=X*"):
+        assert engine._leaf(parse(text)) == 0, text
+        assert engine.retrieve(parse(text)) == set(), text
+    assert engine.coverage([parse("SO=A*"), parse("PY=2*")]) == []
+    assert engine.prefix_children(FieldKind.SO, "") == set()
+
+
+def test_retrieve_and_coverage_agree_with_the_oracle_when_titles_run_against_the_records():
+    # the titles descend as the records ascend, and every third record has a
+    # second title, so the engine's bits run against the corpus order in every field
+    records = tuple(
+        make_record(f"R{p:02d}", (f"{chr(ord('Z') - p % 26)}{p:02d} REV",)
+                    + ((f"{chr(ord('A') + p % 5)} LETTERS",) if p % 3 == 0 else ()),
+                    year=2000 + p % 4, countries=(f"C{p % 3}",),
+                    addresses=(f"UNIV {p % 7}",) if p % 2 else ())
+        for p in range(60)
+    )
+    corpus = Corpus(records)
+    engine, oracle = CappedEngine(corpus, EngineConfig(cap=61)), Oracle(corpus)
+    assert list(engine._order) != list(range(60))
+    sections = [parse(text) for text in (
+        "SO=A* OR SO=Z*", "SO=Y* AND PY=2001", "SO=B LETTERS OR CU=C2", "AD=UNIV NOT SO=X*",
+        "(SO=C* OR SO=D*) AND (PY=2000 OR AD=3)", "SO=A LETTERS", "PY=2003 NOT CU=C0",
+    )]
+    for section in sections:
+        assert engine.retrieve(section) == oracle.evaluate(section), section
+    multiplicity = Counter(chain.from_iterable(oracle.evaluate(s) for s in sections))
+    top = max(multiplicity.values())
+    assert top >= 3
+    assert engine.coverage(sections) == [
+        sum(m >= k for m in multiplicity.values()) for k in range(1, top + 1)
+    ]
+
+
+@given(st.lists(st.lists(_VALUE, min_size=1, max_size=3), max_size=10))
+@example([["JO", "JO"], ["A", "JO"], ["JO A", "A"], ["JOB"]])
+# JO finds, past their keys, the two records of one value and the one of another
+@example([["A", "JO"], ["JO"], ["A", "JO"], ["B", "JO"]])
+def test_every_so_leaf_of_a_multi_title_corpus_equals_the_oracle(values):
+    corpus = Corpus(tuple(make_record(f"R{i:02d}", tuple(v)) for i, v in enumerate(values)))
+    _assert_so_leaves_equal_the_oracle(corpus)
 
 
 # -- memory -------------------------------------------------------------------
@@ -554,6 +700,63 @@ def test_building_a_leaf_holds_one_bit_per_record(uk_corpus):
     assert uk_corpus.source_titles.codes.typecode == "I"
     assert bits != 0
     assert (peak - before) / len(uk_corpus) < 1, "traced peak bytes per record of one leaf"
+
+
+def _traced_peak(build):
+    """What ``build()`` returns, and the traced bytes it held at its peak above the start."""
+    tracing = tracemalloc.is_tracing()
+    gc.collect()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, peak - before
+
+
+def test_building_a_late_leaf_with_extras_holds_one_bit_per_record(uk_corpus):
+    # SO=Z*'s run starts near the last engine bit, and the records it finds through
+    # a second title lie below that run, in a buffer of one bit per bit below it:
+    # about 0.56 traced peak bytes per record, where a byte per bit would hold 8
+    engine = CappedEngine(uk_corpus)
+    index = engine._index[FieldKind.SO]
+    lo, hi = index._span("Z")
+    start = index._key_bits[lo]
+    assert start > 0.9 * len(uk_corpus)
+    assert any(pos < start for pos in index._extras[index._extra_starts[lo]:index._extra_starts[hi]])
+    term = Term(FieldKind.SO, Pattern("Z", truncated=True))
+    bits, peak = _traced_peak(lambda: engine._leaf(term))
+    assert bits.bit_count() == len(Oracle(uk_corpus).evaluate(term))
+    assert peak / len(uk_corpus) < 1, "traced peak bytes per record of one leaf"
+
+
+def test_building_a_leaf_of_a_wide_column_holds_one_bit_per_record():
+    # a country field of 2,000 values is kept as array('I'), so its leaf sets engine
+    # bits in a buffer of one bit per record: about 0.69 traced peak bytes per record
+    corpus = generate(CorpusProfile(seed=3, n_records=20_000, **_WIDE["CU"]))
+    assert corpus.countries.codes.typecode == "I"
+    engine = CappedEngine(corpus)
+    term = Term(FieldKind.CU, Pattern("C1", truncated=True))
+    bits, peak = _traced_peak(lambda: engine._leaf(term))
+    assert bits.bit_count() == len(Oracle(corpus).evaluate(term))
+    assert peak / len(corpus) < 1, "traced peak bytes per record of one leaf"
+
+
+def test_mapping_engine_bits_to_positions_holds_two_bytes_per_record(uk_corpus):
+    # a flag byte per engine bit and a buffer of one bit per record: about 2.0
+    # traced peak bytes per record, where a byte per record more would hold 10
+    engine = CappedEngine(uk_corpus)
+    query = parse("SO=Z*")
+    bits = engine._eval(query)
+    engine._order  # placed on first use, before the measurement
+    by_position, peak = _traced_peak(lambda: engine._by_position(bits))
+    assert uk_corpus.ids.select(by_position) == Oracle(uk_corpus).evaluate(query)
+    assert peak / len(uk_corpus) < 3, "traced peak bytes per record of the mapping"
 
 
 def test_loading_a_corpus_file_holds_no_python_object_per_record(uk_corpus, tmp_path):

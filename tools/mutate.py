@@ -73,11 +73,19 @@ EQUIVALENT: dict[tuple[str, str, str, str], str] = {
      "0 -> 1"): _EMPTY_OPENING_RUN,
     ("src/capsplit/planner.py", "_Packer.longest_fit", "steps += 1", "+ -> -"):
         "only the parity of steps is read, and -k has the parity of k",
-    ("src/capsplit/engine.py", "_FieldIndex.leaf", "buf = bytearray((self._size + 7) >> 3)",
-     "7 -> 8"): "it adds at most one zero byte, and a zero-padded little-endian buffer "
-                "reads as the same int",
+    **{("src/capsplit/engine.py", function, line, "7 -> 8"):
+       "it adds at most one zero byte, and a zero-padded little-endian buffer reads as the "
+       "same int"
+       for function, line in (
+           ("_CodeIndex._bits", "buf = bytearray((self._size + 7) >> 3)"),
+           ("_TitleIndex._bits", "buf = bytearray((a + 7) >> 3)"),
+           ("CappedEngine._by_position", "buf = bytearray((len(self._ids) + 7) >> 3)"))},
+    ("src/capsplit/engine.py", "_TitleIndex.__init__",
+     'key_bits, extras, extra_starts = array("I"), array("I"), array("I", [0])', "0 -> 1"):
+        "only a span from the first term reads _extra_starts[0], and its run starts at bit 0, "
+        "so no extra it could drop lies below the run",
     ("src/capsplit/engine.py", "_term_table",
-     'starts = array("I", accumulate(map(free.__getitem__, terms), initial=0))', "0 -> 1"):
+     'starts = array("I", accumulate(map(sizes.__getitem__, terms), initial=0))', "0 -> 1"):
         "every term's slice moves up one slot together, past one unused slot, so every "
         "leaf reads the same codes",
     **{("src/capsplit/query.py", function, line, "0 -> 1"):
